@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands mirror the pipeline stages; each stage command recomputes its
-prerequisites in memory and writes only its own artifacts, while ``run``
-executes everything and writes the manifest.  All options can come from a
-JSON config file (--config); explicit flags override file values.
+Subcommands mirror the pipeline stages.  Stage command X runs the stage
+table through X and writes the artifacts of every stage it ran; only ``run``
+executes the whole table and writes manifest.json.  All options can come
+from a JSON config file (--config); explicit flags override file values.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import cues as cues_mod
 from . import diagnostics, github_fetch, participation, pipeline, ps_index, reporting
 
-STAGE_COMMANDS = ("ingest", "cues", "screen", "label", "index", "fit", "report", "run")
+STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES) + ("run",)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -72,11 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     overrides: dict = {}
-    for key in ("corpus_dir", "out_dir", "threshold_scope", "unit", "emoji_table_path"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("merged_only", "global_activity"):
+    for key in ("corpus_dir", "out_dir", "threshold_scope", "unit", "emoji_table_path",
+                "merged_only", "global_activity"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -87,15 +84,9 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
             raise pipeline.ConfigError(f"bad --models value: {args.models!r}") from None
 
     labeling_overrides = {}
-    for arg_name, key in (
-        ("data_end", "data_end"),
-        ("snapshot_date", "snapshot_date"),
-        ("window_months", "window_months"),
-        ("recent_horizon_end", "recent_horizon_end"),
-        ("censor_margin_months", "censor_margin_months"),
-        ("gap_months", "gap_months"),
-    ):
-        value = getattr(args, arg_name, None)
+    for key in ("data_end", "snapshot_date", "window_months", "recent_horizon_end",
+                "censor_margin_months", "gap_months"):
+        value = getattr(args, key, None)
         if value is not None:
             labeling_overrides[key] = value
 
@@ -103,8 +94,10 @@ def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         raw = pipeline.read_config_file(args.config)
     else:
         raw = {}
-    if labeling_overrides:
-        raw["labeling"] = {**(raw.get("labeling") or {}), **labeling_overrides}
+    labeling = raw.get("labeling") or {}
+    # A malformed section is left in place for config_from_dict to reject.
+    if labeling_overrides and isinstance(labeling, dict):
+        raw["labeling"] = {**labeling, **labeling_overrides}
     if getattr(args, "no_filter", None):
         raw["filter"] = None
     elif not args.config and "filter" not in raw:
@@ -126,65 +119,43 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit_summary(result: pipeline.PipelineResult) -> str:
+    lines = [
+        f"model_{i}: n={fit.n_observations} ll={fit.log_likelihood:.2f} aic={fit.aic:.2f}"
+        for i, fit in sorted(result.fits.items())
+    ]
+    lines += [f"model_{i}: no finite fit ({why})" for i, why in sorted(result.model_failures.items())]
+    return "\n".join(lines)
+
+
+# What each stage command prints once the table has run through that stage.
+STAGE_SUMMARIES = {
+    "ingest": lambda r: json.dumps(
+        {**r.corpus.counts(), "ingest_errors": len(r.ingest_errors)}, sort_keys=True
+    ),
+    "cues": lambda r: f"wrote cues for {len(r.cue_rows)} pull requests",
+    "screen": lambda r: r.screening_report.format_table(),
+    "label": lambda r: (
+        f"labeled {len(r.labeling.labels)} contributors, {len(r.labeling.unlabeled)} unlabeled"
+    ),
+    "index": lambda r: reporting.format_index_table(r.summary.repository_index),
+    "fit": _fit_summary,
+    "report": lambda r: r.report_text,
+}
+
+
 def _cmd_stage(command: str, args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     if command == "run":
         result = pipeline.run_pipeline(config)
-        print(f"wrote {len(result.manifest['artifacts']) + 1} artifacts to {out}")
+        print(f"wrote {len(result.manifest['artifacts']) + 1} artifacts to {config.out_dir}")
         return 0
-
-    load = pipeline.load_and_filter(config)
-    if command == "ingest":
-        corpus_mod.write_error_report(load.errors, out / "ingest_errors.jsonl")
-        counts = load.corpus.counts()
-        print(json.dumps({**counts, "ingest_errors": len(load.errors)}, sort_keys=True))
-        return 0
-
-    table = cues_mod.load_emoji_table(config.emoji_table_path)
-    cue_rows = cues_mod.extract_all(load.corpus.pulls, table)
-    if command == "cues":
-        cues_mod.write_cues_csv(out / "cues.csv", cue_rows)
-        print(f"wrote cues for {len(cue_rows)} pull requests")
-        return 0
-
-    if command == "screen":
-        report = pipeline.screen_cues(cue_rows, config.screening)
-        diagnostics.write_screening_report(report, out / "screening_report.json")
-        print(report.format_table())
-        return 0
-
-    contributors = {(p.repo_full_name, p.author) for p in load.corpus.pulls}
-    labeling = participation.label_contributors(
-        load.corpus.commits, contributors, config.labeling, global_activity=config.global_activity
-    )
-    if command == "label":
-        participation.write_labels_csv(out / "labels.csv", labeling.labels)
-        print(f"labeled {len(labeling.labels)} contributors, {len(labeling.unlabeled)} unlabeled")
-        return 0
-
-    pairs = [(pull.repo_full_name, vector) for pull, vector in cue_rows]
-    thresholds = ps_index.compute_thresholds(pairs, scope=config.threshold_scope)
-    summary = ps_index.summarize(cue_rows, labeling.labels, thresholds, merged_only=config.merged_only)
-    if command == "index":
-        ps_index.write_repository_csv(out / "ps_index_repository.csv", summary)
-        ps_index.write_contributor_csv(out / "ps_index_contributor.csv", summary)
-        print(reporting.format_index_table(summary.repository_index))
-        return 0
-
-    # fit and report both need models; reuse the full pipeline for artifact
-    # consistency (it rewrites every stage artifact deterministically).
-    result = pipeline.run_pipeline(config)
-    if command == "fit":
-        for index in sorted(result.fits):
-            fit = result.fits[index]
-            print(f"model_{index}: n={fit.n_observations} ll={fit.log_likelihood:.2f} aic={fit.aic:.2f}")
-        for index in sorted(result.model_failures):
-            print(f"model_{index}: no finite fit ({result.model_failures[index]})")
-        return 0
-    print((out / "report.txt").read_text("utf-8"))
+    result = pipeline.run_stages(config, through=command)
+    print(STAGE_SUMMARIES[command](result))
+    if result.fit_failed:
+        raise pipeline.StageError(
+            f"fit stage failed: {pipeline.NO_FIT}; see the model_<k>.json files in {config.out_dir}"
+        )
     return 0
 
 

@@ -122,21 +122,6 @@ class Corpus:
     contexts: list[ContributorContext] = field(default_factory=list)
     repos: list[RepoMeta] = field(default_factory=list)
 
-    def repo_names(self) -> list[str]:
-        return [r.repo_full_name for r in self.repos]
-
-    def meta_for(self, repo_full_name: str) -> RepoMeta | None:
-        for meta in self.repos:
-            if meta.repo_full_name == repo_full_name:
-                return meta
-        return None
-
-    def context_for(self, repo_full_name: str, author: str) -> ContributorContext | None:
-        for ctx in self.contexts:
-            if ctx.repo_full_name == repo_full_name and ctx.author == author:
-                return ctx
-        return None
-
     def counts(self) -> dict[str, int]:
         return {
             "pulls": len(self.pulls),

@@ -156,9 +156,6 @@ class CueVector:
     at_tag: int
     emoji_count: int
 
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in CUE_NAMES}
-
 
 def extract_cues(pull: PullRequestRecord, table: EmojiTable) -> CueVector:
     """Compute the thirteen cues for one pull request.

@@ -1,5 +1,9 @@
 """End-to-end pipeline: ingest, cues, screen, label, index, fit, report.
 
+The stages form one ordered table, STAGES.  run_stages executes a prefix of
+it, and each stage that runs writes its own artifacts; run_pipeline executes
+the whole table and is the only path that writes manifest.json.
+
 Every run is deterministic: identical configuration and corpus bytes give
 byte-identical artifacts.  Manifests therefore carry no wall-clock fields,
 only the configuration hash, the emoji table version, thresholds, screening
@@ -25,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import corpus as corpus_mod
 from . import cues as cues_mod
@@ -57,19 +61,6 @@ CUE_KINDS: dict[str, str] = {
 }
 
 CONTINUOUS_CONTROLS = ("contrib_rate_author", "followers", "num_languages", "social_strength")
-
-# The seven stage artifacts every run writes; model_<k>.json, report.txt and
-# manifest.json come on top.
-ARTIFACT_FILES = (
-    "ingest_errors.jsonl",
-    "cues.csv",
-    "screening_report.json",
-    "labels.csv",
-    "ps_index_repository.csv",
-    "ps_index_contributor.csv",
-    "models_table.csv",
-)
-
 
 @dataclass
 class PipelineConfig:
@@ -138,6 +129,23 @@ def _parse_date(value, name: str):
         raise ConfigError(f"{name} must be an ISO date (YYYY-MM-DD), got {value!r}") from None
 
 
+def _section(merged: Mapping, name: str) -> dict:
+    """A nested config object; absent or null reads as empty."""
+    value = merged.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _flag(merged: Mapping, name: str) -> bool:
+    value = merged.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON-shaped mapping plus CLI overrides."""
     merged = dict(raw)
@@ -152,7 +160,7 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
     if not out_dir:
         raise ConfigError("out_dir is required (use --out)")
 
-    labeling_raw = dict(merged.get("labeling") or {})
+    labeling_raw = _section(merged, "labeling")
     if "data_end" not in labeling_raw:
         raise ConfigError("labeling.data_end is required")
     try:
@@ -172,9 +180,9 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
     except participation.LabelingConfigError as exc:
         raise ConfigError(str(exc)) from None
 
-    filter_raw = merged.get("filter")
     filter_config = None
-    if filter_raw is not None:
+    if merged.get("filter") is not None:
+        filter_raw = _section(merged, "filter")
         filter_config = corpus_mod.FilterConfig(
             top_n_by_stars=int(filter_raw.get("top_n_by_stars", 200)),
             excluded_labels=frozenset(
@@ -182,7 +190,7 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
             ),
         )
 
-    screening_raw = dict(merged.get("screening") or {})
+    screening_raw = _section(merged, "screening")
     screening = diagnostics.ScreeningConfig(
         skew_threshold=float(screening_raw.get("skew_threshold", 3.0)),
         minority_threshold=float(screening_raw.get("minority_threshold", 0.05)),
@@ -197,8 +205,8 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
             filter=filter_config,
             screening=screening,
             threshold_scope=str(merged.get("threshold_scope", "global")),
-            merged_only=bool(merged.get("merged_only", False)),
-            global_activity=bool(merged.get("global_activity", False)),
+            merged_only=_flag(merged, "merged_only"),
+            global_activity=_flag(merged, "global_activity"),
             unit=str(merged.get("unit", "pr")),
             models=tuple(merged.get("models", (1, 2, 3))),
             emoji_table_path=Path(merged["emoji_table_path"])
@@ -225,10 +233,6 @@ def read_config_file(path: str | Path) -> dict:
     return dict(raw)
 
 
-def load_config_file(path: str | Path, overrides: Mapping | None = None) -> PipelineConfig:
-    return config_from_dict(read_config_file(path), overrides)
-
-
 def config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -236,20 +240,41 @@ def config_hash(config: PipelineConfig) -> str:
 
 @dataclass
 class PipelineResult:
+    """What the stages have built so far; fields of stages not yet run stay empty."""
+
     config: PipelineConfig
-    corpus: corpus_mod.Corpus
-    ingest_errors: list
-    cue_rows: list
-    screening_report: diagnostics.ScreeningReport
-    labeling: participation.LabelingOutcome
-    thresholds: ps_index.Thresholds
-    summary: ps_index.PsSummary
-    fits: dict[int, glm.LogisticFit]
-    specs: dict[int, glm.ModelSpec]
-    vifs: dict[int, dict[str, float]]
-    model_failures: dict[int, str]
-    control_transforms: dict[str, str]
-    manifest: dict
+    corpus: corpus_mod.Corpus | None = None
+    ingest_errors: list = field(default_factory=list)
+    emoji_table: cues_mod.EmojiTable | None = None
+    cue_rows: list = field(default_factory=list)
+    screening_report: diagnostics.ScreeningReport | None = None
+    labeling: participation.LabelingOutcome | None = None
+    thresholds: ps_index.Thresholds | None = None
+    summary: ps_index.PsSummary | None = None
+    control_transforms: dict[str, str] = field(default_factory=dict)
+    specs: dict[int, glm.ModelSpec] = field(default_factory=dict)
+    fits: dict[int, glm.LogisticFit] = field(default_factory=dict)
+    vifs: dict[int, dict[str, float]] = field(default_factory=dict)
+    rows_dropped: dict[int, int] = field(default_factory=dict)
+    model_failures: dict[int, str] = field(default_factory=dict)
+    report_text: str = ""
+    manifest: dict | None = None
+
+    @property
+    def fit_failed(self) -> bool:
+        """True once the fit stage has run and no requested model has a finite fit."""
+        return bool(self.specs) and not self.fits
+
+    def fit_columns(self) -> tuple[list[glm.LogisticFit], list[str]]:
+        """The finite fits in model order, with their column titles."""
+        order = sorted(self.fits)
+        return [self.fits[i] for i in order], [f"Model {i}" for i in order]
+
+    def failure_notes(self) -> list[str]:
+        return [
+            f"{self.specs[i].name} has no finite fit: {self.model_failures[i]}"
+            for i in sorted(self.model_failures)
+        ]
 
 
 def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
@@ -277,30 +302,24 @@ def screen_cues(
     return diagnostics.screen_predictors(table, CUE_KINDS, config)
 
 
-def _model_rows(
-    corpus: corpus_mod.Corpus,
-    cue_rows: Sequence[tuple[corpus_mod.PullRequestRecord, cues_mod.CueVector]],
-    labeling: participation.LabelingOutcome,
-    summary: ps_index.PsSummary,
-    unit: str,
-) -> list[dict]:
+def _model_rows(state: PipelineResult) -> list[dict]:
     """One analysis row per PR (or per contributor when collapsed).
 
     Rows carry the outcome variables, the repository index and the control
     block.  Values that are unavailable (no label, no context, no index)
     stay None and are dropped by the design encoder, which counts them.
     """
-    contexts = {(c.repo_full_name, c.author): c for c in corpus.contexts}
-    metas = {m.repo_full_name: m for m in corpus.repos}
+    contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
+    metas = {m.repo_full_name: m for m in state.corpus.repos}
     rows = []
     seen_contributors: set[tuple[str, str]] = set()
-    for pull, _vector in cue_rows:
+    for pull, _vector in state.cue_rows:
         key = (pull.repo_full_name, pull.author)
-        if unit == "contributor":
+        if state.config.unit == "contributor":
             if key in seen_contributors:
                 continue
             seen_contributors.add(key)
-        label = labeling.labels.get(key)
+        label = state.labeling.labels.get(key)
         context = contexts.get(key)
         meta = metas.get(pull.repo_full_name)
         rows.append(
@@ -310,7 +329,7 @@ def _model_rows(
                 "author": pull.author,
                 "sustainedp_or_not_12": None if label is None else label.sustainedp_or_not_12,
                 "recent_sustainedp_or_not": None if label is None else label.recent_sustainedp_or_not,
-                "PS_index_repository": summary.repository_index.get(pull.repo_full_name),
+                "PS_index_repository": state.summary.repository_index.get(pull.repo_full_name),
                 "core_member": None if context is None else int(context.core_member),
                 "contrib_rate_author": None if context is None else context.contrib_rate_author,
                 "followers": None if context is None else context.followers,
@@ -343,142 +362,165 @@ def _control_transforms(
     return transforms
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute all stages in order and write every artifact."""
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+# Stage functions look every module function up at call time, so a caller
+# that swaps a module attribute (a tracer, a test double) sees every call.
 
-    # ingest
+def _ingest(config: PipelineConfig, state: PipelineResult) -> None:
     load = load_and_filter(config)
-    corpus = load.corpus
-    corpus_mod.write_error_report(load.errors, out / "ingest_errors.jsonl")
+    state.corpus, state.ingest_errors = load.corpus, load.errors
+    corpus_mod.write_error_report(load.errors, config.out_dir / "ingest_errors.jsonl")
 
-    # cues
-    table = cues_mod.load_emoji_table(config.emoji_table_path)
-    cue_rows = cues_mod.extract_all(corpus.pulls, table)
-    cues_mod.write_cues_csv(out / "cues.csv", cue_rows)
 
-    # screen
-    report = screen_cues(cue_rows, config.screening)
-    diagnostics.write_screening_report(report, out / "screening_report.json")
+def _cues(config: PipelineConfig, state: PipelineResult) -> None:
+    state.emoji_table = cues_mod.load_emoji_table(config.emoji_table_path)
+    state.cue_rows = cues_mod.extract_all(state.corpus.pulls, state.emoji_table)
+    cues_mod.write_cues_csv(config.out_dir / "cues.csv", state.cue_rows)
 
-    # label
-    contributors = {(p.repo_full_name, p.author) for p in corpus.pulls}
-    labeling = participation.label_contributors(
-        corpus.commits, contributors, config.labeling, global_activity=config.global_activity
+
+def _screen(config: PipelineConfig, state: PipelineResult) -> None:
+    state.screening_report = screen_cues(state.cue_rows, config.screening)
+    diagnostics.write_screening_report(
+        state.screening_report, config.out_dir / "screening_report.json"
     )
-    participation.write_labels_csv(out / "labels.csv", labeling.labels)
 
-    # index
-    pairs = [(pull.repo_full_name, vector) for pull, vector in cue_rows]
-    thresholds = ps_index.compute_thresholds(pairs, scope=config.threshold_scope)
-    summary = ps_index.summarize(cue_rows, labeling.labels, thresholds, merged_only=config.merged_only)
-    ps_index.write_repository_csv(out / "ps_index_repository.csv", summary)
-    ps_index.write_contributor_csv(out / "ps_index_contributor.csv", summary)
 
-    # fit
-    rows = _model_rows(corpus, cue_rows, labeling, summary, config.unit)
-    control_transforms = _control_transforms(rows, config.screening)
-    all_specs = {i + 1: spec for i, spec in enumerate(glm.canned_model_specs(control_transforms))}
-    fits: dict[int, glm.LogisticFit] = {}
-    specs: dict[int, glm.ModelSpec] = {}
-    vifs: dict[int, dict[str, float]] = {}
-    dropped: dict[int, int] = {}
-    model_failures: dict[int, str] = {}
+def _label(config: PipelineConfig, state: PipelineResult) -> None:
+    contributors = {(p.repo_full_name, p.author) for p in state.corpus.pulls}
+    state.labeling = participation.label_contributors(
+        state.corpus.commits, contributors, config.labeling, global_activity=config.global_activity
+    )
+    participation.write_labels_csv(config.out_dir / "labels.csv", state.labeling.labels)
+
+
+def _index(config: PipelineConfig, state: PipelineResult) -> None:
+    pairs = [(pull.repo_full_name, vector) for pull, vector in state.cue_rows]
+    state.thresholds = ps_index.compute_thresholds(pairs, scope=config.threshold_scope)
+    state.summary = ps_index.summarize(
+        state.cue_rows, state.labeling.labels, state.thresholds, merged_only=config.merged_only
+    )
+    ps_index.write_repository_csv(config.out_dir / "ps_index_repository.csv", state.summary)
+    ps_index.write_contributor_csv(config.out_dir / "ps_index_contributor.csv", state.summary)
+
+
+def _fit(config: PipelineConfig, state: PipelineResult) -> None:
+    out = config.out_dir
+    rows = _model_rows(state)
+    state.control_transforms = _control_transforms(rows, config.screening)
+    all_specs = glm.canned_model_specs(state.control_transforms)
     for index in sorted(config.models):
-        spec = all_specs[index]
-        specs[index] = spec
+        spec = state.specs[index] = all_specs[index - 1]
         try:
             design = glm.encode_design(rows, spec)
             fit = glm.fit_logistic(design.X, design.y, design.columns)
         except (glm.DesignError, glm.SeparationError) as exc:
             # A model without a finite fit is a reported outcome, not a crash;
             # the other models still run and the record stays deterministic.
-            model_failures[index] = str(exc)
+            state.model_failures[index] = str(exc)
             reporting.write_model_failure_json(out / f"model_{index}.json", spec, str(exc))
             continue
-        fits[index] = fit
-        vifs[index] = glm.vif(design.X, design.columns)
-        dropped[index] = design.n_dropped
+        state.fits[index] = fit
+        state.vifs[index] = glm.vif(design.X, design.columns)
+        state.rows_dropped[index] = design.n_dropped
         reporting.write_model_json(out / f"model_{index}.json", fit, spec)
-    titles = [f"Model {i}" for i in sorted(fits)]
-    ordered_fits = [fits[i] for i in sorted(fits)]
-    reporting.write_models_csv(out / "models_table.csv", ordered_fits, titles)
+    reporting.write_models_csv(out / "models_table.csv", *state.fit_columns())
 
-    # report
-    failure_notes = [
-        f"{all_specs[i].name} has no finite fit: {model_failures[i]}"
-        for i in sorted(model_failures)
-    ]
-    report_text = reporting.render_report(
-        summary,
-        ordered_fits,
-        titles,
-        screening_table=report.format_table(),
-        model_notes=failure_notes,
+
+def _report(config: PipelineConfig, state: PipelineResult) -> None:
+    state.report_text = reporting.render_report(
+        state.summary,
+        *state.fit_columns(),
+        screening_table=state.screening_report.format_table(),
+        model_notes=state.failure_notes(),
     )
-    (out / "report.txt").write_text(report_text, encoding="utf-8")
+    (config.out_dir / "report.txt").write_text(state.report_text, encoding="utf-8")
 
-    # manifest
-    manifest = {
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    artifacts: tuple[str, ...]
+    run: Callable[[PipelineConfig, PipelineResult], None]
+
+
+# The method's one fixed order.  Each stage reads what earlier stages left in
+# the PipelineResult and writes its own artifacts; fit also writes one
+# model_<k>.json per requested model.
+STAGES = (
+    Stage("ingest", ("ingest_errors.jsonl",), _ingest),
+    Stage("cues", ("cues.csv",), _cues),
+    Stage("screen", ("screening_report.json",), _screen),
+    Stage("label", ("labels.csv",), _label),
+    Stage("index", ("ps_index_repository.csv", "ps_index_contributor.csv"), _index),
+    Stage("fit", ("models_table.csv",), _fit),
+    Stage("report", ("report.txt",), _report),
+)
+
+# The fixed-name artifacts of a full run, manifest.json aside.
+ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.artifacts)
+
+NO_FIT = "no requested model has a finite fit"
+
+
+def run_stages(config: PipelineConfig, through: str = STAGES[-1].name) -> PipelineResult:
+    """Run the stage table in order, up to and including the stage `through`.
+
+    Every stage that runs writes its artifacts; manifest.json is written only
+    by run_pipeline.
+    """
+    stop = [stage.name for stage in STAGES].index(through)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    state = PipelineResult(config)
+    for stage in STAGES[: stop + 1]:
+        stage.run(config, state)
+    return state
+
+
+def _manifest(result: PipelineResult) -> dict:
+    config, thresholds = result.config, result.thresholds
+    return {
         "tool": "prsafety",
         "config": config.to_json(),
         "config_hash": config_hash(config),
-        "emoji_table_version": table.version,
+        "emoji_table_version": result.emoji_table.version,
         "thresholds": {
             "scope": thresholds.scope,
             "global": thresholds.global_medians,
             "per_repository": thresholds.per_repository,
         },
-        "screening": report.to_json(),
-        "control_transforms": control_transforms,
+        "screening": result.screening_report.to_json(),
+        "control_transforms": result.control_transforms,
         "role_provenance": "stored",
         "row_counts": {
-            **corpus.counts(),
-            "ingest_errors": len(load.errors),
-            "labeled_contributors": len(labeling.labels),
-            "unlabeled_contributors": len(labeling.unlabeled),
-            "scored_prs": len(summary.pr_scores),
-            "skipped_prs": len(summary.skipped_prs),
-            "model_rows_dropped": dropped,
+            **result.corpus.counts(),
+            "ingest_errors": len(result.ingest_errors),
+            "labeled_contributors": len(result.labeling.labels),
+            "unlabeled_contributors": len(result.labeling.unlabeled),
+            "scored_prs": len(result.summary.pr_scores),
+            "skipped_prs": len(result.summary.skipped_prs),
+            "model_rows_dropped": result.rows_dropped,
         },
         "vif": {
             "threshold": 5.0,
-            "per_model": {str(i): vifs[i] for i in sorted(vifs)},
-            "all_below_threshold": all(glm.vif_gate(v) for v in vifs.values()),
+            "per_model": {str(i): result.vifs[i] for i in sorted(result.vifs)},
+            "all_below_threshold": all(glm.vif_gate(v) for v in result.vifs.values()),
         },
-        "notes": [ps_index.OUTCOME_COUPLING_NOTE] + failure_notes,
-        "model_failures": {str(i): model_failures[i] for i in sorted(model_failures)},
+        "notes": [ps_index.OUTCOME_COUPLING_NOTE] + result.failure_notes(),
+        "model_failures": {str(i): result.model_failures[i] for i in sorted(result.model_failures)},
         "artifacts": sorted(
-            p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
+            p.name for p in config.out_dir.iterdir() if p.is_file() and p.name != "manifest.json"
         ),
-        "failure": None
-        if fits
-        else {"stage": "fit", "detail": "no requested model has a finite fit"},
+        "failure": {"stage": "fit", "detail": NO_FIT} if result.fit_failed else None,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Run every stage, write manifest.json, then raise StageError if no model fits."""
+    result = run_stages(config)
+    result.manifest = _manifest(result)
+    path = config.out_dir / "manifest.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(result.manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-    if not fits:
-        raise StageError(
-            "fit stage failed: no requested model has a finite fit; "
-            f"see {out / 'manifest.json'}"
-        )
-
-    return PipelineResult(
-        config=config,
-        corpus=corpus,
-        ingest_errors=load.errors,
-        cue_rows=cue_rows,
-        screening_report=report,
-        labeling=labeling,
-        thresholds=thresholds,
-        summary=summary,
-        fits=fits,
-        specs=specs,
-        vifs=vifs,
-        model_failures=model_failures,
-        control_transforms=control_transforms,
-        manifest=manifest,
-    )
+    if result.fit_failed:
+        raise StageError(f"fit stage failed: {NO_FIT}; see {path}")
+    return result

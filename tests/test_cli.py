@@ -6,6 +6,7 @@ import pytest
 
 from conftest import CORPUS12_DATA_END
 from prsafety import cli, github_fetch, pipeline
+from prsafety import corpus as corpus_mod
 
 
 def _run_args(corpus_dir, out_dir, *extra):
@@ -136,7 +137,82 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("filter", 5),
+        ("filter", "x"),
+        ("labeling", "x"),
+        ("screening", [1]),
+        ("merged_only", "false"),
+        ("global_activity", 1),
+    ],
+)
+def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"corpus_dir": str(small_corpus_dir), key: value}), encoding="utf-8"
+    )
+    code = cli.main([
+        "ingest", "--config", str(config_path), "--out", str(tmp_path / "out"),
+        "--data-end", "2025-06-30",
+    ])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 # --- stage subcommands ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def run_out(small_corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "out"
+    assert cli.main(["run", *_run_args(small_corpus_dir, out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stop", range(len(pipeline.STAGES)), ids=lambda i: pipeline.STAGES[i].name)
+def test_stage_writes_run_artifacts_of_its_prefix(small_corpus_dir, run_out, tmp_path, stop):
+    ran = pipeline.STAGES[: stop + 1]
+    out = tmp_path / "out"
+    assert cli.main([ran[-1].name, *_run_args(small_corpus_dir, out)]) == 0
+    expected = {name for stage in ran for name in stage.artifacts}
+    if "fit" in {stage.name for stage in ran}:
+        expected |= {"model_1.json", "model_2.json", "model_3.json"}
+    written = {p.name for p in out.iterdir()}
+    assert "manifest.json" not in written  # only run writes the manifest
+    assert written == expected
+    for name in written:
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_load_the_corpus_once(small_corpus_dir, tmp_path, monkeypatch, command):
+    calls = []
+    load_corpus = corpus_mod.load_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", counting)
+    assert cli.main([command, *_run_args(small_corpus_dir, tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_exit_1_when_no_model_fits(corpus12_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli.main([
+        command,
+        "--corpus", str(corpus12_dir),
+        "--out", str(out),
+        "--data-end", CORPUS12_DATA_END.isoformat(),
+        "--no-filter",
+    ])
+    assert code == 1
+    assert "no requested model has a finite fit" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
 
 def test_ingest_stage(small_corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"

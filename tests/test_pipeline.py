@@ -145,7 +145,7 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     assert list(manifest["model_failures"]) == ["3"]
     assert manifest["failure"] is None
     assert manifest["artifacts"] == sorted(
-        list(pipeline.ARTIFACT_FILES) + ["model_1.json", "model_2.json", "model_3.json", "report.txt"]
+        list(pipeline.ARTIFACT_FILES) + ["model_1.json", "model_2.json", "model_3.json"]
     )
 
     failed = json.loads((out / "model_3.json").read_text("utf-8"))
