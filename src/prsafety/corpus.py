@@ -235,7 +235,7 @@ def _require_fraction(obj: Mapping, name: str) -> float:
 
 
 def _parse_comment(obj, where: str) -> CommentRecord:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise _LineError(f"{where} must be an object")
     role = _require_str(obj, "role")
     if role not in ROLES:
@@ -343,7 +343,7 @@ def load_corpus(directory: str | Path) -> LoadResult:
         for lineno, line in _iter_jsonl(directory / filename):
             try:
                 obj = json.loads(line)
-                if not isinstance(obj, Mapping):
+                if not isinstance(obj, dict):
                     raise _LineError("line is not a JSON object")
                 records.append((lineno, parser(obj)))
             except json.JSONDecodeError as exc:
@@ -368,23 +368,27 @@ def load_corpus(directory: str | Path) -> LoadResult:
 
     comments_path = directory / "comments.jsonl"
     if comments_path.is_file():
+        # Comments are gathered per pull and merged once after the file: a
+        # stable sort of the embedded comments followed by the separate ones
+        # in file order puts same-second comments in that same order.
+        separate: dict[tuple[str, int], list[CommentRecord]] = {}
         for lineno, line in _iter_jsonl(comments_path):
             try:
                 obj = json.loads(line)
-                if not isinstance(obj, Mapping):
+                if not isinstance(obj, dict):
                     raise _LineError("line is not a JSON object")
                 key = (_require_str(obj, "repo_full_name"), _require_int(obj, "pr_number", 1))
                 comment = _parse_comment(obj, "comment")
                 if key not in pulls:
                     raise _LineError(f"comment references unknown pull {key[0]}#{key[1]}")
-                pull = pulls[key]
-                pulls[key] = replace(
-                    pull, comments=_sort_comments(pull.comments + (comment,))
-                )
+                separate.setdefault(key, []).append(comment)
             except json.JSONDecodeError as exc:
                 errors.append(IngestError("comments.jsonl", lineno, f"invalid JSON: {exc.msg}"))
             except _LineError as exc:
                 errors.append(IngestError("comments.jsonl", lineno, str(exc)))
+        for key, comments in separate.items():
+            pull = pulls[key]
+            pulls[key] = replace(pull, comments=_sort_comments(pull.comments + tuple(comments)))
 
     commits = [c for _, c in run("commits.jsonl", _parse_commit)]
 

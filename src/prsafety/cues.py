@@ -20,6 +20,14 @@ Emoji are counted against a versioned reference table of Unicode codepoint
 sequences shipped with the package.  Counting is non-overlapping, longest
 match first, scanning left to right; the table version is recorded so runs
 are reproducible when the table evolves.
+
+The scan is one regex alternation of the table's entries, longest first.  A
+lookahead over a few codepoint ranges that cover every entry's first
+codepoint comes before it, so most positions of a body are rejected by one
+range test instead of by trying the alternation.  A pure-ASCII body is not
+scanned at all when no entry of the table is pure ASCII, as in the packaged
+table: such a body cannot contain any entry.  A custom table with a
+pure-ASCII entry is always scanned.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -71,23 +79,49 @@ class EmojiTableError(Exception):
     """Malformed emoji reference table."""
 
 
+# Neighbouring first codepoints at most this far apart share one range of the
+# prefilter.  The packaged table's 261 first codepoints become 6 ranges.  The
+# regex engine tests a class member by member, so a class that lists the 261
+# codepoints one by one is about ten times slower to scan than the 6 ranges.
+_PREFILTER_GAP = 256
+
+
+def _first_codepoint_ranges(sequences: frozenset[str]) -> list[list[int]]:
+    ranges: list[list[int]] = []
+    for code in sorted({ord(s[0]) for s in sequences}):
+        if ranges and code - ranges[-1][1] <= _PREFILTER_GAP:
+            ranges[-1][1] = code
+        else:
+            ranges.append([code, code])
+    return ranges
+
+
 @dataclass(frozen=True)
 class EmojiTable:
     version: str
     sequences: frozenset[str]
 
-    @property
+    # Both are computed once per table: count_emojis reads them for every
+    # comment body.
+    @cached_property
     def pattern(self) -> re.Pattern:
-        return _compiled_pattern(self.sequences)
+        # Alternation ordered longest first: the regex engine takes the first
+        # alternative that matches at a position, which yields
+        # longest-match-first semantics for the whole scan.  The lookahead in
+        # front admits a superset of the entries' first codepoints, so it
+        # skips positions where nothing can start and never decides a match.
+        ordered = sorted(self.sequences, key=lambda s: (-len(s), s))
+        prefilter = "".join(
+            f"{re.escape(chr(low))}-{re.escape(chr(high))}"
+            for low, high in _first_codepoint_ranges(self.sequences)
+        )
+        alternation = "|".join(re.escape(s) for s in ordered)
+        return re.compile(f"(?=[{prefilter}])(?:{alternation})")
 
-
-@lru_cache(maxsize=8)
-def _compiled_pattern(sequences: frozenset[str]) -> re.Pattern:
-    # Alternation ordered longest first: the regex engine takes the first
-    # alternative that matches at a position, which yields longest-match-first
-    # semantics for the whole scan.
-    ordered = sorted(sequences, key=lambda s: (-len(s), s))
-    return re.compile("|".join(re.escape(s) for s in ordered))
+    @cached_property
+    def has_ascii_entry(self) -> bool:
+        """Whether some entry is pure ASCII, so that an ASCII text can hold one."""
+        return any(s.isascii() for s in self.sequences)
 
 
 def _parse_table(text: str, origin: str) -> EmojiTable:
@@ -123,7 +157,9 @@ def load_emoji_table(path: str | Path | None = None) -> EmojiTable:
 
 def count_emojis(text: str, table: EmojiTable) -> int:
     """Count non-overlapping emoji occurrences, longest match first."""
-    return sum(1 for _ in table.pattern.finditer(text))
+    if text.isascii() and not table.has_ascii_entry:
+        return 0
+    return len(table.pattern.findall(text))
 
 
 def strip_code_fences(text: str) -> str:

@@ -146,6 +146,20 @@ def _flag(merged: Mapping, name: str) -> bool:
     return value
 
 
+def _integer(section: Mapping, section_name: str, name: str, default: int) -> int:
+    value = section.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{section_name}.{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(section: Mapping, section_name: str, name: str, default: float) -> float:
+    value = section.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{section_name}.{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> PipelineConfig:
     """Build a PipelineConfig from a JSON-shaped mapping plus CLI overrides."""
     merged = dict(raw)
@@ -169,13 +183,13 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
             snapshot_date=_parse_date(
                 labeling_raw.get("snapshot_date", "2019-06-30"), "labeling.snapshot_date"
             ),
-            window_months=int(labeling_raw.get("window_months", 12)),
+            window_months=_integer(labeling_raw, "labeling", "window_months", 12),
             recent_horizon_end=_parse_date(
                 labeling_raw.get("recent_horizon_end", "2024-12-31"),
                 "labeling.recent_horizon_end",
             ),
-            censor_margin_months=int(labeling_raw.get("censor_margin_months", 12)),
-            gap_months=int(labeling_raw.get("gap_months", 12)),
+            censor_margin_months=_integer(labeling_raw, "labeling", "censor_margin_months", 12),
+            gap_months=_integer(labeling_raw, "labeling", "gap_months", 12),
         )
     except participation.LabelingConfigError as exc:
         raise ConfigError(str(exc)) from None
@@ -183,18 +197,19 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
     filter_config = None
     if merged.get("filter") is not None:
         filter_raw = _section(merged, "filter")
+        labels = filter_raw.get("excluded_labels", list(corpus_mod.DEFAULT_EXCLUDED_LABELS))
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ConfigError(f"filter.excluded_labels must be a list of strings, got {labels!r}")
         filter_config = corpus_mod.FilterConfig(
-            top_n_by_stars=int(filter_raw.get("top_n_by_stars", 200)),
-            excluded_labels=frozenset(
-                filter_raw.get("excluded_labels", corpus_mod.DEFAULT_EXCLUDED_LABELS)
-            ),
+            top_n_by_stars=_integer(filter_raw, "filter", "top_n_by_stars", 200),
+            excluded_labels=frozenset(labels),
         )
 
     screening_raw = _section(merged, "screening")
     screening = diagnostics.ScreeningConfig(
-        skew_threshold=float(screening_raw.get("skew_threshold", 3.0)),
-        minority_threshold=float(screening_raw.get("minority_threshold", 0.05)),
-        skew_type=int(screening_raw.get("skew_type", 3)),
+        skew_threshold=_number(screening_raw, "screening", "skew_threshold", 3.0),
+        minority_threshold=_number(screening_raw, "screening", "minority_threshold", 0.05),
+        skew_type=_integer(screening_raw, "screening", "skew_type", 3),
     )
 
     try:
@@ -506,9 +521,7 @@ def _manifest(result: PipelineResult) -> dict:
         },
         "notes": [ps_index.OUTCOME_COUPLING_NOTE] + result.failure_notes(),
         "model_failures": {str(i): result.model_failures[i] for i in sorted(result.model_failures)},
-        "artifacts": sorted(
-            p.name for p in config.out_dir.iterdir() if p.is_file() and p.name != "manifest.json"
-        ),
+        "artifacts": sorted([*ARTIFACT_FILES, *(f"model_{i}.json" for i in result.specs)]),
         "failure": {"stage": "fit", "detail": NO_FIT} if result.fit_failed else None,
     }
 

@@ -84,13 +84,16 @@ def compute_thresholds(
             for cue in THRESHOLD_CUES
         }
         return Thresholds(scope="global", global_medians=medians)
-    per_repo: dict[str, dict[str, float]] = {}
-    repos = sorted({repo for repo, _ in rows})
-    for repo in repos:
-        vectors = [vector for name, vector in rows if name == repo]
-        per_repo[repo] = {
-            cue: float(median([getattr(v, cue) for v in vectors])) for cue in THRESHOLD_CUES
+    by_repo: dict[str, list[CueVector]] = {}
+    for repo, vector in rows:
+        by_repo.setdefault(repo, []).append(vector)
+    per_repo = {
+        repo: {
+            cue: float(median([getattr(v, cue) for v in by_repo[repo]]))
+            for cue in THRESHOLD_CUES
         }
+        for repo in sorted(by_repo)
+    }
     return Thresholds(scope="per_repository", per_repository=per_repo)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
@@ -31,6 +31,53 @@ def emoji_count_window_scan(text: str, sequences: set[str]) -> int:
         else:
             i += 1
     return count
+
+
+# --- ingest -----------------------------------------------------------------
+
+_COMMENT_FIELDS = ("repo_full_name", "pr_number", "author", "role", "body", "created_at")
+
+
+def _instant(text: str) -> datetime:
+    return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
+
+
+def comment_merge_replay(
+    pulls: list[dict], comment_lines: list[str]
+) -> tuple[dict[tuple[str, int], list[str]], list[int]]:
+    """Merge comments.jsonl into pulls one line at a time, re-sorting the
+    whole thread by timestamp after each line.
+
+    pulls are pulls.jsonl objects whose embedded comments are valid.  A
+    comment line is rejected when it is not JSON, not an object, lacks a
+    field, or names no pull; every other line must be valid.  Returns the
+    comment bodies of each pull in order, keyed by (repo, number), and the
+    1-based numbers of the rejected lines in file order.
+    """
+    threads = {
+        (p["repo_full_name"], p["pr_number"]): sorted(
+            p["comments"], key=lambda c: _instant(c["created_at"])
+        )
+        for p in pulls
+    }
+    rejected = []
+    for lineno, line in enumerate(comment_lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            rejected.append(lineno)
+            continue
+        if not isinstance(obj, dict) or any(obj.get(f) is None for f in _COMMENT_FIELDS):
+            rejected.append(lineno)
+            continue
+        key = (obj["repo_full_name"], obj["pr_number"])
+        if key not in threads:
+            rejected.append(lineno)
+            continue
+        threads[key] = sorted(threads[key] + [obj], key=lambda c: _instant(c["created_at"]))
+    return {key: [c["body"] for c in thread] for key, thread in threads.items()}, rejected
 
 
 # --- participation ----------------------------------------------------------

@@ -34,6 +34,21 @@ def test_run_writes_every_artifact(small_corpus_dir, tmp_path, capsys):
     assert list(manifest["model_failures"]) == ["3"]  # recorded, but not fatal
 
 
+def test_manifest_lists_only_this_runs_artifacts(small_corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", *_run_args(small_corpus_dir, out)]) == 0
+    full = json.loads((out / "manifest.json").read_text("utf-8"))["artifacts"]
+    assert full == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    capsys.readouterr()
+    assert cli.main(["run", *_run_args(small_corpus_dir, out), "--models", "1"]) == 0
+    assert f"wrote 10 artifacts to {out}" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["artifacts"] == [
+        name for name in full if name not in ("model_2.json", "model_3.json")
+    ]
+    assert (out / "model_2.json").is_file()  # left over, but not this run's
+
+
 def test_run_exit_1_when_no_model_fits(corpus12_dir, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main([
@@ -146,6 +161,15 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("screening", [1]),
         ("merged_only", "false"),
         ("global_activity", 1),
+        ("labeling", {"window_months": "x"}),
+        ("labeling", {"gap_months": 1.5}),
+        ("labeling", {"censor_margin_months": True}),
+        ("filter", {"top_n_by_stars": "200"}),
+        ("filter", {"excluded_labels": "bug"}),
+        ("filter", {"excluded_labels": ["bug", 3]}),
+        ("screening", {"skew_threshold": "x"}),
+        ("screening", {"minority_threshold": False}),
+        ("screening", {"skew_type": 3.0}),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):
@@ -158,7 +182,11 @@ def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, 
         "--data-end", "2025-06-30",
     ])
     assert code == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    if isinstance(value, dict):
+        (name,) = value
+        assert f"{key}.{name}" in err
 
 
 # --- stage subcommands ------------------------------------------------------------------

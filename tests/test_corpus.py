@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -204,6 +205,50 @@ def test_separate_comments_file_is_merged_and_sorted(tmp_path):
     (pull,) = result.corpus.pulls
     assert [c.body for c in pull.comments] == ["earlier", "later"]
     assert any("unknown pull" in e.message for e in result.errors)
+
+
+def test_separate_comments_merge_like_a_resort_per_line(tmp_path):
+    # Interleaved pulls, timestamps drawn from four seconds so embedded and
+    # separate comments tie often (one written with an equal +01:00 offset),
+    # and bad lines of each kind spread through the file.
+    rng = random.Random(20190630)
+    stamps = ["2019-01-02T00:00:00Z", "2019-01-02T01:00:00+01:00",
+              "2019-01-02T00:00:01Z", "2019-01-03T00:00:00Z", "2019-01-01T23:59:59Z"]
+    keys = [("a/b", n) for n in range(1, 5)] + [("c/d", 1), ("c/d", 2)]
+
+    def comment(body):
+        return {"author": rng.choice(["ann", "kai", "lee"]), "role": rng.choice(cm.ROLES),
+                "body": body, "created_at": rng.choice(stamps)}
+
+    pulls = [
+        _pull_obj(repo, number, comments=[comment(f"e{repo}{number}-{i}") for i in range(3)])
+        for repo, number in keys
+    ]
+    lines = []
+    for i in range(240):
+        repo, number = rng.choice(keys)
+        obj = {"repo_full_name": repo, "pr_number": number, **comment(f"s{i}")}
+        if i % 37 == 5:
+            obj["pr_number"] = 99
+        elif i % 41 == 7:
+            del obj["author"]
+        lines.append(json.dumps(obj))
+        if i % 53 == 11:
+            lines.append("{not json")
+        if i % 59 == 13:
+            lines.append("")
+    (tmp_path / "comments.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    directory = _minimal_dir(
+        tmp_path, pulls=pulls, repos=[_repo_obj("a/b"), _repo_obj("c/d")]
+    )
+
+    result = cm.load_corpus(directory)
+    threads, rejected = oracles.comment_merge_replay(pulls, lines)
+    assert {(p.repo_full_name, p.pr_number): [c.body for c in p.comments]
+            for p in result.corpus.pulls} == threads
+    assert [e.line for e in result.errors if e.file == "comments.jsonl"] == rejected
+    assert {e.file for e in result.errors} == {"comments.jsonl"}
+    assert len(rejected) >= 10
 
 
 def test_unsorted_embedded_comments_are_sorted_on_load(tmp_path):

@@ -5,6 +5,8 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from prsafety import corpus as cm
@@ -65,15 +67,51 @@ def test_longest_match_first(emoji_table):
     assert cues.count_emojis("\U0001F469‍\U0001F4BB", emoji_table) == 1
 
 
-def test_emoji_counts_match_window_scan_oracle(emoji_table):
-    rng = random.Random(424242)
-    pool = sorted(emoji_table.sequences, key=lambda s: (-len(s), s))[:40]
-    pool += ["x", " ", "@", "abc", "❤"]
-    for _ in range(300):
-        text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 25)))
-        assert cues.count_emojis(text, emoji_table) == oracles.emoji_count_window_scan(
-            text, set(emoji_table.sequences)
-        ), repr(text)
+# Text between table entries: the ASCII keycap heads (#, *, 0-9), other
+# ASCII, a lone ZWJ, VS16 and keycap mark, and accented, CJK and symbol text
+# whose codepoints fall inside or near the scan's prefilter ranges.
+_FILLERS = (
+    "#", "*", "0", "5", "9", "x", " ", "@", "abc", "\u200d", "\ufe0f", "\u20e3",
+    "é", "ça marche", "日本語", "漢字", "\u00a9", "\u2122", "\u2600", "\U0001F300",
+)
+
+_EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _assert_matches_oracle(text, table):
+    assert cues.count_emojis(text, table) == oracles.emoji_count_window_scan(
+        text, set(table.sequences)
+    ), repr(text)
+
+
+@_EXAMPLES
+@given(data=st.data())
+def test_emoji_counts_match_window_scan_oracle(emoji_table, data):
+    pool = sorted(emoji_table.sequences) + list(_FILLERS)
+    parts = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    _assert_matches_oracle("".join(parts), emoji_table)
+
+
+@pytest.fixture(scope="module")
+def ascii_entry_table(tmp_path_factory):
+    # "ab" and ":)" are pure ASCII; "a" is a prefix of "ab"; the keycap and
+    # the grinning face come from the packaged table.
+    path = tmp_path_factory.mktemp("table") / "table.txt"
+    path.write_text("# version: ascii-test\n61-62\n61\n3A-29\n23-FE0F-20E3\n1F600\n", "utf-8")
+    return cues.load_emoji_table(path)
+
+
+def test_ascii_bodies_are_scanned_when_an_entry_is_ascii(ascii_entry_table):
+    assert cues.count_emojis("ab a :) b", ascii_entry_table) == 3
+    assert cues.count_emojis("no hit here", ascii_entry_table) == 0
+
+
+@_EXAMPLES
+@given(data=st.data())
+def test_custom_table_counts_match_window_scan_oracle(ascii_entry_table, data):
+    pool = sorted(ascii_entry_table.sequences) + list(_FILLERS) + ["b", ":", ")"]
+    parts = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    _assert_matches_oracle("".join(parts), ascii_entry_table)
 
 
 def test_fixture_emoji_totals_match_oracle(corpus12, emoji_table):

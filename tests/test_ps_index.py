@@ -71,6 +71,24 @@ def test_fixture_per_repository_medians(cue_rows12):
     assert thresholds.for_repo("acme/wrench")["pr_comment_num"] == 2.0
 
 
+def test_per_repository_medians_match_oracle_on_many_repositories():
+    rng = random.Random(2000)
+    repos = [f"org{i:03d}/r" for i in range(300)]
+    rows = [
+        (rng.choice(repos), _vector(pr_comment_num=rng.randrange(20),
+                                    num_comments_con=rng.randrange(5),
+                                    num_participant=rng.randrange(8)))
+        for _ in range(3000)
+    ]
+    thresholds = psi.compute_thresholds(rows, scope="per_repository")
+    present = sorted({repo for repo, _ in rows})
+    assert list(thresholds.per_repository) == present
+    for repo in present:
+        for cue in psi.THRESHOLD_CUES:
+            values = [getattr(v, cue) for name, v in rows if name == repo]
+            assert thresholds.per_repository[repo][cue] == oracles.median_sorted(values)
+
+
 def test_thresholds_reject_bad_input():
     with pytest.raises(ValueError, match="scope"):
         psi.compute_thresholds([("a/a", _vector())], scope="weekly")
