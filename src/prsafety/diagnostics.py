@@ -80,6 +80,19 @@ class ScreeningConfig:
     minority_threshold: float = 0.05
     skew_type: int = 3
 
+    def __post_init__(self) -> None:
+        # The negated comparisons also reject NaN.
+        if not 0.0 <= self.skew_threshold < math.inf:
+            raise ValueError(
+                f"skew_threshold must be a finite number >= 0, got {self.skew_threshold}"
+            )
+        if not 0.0 <= self.minority_threshold <= 0.5:
+            raise ValueError(
+                f"minority_threshold must lie in [0, 0.5], got {self.minority_threshold}"
+            )
+        if self.skew_type not in (1, 2, 3):
+            raise ValueError(f"skew_type must be 1, 2 or 3, got {self.skew_type}")
+
 
 @dataclass(frozen=True)
 class ScreeningDecision:

@@ -31,6 +31,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -286,6 +287,16 @@ class GitHubFetcher:
             return user["login"]
         return None
 
+    @staticmethod
+    def _timestamp(value, where: str):
+        """An API timestamp as a UTC datetime; a missing or malformed one stops the export."""
+        if value is None:
+            raise FetchError(f"{where}: missing timestamp")
+        try:
+            return corpus_mod.parse_timestamp(value)
+        except ValueError as exc:
+            raise FetchError(f"{where}: {exc}") from None
+
     def fetch_repository(self, job: FetchJob) -> FetchReport:
         out = Path(job.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -377,16 +388,24 @@ class GitHubFetcher:
             if number is not None and login is not None:
                 reviewers_by_pr.setdefault(number, set()).add(login)
 
-        comments_by_pr: dict[int, list[tuple[str, str, str]]] = {}
-        for item in list(issue_comments) + list(review_comments):
-            number = self._issue_number(item)
-            login = self._login(item)
-            created = item.get("created_at")
-            if number is None or login is None or number not in raw_pulls or not created:
-                continue
-            comments_by_pr.setdefault(number, []).append(
-                (login, str(item.get("body") or ""), str(created))
-            )
+        comments_by_pr: dict[int, list[tuple[str, str, datetime]]] = {}
+        for endpoint, items in (
+            ("issue_comments", issue_comments),
+            ("review_comments", review_comments),
+        ):
+            for item in items:
+                number = self._issue_number(item)
+                login = self._login(item)
+                created = item.get("created_at")
+                if number is None or login is None or number not in raw_pulls or not created:
+                    continue
+                where = f"{endpoint} item {item.get('id')}"
+                body = item.get("body") or ""
+                if not isinstance(body, str):
+                    raise FetchError(f"{where}: body must be a string, got {type(body).__name__}")
+                comments_by_pr.setdefault(number, []).append(
+                    (login, body, self._timestamp(created, f"{where} created_at"))
+                )
 
         pulls = []
         for number in sorted(raw_pulls):
@@ -406,7 +425,7 @@ class GitHubFetcher:
                         author=login,
                         role=role,
                         body=body,
-                        created_at=corpus_mod.parse_timestamp(created),
+                        created_at=created,
                     )
                 )
             merged = bool(item.get("merged_at"))
@@ -416,9 +435,13 @@ class GitHubFetcher:
                     repo_full_name=repo,
                     pr_number=number,
                     author=author,
-                    created_at=corpus_mod.parse_timestamp(str(item.get("created_at"))),
+                    created_at=self._timestamp(
+                        item.get("created_at"), f"pulls item #{number} created_at"
+                    ),
                     merged=merged,
-                    closed_at=None if not closed_at else corpus_mod.parse_timestamp(str(closed_at)),
+                    closed_at=None
+                    if closed_at is None
+                    else self._timestamp(closed_at, f"pulls item #{number} closed_at"),
                     reopen_count=int(item.get("reopen_count", 0) or 0),
                     comments=tuple(sorted(comments, key=lambda c: c.created_at)),
                 )
@@ -435,7 +458,7 @@ class GitHubFetcher:
                 corpus_mod.CommitEvent(
                     repo_full_name=repo,
                     author=login,
-                    committed_at=corpus_mod.parse_timestamp(str(date)),
+                    committed_at=self._timestamp(date, f"commits item {item.get('sha')} date"),
                 )
             )
             commit_authors[login] = commit_authors.get(login, 0) + 1

@@ -59,13 +59,19 @@ class LabelingConfig:
             raise LabelingConfigError(
                 f"snapshot_date {self.snapshot_date} must precede data_end {self.data_end}"
             )
-        if self.window_end > self.data_end:
+        try:
+            if self.window_end > self.data_end:
+                raise LabelingConfigError(
+                    f"window ends {self.window_end}, beyond data_end {self.data_end}; "
+                    "sustained status would be unobservable"
+                )
+            for name in ("window_months", "censor_margin_months", "gap_months"):
+                months_to_days(getattr(self, name))
+            self.data_end - timedelta(days=months_to_days(self.censor_margin_months))
+        except OverflowError:
             raise LabelingConfigError(
-                f"window ends {self.window_end}, beyond data_end {self.data_end}; "
-                "sustained status would be unobservable"
-            )
-        for name in ("window_months", "censor_margin_months", "gap_months"):
-            months_to_days(getattr(self, name))
+                "window_months and censor_margin_months must keep dates within years 1-9999"
+            ) from None
 
     @property
     def window_end(self) -> date:

@@ -157,7 +157,10 @@ def _number(section: Mapping, section_name: str, name: str, default: float) -> f
     value = section.get(name, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section_name}.{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{section_name}.{name} is out of range, got {value!r}") from None
 
 
 def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> PipelineConfig:
@@ -200,17 +203,21 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
         labels = filter_raw.get("excluded_labels", list(corpus_mod.DEFAULT_EXCLUDED_LABELS))
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise ConfigError(f"filter.excluded_labels must be a list of strings, got {labels!r}")
-        filter_config = corpus_mod.FilterConfig(
-            top_n_by_stars=_integer(filter_raw, "filter", "top_n_by_stars", 200),
-            excluded_labels=frozenset(labels),
-        )
+        # Read outside the try: ConfigError is itself a ValueError.
+        top_n_by_stars = _integer(filter_raw, "filter", "top_n_by_stars", 200)
+        try:
+            filter_config = corpus_mod.FilterConfig(top_n_by_stars, frozenset(labels))
+        except ValueError as exc:
+            raise ConfigError(f"filter.{exc}") from None
 
     screening_raw = _section(merged, "screening")
-    screening = diagnostics.ScreeningConfig(
-        skew_threshold=_number(screening_raw, "screening", "skew_threshold", 3.0),
-        minority_threshold=_number(screening_raw, "screening", "minority_threshold", 0.05),
-        skew_type=_integer(screening_raw, "screening", "skew_type", 3),
-    )
+    skew_threshold = _number(screening_raw, "screening", "skew_threshold", 3.0)
+    minority_threshold = _number(screening_raw, "screening", "minority_threshold", 0.05)
+    skew_type = _integer(screening_raw, "screening", "skew_type", 3)
+    try:
+        screening = diagnostics.ScreeningConfig(skew_threshold, minority_threshold, skew_type)
+    except ValueError as exc:
+        raise ConfigError(f"screening.{exc}") from None
 
     try:
         return PipelineConfig(

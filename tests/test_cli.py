@@ -170,6 +170,11 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("screening", {"skew_threshold": "x"}),
         ("screening", {"minority_threshold": False}),
         ("screening", {"skew_type": 3.0}),
+        ("filter", {"top_n_by_stars": 0}),
+        ("screening", {"skew_type": 7}),
+        ("screening", {"minority_threshold": 2}),
+        ("screening", {"skew_threshold": float("nan")}),
+        ("screening", {"skew_threshold": 10**400}),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):

@@ -356,3 +356,26 @@ def test_job_validation():
         gf.FetchJob(repo_full_name=REPO, output_dir=".", page_size=0)
     with pytest.raises(ValueError, match="page_size"):
         gf.FetchJob(repo_full_name=REPO, output_dir=".", page_size=101)
+
+
+# --- malformed API timestamps -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "route, index, change, named",
+    [
+        ("pulls", 2, {"created_at": None}, "pulls item #3 created_at: missing timestamp"),
+        ("pulls", 1, {"created_at": "2019-01-07 10:00:00Z"}, "pulls item #2 created_at"),
+        ("pulls", 1, {"closed_at": "2019-02-01"}, "pulls item #2 closed_at"),
+        ("issue_comments", 0, {"created_at": "20190105T110000Z"}, "issue_comments item 201"),
+        ("review_comments", 1, {"body": 7}, "review_comments item 302: body must be a string"),
+        ("commits", 0, {"commit": {"author": {"date": 1546588800}}}, "commits item c1 date"),
+    ],
+)
+def test_malformed_api_field_is_a_fetch_error(tmp_path, route, index, change, named):
+    payloads = {"pulls": PULLS, "issue_comments": ISSUE_COMMENTS,
+                "review_comments": REVIEW_COMMENTS, "commits": COMMITS}
+    items = [dict(item) for item in payloads[route]]
+    items[index].update(change)
+    session = FakeSession(**{**payloads, route: items})
+    with pytest.raises(gf.FetchError, match=named):
+        _fetcher(session).fetch_repository(_job(tmp_path))

@@ -6,6 +6,8 @@ from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS12_DATA_END
 from prsafety import pipeline
@@ -43,6 +45,60 @@ def test_config_requires_valid_fields(tmp_path):
         _config(tmp_path, tmp_path, models=())
     with pytest.raises(pipeline.ConfigError, match="model indices"):
         _config(tmp_path, tmp_path, models=(1, 4))
+
+
+_CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["2019-06-30", "0001-01-01", "9999-12-31", "2025-06-30", "global",
+                       "per_repository", "pr", "contributor", "corpus/", 10**400, 10**12]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Section values lean to numbers: range checks, and sizes past the date or
+# float range, live there.
+_SECTION_VALUES = st.integers() | st.floats() | st.sampled_from([10**12, 10**400]) | _CONFIG_VALUES
+_SECTION_KEYS = {
+    "labeling": ["data_end", "snapshot_date", "window_months", "recent_horizon_end",
+                 "censor_margin_months", "gap_months"],
+    "filter": ["top_n_by_stars", "excluded_labels"],
+    "screening": ["skew_threshold", "minority_threshold", "skew_type"],
+}
+_TOP_KEYS = ["threshold_scope", "merged_only", "global_activity", "unit", "models",
+             "emoji_table_path"]
+# The paths are fixed and labeling is an object with a data_end, so that most
+# draws get past the first checks to the sections.
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "corpus_dir": st.just("c"),
+        "out_dir": st.just("o"),
+        "labeling": st.fixed_dictionaries(
+            {"data_end": st.sampled_from(["2025-06-30", "0001-01-02", "9999-12-31"]) | _CONFIG_VALUES},
+            optional={key: _SECTION_VALUES for key in _SECTION_KEYS["labeling"][1:]},
+        ),
+    },
+    optional={
+        **{key: _CONFIG_VALUES for key in _TOP_KEYS},
+        **{section: st.dictionaries(st.sampled_from(_SECTION_KEYS[section]), _SECTION_VALUES)
+           | _CONFIG_VALUES for section in ("filter", "screening")},
+    },
+)
+
+
+_BASE = {"corpus_dir": "c", "out_dir": "o", "labeling": {"data_end": "2025-06-30"}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_CONFIGS)
+@example(raw={**_BASE, "labeling": {"data_end": "2025-06-30", "window_months": 10**12}})
+@example(raw={**_BASE, "labeling": {"data_end": "2025-06-30", "censor_margin_months": 10**5}})
+@example(raw={**_BASE, "screening": {"skew_threshold": 10**400}})
+def test_any_config_mapping_is_a_config_or_a_config_error(raw):
+    try:
+        config = pipeline.config_from_dict(raw)
+    except pipeline.ConfigError:
+        return
+    assert isinstance(config, pipeline.PipelineConfig)
+    assert pipeline.config_hash(config)
 
 
 def test_config_from_dict_requirements(tmp_path):
