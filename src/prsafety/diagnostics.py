@@ -13,7 +13,8 @@ when the transformed skewness still exceeds it; binary variables are
 excluded when their minority class falls below the imbalance threshold.
 Every variable appears in the report exactly once with the reason for its
 decision, and decisions depend only on the variable's own values, never on
-the order variables are supplied in.
+the order variables are supplied in.  The model controls go through the
+same skew rule, log1p_if_skewed, but are never excluded.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ class ScreeningConfig:
             raise ValueError(f"skew_type must be 1, 2 or 3, got {self.skew_type}")
 
 
+def log1p_if_skewed(values: Sequence[float], config: ScreeningConfig) -> tuple[float, np.ndarray | None]:
+    """The one skew rule: the sample skewness, and the log1p-transformed
+    sample when |skewness| exceeds the threshold (else None).  Raises
+    ValueError on zero variance (UndefinedSkewnessError), too few values,
+    or a skewed sample with negative values, which log1p cannot take."""
+    raw = skewness(values, type=config.skew_type)
+    return raw, log1p_transform(values) if abs(raw) > config.skew_threshold else None
+
+
 @dataclass(frozen=True)
 class ScreeningDecision:
     name: str
@@ -126,12 +136,6 @@ class ScreeningReport:
             if decision.name == name:
                 return decision
         raise KeyError(name)
-
-    def retained_names(self) -> list[str]:
-        return [d.name for d in self.decisions if d.action != "excluded"]
-
-    def transforms(self) -> dict[str, str]:
-        return {d.name: "log1p" for d in self.decisions if d.action == "transformed"}
 
     def to_json(self) -> dict:
         return {
@@ -175,12 +179,12 @@ def _screen_binary(name: str, values: np.ndarray, config: ScreeningConfig) -> Sc
 
 def _screen_continuous(name: str, values: np.ndarray, config: ScreeningConfig) -> ScreeningDecision:
     try:
-        raw = skewness(values, type=config.skew_type)
+        raw, logged = log1p_if_skewed(values, config)
     except UndefinedSkewnessError:
         return ScreeningDecision(
             name, "continuous", "excluded", "zero variance, skewness undefined"
         )
-    if abs(raw) <= config.skew_threshold:
+    if logged is None:
         return ScreeningDecision(
             name,
             "continuous",
@@ -188,7 +192,7 @@ def _screen_continuous(name: str, values: np.ndarray, config: ScreeningConfig) -
             f"|skewness| {abs(raw):.2f} within {config.skew_threshold}",
             raw_skewness=raw,
         )
-    transformed = skewness(log1p_transform(values), type=config.skew_type)
+    transformed = skewness(logged, type=config.skew_type)
     if abs(transformed) > config.skew_threshold:
         return ScreeningDecision(
             name,

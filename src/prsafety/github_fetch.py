@@ -35,8 +35,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-import requests
-
 from . import corpus as corpus_mod
 
 API_BASE = "https://api.github.com"
@@ -117,7 +115,10 @@ class GitHubFetcher:
         now: Callable[[], float] = time.time,
         timeout: float = 30.0,
     ):
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # only fetch needs it, so other commands start without it
+            session = requests.Session()
+        self.session = session
         self.base_url = base_url.rstrip("/")
         self.sleep = sleep
         self.now = now
@@ -126,6 +127,8 @@ class GitHubFetcher:
     # -- low-level request handling -------------------------------------
 
     def _get(self, report: FetchReport, job: FetchJob, path: str, params: Mapping | None = None):
+        import requests
+
         headers = {"Accept": "application/vnd.github+json"}
         token = os.environ.get(job.auth_token_source, "")
         if token:
@@ -297,6 +300,13 @@ class GitHubFetcher:
         except ValueError as exc:
             raise FetchError(f"{where}: {exc}") from None
 
+    @staticmethod
+    def _count(value, where: str) -> int:
+        """An API count: absent or null reads 0; anything but an integer >= 0 stops the export."""
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+            raise FetchError(f"{where}: expected an integer >= 0, got {value!r}")
+        return value or 0
+
     def fetch_repository(self, job: FetchJob) -> FetchReport:
         out = Path(job.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -442,7 +452,9 @@ class GitHubFetcher:
                     closed_at=None
                     if closed_at is None
                     else self._timestamp(closed_at, f"pulls item #{number} closed_at"),
-                    reopen_count=int(item.get("reopen_count", 0) or 0),
+                    reopen_count=self._count(
+                        item.get("reopen_count"), f"pulls item #{number} reopen_count"
+                    ),
                     comments=tuple(sorted(comments, key=lambda c: c.created_at)),
                 )
             )
@@ -492,7 +504,9 @@ class GitHubFetcher:
         repos = [
             corpus_mod.RepoMeta(
                 repo_full_name=repo,
-                stars=int(meta.get("stargazers_count", 0) or 0),
+                stars=self._count(
+                    meta.get("stargazers_count"), f"repos item {repo} stargazers_count"
+                ),
                 category_labels=frozenset(),
                 pr_count=len(pulls),
                 repo_size=corpus_mod.repo_size_for(len(pulls)),

@@ -15,6 +15,9 @@ below the tolerance.  Standard errors come from the inverse Fisher
 information (X' W X)^-1 at the optimum, Wald z statistics are b / se with
 two-sided normal p-values, and odds ratios are exp(b).
 
+encode_design builds the design matrix of a ModelSpec from a frame of
+columns: a mapping from each variable to an equal-length sequence.
+
 Quasi-separation makes the MLE drift to infinity; it is reported as an error
 (coefficients beyond +-20 on standardized-scale designs, or failure to
 converge) rather than returned as a garbage fit.  Rank-deficient designs are
@@ -82,43 +85,44 @@ class DesignMatrix:
     n_dropped: int
 
 
-def _is_missing(value) -> bool:
-    if value is None:
-        return True
-    return isinstance(value, float) and math.isnan(value)
+def encode_design(frame: Mapping[str, Sequence], spec: ModelSpec) -> DesignMatrix:
+    """Build the design matrix for a model spec from a frame of columns.
 
-
-def encode_design(rows: Sequence[Mapping], spec: ModelSpec) -> DesignMatrix:
-    """Build the design matrix for a model spec from record dicts.
-
-    Adds an intercept column of ones, expands categoricals into dummy
-    columns named "var (level)", applies declared transforms, drops rows
-    with missing outcome or predictors (counted), and validates that the
-    outcome is binary and that no predictor column is constant.
+    frame maps each variable to a column, all of one length.  Adds an
+    intercept column of ones, expands categoricals into dummy columns named
+    "var (level)", applies declared transforms, drops rows where the outcome
+    or a predictor is None or NaN or has no column (counted), and validates
+    that the outcome is binary and that no predictor column is constant.
     """
-    complete = []
-    n_dropped = 0
-    for row in rows:
-        values = [row.get(spec.outcome)] + [row.get(name) for name in spec.predictors]
-        if any(_is_missing(v) for v in values):
-            n_dropped += 1
-            continue
-        complete.append(row)
-    if not complete:
+    names = (spec.outcome, *spec.predictors)
+    given = {
+        name: frame[name] if isinstance(frame[name], np.ndarray) else np.array(frame[name], object)
+        for name in names
+        if name in frame
+    }
+    # Elementwise: None is missing, and so is NaN, the one value unequal to
+    # itself.  An absent column is missing on every row.
+    keep = np.full(len(next(iter(given.values()), ())), len(given) == len(names))
+    for column in given.values():
+        keep &= (column != None) & (column == column)
+    n_dropped = len(keep) - int(keep.sum())
+    if not keep.any():
         raise DesignError("no complete rows left after dropping missing values")
+    complete = {name: column[keep] for name, column in given.items()}
 
-    y = np.array([float(row[spec.outcome]) for row in complete])
+    y = np.asarray(complete[spec.outcome], dtype=float)
     if not set(np.unique(y)) <= {0.0, 1.0}:
         bad = sorted(set(np.unique(y)) - {0.0, 1.0})
         raise DesignError(f"outcome {spec.outcome!r} takes values outside {{0, 1}}: {bad}")
 
     columns: list[str] = [INTERCEPT_NAME]
-    data: list[np.ndarray] = [np.ones(len(complete))]
+    data: list[np.ndarray] = [np.ones(len(y))]
 
     for name in spec.predictors:
+        values = complete[name]
         if name in spec.categorical:
             levels = spec.categorical[name]
-            observed = {row[name] for row in complete}
+            observed = set(values.tolist())
             unknown = observed - set(levels)
             if unknown:
                 raise DesignError(f"{name!r} has undeclared levels: {sorted(unknown)}")
@@ -127,10 +131,10 @@ def encode_design(rows: Sequence[Mapping], spec: ModelSpec) -> DesignMatrix:
             for level in levels[1:]:
                 if level in observed:
                     columns.append(f"{name} ({level})")
-                    data.append(np.array([1.0 if row[name] == level else 0.0 for row in complete]))
+                    data.append((values == level).astype(float))
             continue
         try:
-            column = np.array([float(row[name]) for row in complete])
+            column = np.asarray(values, dtype=float)
         except (TypeError, ValueError):
             raise DesignError(f"predictor {name!r} is not numeric; declare it categorical") from None
         transform = spec.transforms.get(name)
@@ -163,11 +167,6 @@ def log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     """Bernoulli log-likelihood at beta, computed without overflow."""
     eta = X @ beta
     return float(np.sum(y * eta) - np.sum(np.logaddexp(0.0, eta)))
-
-
-def log_likelihood_gradient(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Score vector X' (y - p); zero at the maximum-likelihood estimate."""
-    return X.T @ (y - _sigmoid(X @ beta))
 
 
 def _check_rank(X: np.ndarray, columns: Sequence[str]) -> None:

@@ -4,6 +4,10 @@ The stages form one ordered table, STAGES.  run_stages executes a prefix of
 it, and each stage that runs writes its own artifacts; run_pipeline executes
 the whole table and is the only path that writes manifest.json.
 
+The fit stage builds its variables once as columns (_model_frame); the
+design encoder reads them for each model, and the continuous controls are
+log1p-transformed by the same skew rule as the cues, but never excluded.
+
 Every run is deterministic: identical configuration and corpus bytes give
 byte-identical artifacts.  Manifests therefore carry no wall-clock fields,
 only the configuration hash, the emoji table version, thresholds, screening
@@ -25,11 +29,14 @@ Artifacts written under the output directory:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import cues as cues_mod
@@ -81,10 +88,11 @@ class PipelineConfig:
             raise ConfigError(f"unit must be 'pr' or 'contributor', got {self.unit!r}")
         if self.threshold_scope not in ps_index.THRESHOLD_SCOPES:
             raise ConfigError(f"threshold_scope must be one of {ps_index.THRESHOLD_SCOPES}")
-        if not self.models:
-            raise ConfigError("at least one model index is required")
-        if not set(self.models) <= {1, 2, 3}:
-            raise ConfigError(f"model indices must be from (1, 2, 3), got {self.models}")
+        if not isinstance(self.models, (list, tuple)) or not self.models:
+            raise ConfigError(f"models must list at least one model index, got {self.models!r}")
+        if not all(type(i) is int and i in (1, 2, 3) for i in self.models):
+            raise ConfigError(f"models must be model indices from (1, 2, 3), got {self.models!r}")
+        self.models = tuple(self.models)
 
     def to_json(self) -> dict:
         return {
@@ -230,7 +238,7 @@ def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> Pipeline
             merged_only=_flag(merged, "merged_only"),
             global_activity=_flag(merged, "global_activity"),
             unit=str(merged.get("unit", "pr")),
-            models=tuple(merged.get("models", (1, 2, 3))),
+            models=merged.get("models", (1, 2, 3)),
             emoji_table_path=Path(merged["emoji_table_path"])
             if merged.get("emoji_table_path")
             else None,
@@ -250,6 +258,8 @@ def read_config_file(path: str | Path) -> dict:
         raw = json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return dict(raw)
@@ -324,64 +334,26 @@ def screen_cues(
     return diagnostics.screen_predictors(table, CUE_KINDS, config)
 
 
-def _model_rows(state: PipelineResult) -> list[dict]:
-    """One analysis row per PR (or per contributor when collapsed).
-
-    Rows carry the outcome variables, the repository index and the control
-    block.  Values that are unavailable (no label, no context, no index)
-    stay None and are dropped by the design encoder, which counts them.
-    """
+def _model_frame(state: PipelineResult) -> dict[str, np.ndarray]:
+    """The fit stage's variables as columns, one entry per PR, or per
+    contributor (their first PR in the repository) when collapsed.  A
+    missing label, context or index reads NaN, a missing repo_size None;
+    the design encoder drops and counts those rows."""
+    keys = [(pull.repo_full_name, pull.author) for pull, _vector in state.cue_rows]
+    if state.config.unit == "contributor":
+        keys = list(dict.fromkeys(keys))
     contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
-    metas = {m.repo_full_name: m for m in state.corpus.repos}
-    rows = []
-    seen_contributors: set[tuple[str, str]] = set()
-    for pull, _vector in state.cue_rows:
-        key = (pull.repo_full_name, pull.author)
-        if state.config.unit == "contributor":
-            if key in seen_contributors:
-                continue
-            seen_contributors.add(key)
-        label = state.labeling.labels.get(key)
-        context = contexts.get(key)
-        meta = metas.get(pull.repo_full_name)
-        rows.append(
-            {
-                "repo_full_name": pull.repo_full_name,
-                "pr_number": pull.pr_number,
-                "author": pull.author,
-                "sustainedp_or_not_12": None if label is None else label.sustainedp_or_not_12,
-                "recent_sustainedp_or_not": None if label is None else label.recent_sustainedp_or_not,
-                "PS_index_repository": state.summary.repository_index.get(pull.repo_full_name),
-                "core_member": None if context is None else int(context.core_member),
-                "contrib_rate_author": None if context is None else context.contrib_rate_author,
-                "followers": None if context is None else context.followers,
-                "num_languages": None if context is None else context.num_languages,
-                "contrib_follow_integrator": None
-                if context is None
-                else int(context.contrib_follow_integrator),
-                "social_strength": None if context is None else context.social_strength,
-                "repo_size": None if meta is None else meta.repo_size,
-            }
-        )
-    return rows
-
-
-def _control_transforms(
-    rows: Sequence[Mapping], screening_config: diagnostics.ScreeningConfig
-) -> dict[str, str]:
-    """Screen continuous controls for transforms only; controls always stay."""
-    transforms: dict[str, str] = {}
-    for name in CONTINUOUS_CONTROLS:
-        values = [row[name] for row in rows if row.get(name) is not None]
-        if len(values) < 3:
-            continue
-        try:
-            raw = diagnostics.skewness(values, type=screening_config.skew_type)
-        except diagnostics.UndefinedSkewnessError:
-            continue
-        if abs(raw) > screening_config.skew_threshold and min(values) >= 0:
-            transforms[name] = "log1p"
-    return transforms
+    sources = dict.fromkeys(("sustainedp_or_not_12", "recent_sustainedp_or_not"), state.labeling.labels)
+    sources.update((name, contexts) for name in glm.CONTROL_PREDICTORS if name != "repo_size")
+    frame = {
+        name: np.array([getattr(records.get(key), name, None) for key in keys], dtype=float)
+        for name, records in sources.items()
+    }
+    index = state.summary.repository_index
+    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in keys], dtype=float)
+    sizes = {m.repo_full_name: m.repo_size for m in state.corpus.repos}
+    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in keys], dtype=object)
+    return frame
 
 
 # Stage functions look every module function up at call time, so a caller
@@ -426,13 +398,21 @@ def _index(config: PipelineConfig, state: PipelineResult) -> None:
 
 def _fit(config: PipelineConfig, state: PipelineResult) -> None:
     out = config.out_dir
-    rows = _model_rows(state)
-    state.control_transforms = _control_transforms(rows, config.screening)
+    frame = _model_frame(state)
+    for name in CONTINUOUS_CONTROLS:
+        # The cues' skew rule, but never exclusion: fewer than three values,
+        # zero variance or negative values leave a control as it is.
+        values = frame[name][~np.isnan(frame[name])]
+        if values.size < 3:
+            continue
+        with contextlib.suppress(ValueError):
+            if diagnostics.log1p_if_skewed(values, config.screening)[1] is not None:
+                state.control_transforms[name] = "log1p"
     all_specs = glm.canned_model_specs(state.control_transforms)
     for index in sorted(config.models):
         spec = state.specs[index] = all_specs[index - 1]
         try:
-            design = glm.encode_design(rows, spec)
+            design = glm.encode_design(frame, spec)
             fit = glm.fit_logistic(design.X, design.y, design.columns)
         except (glm.DesignError, glm.SeparationError) as exc:
             # A model without a finite fit is a reported outcome, not a crash;

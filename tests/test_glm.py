@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from prsafety import glm
@@ -20,6 +22,13 @@ def _random_dataset(rng, n, p):
     if y.min() == y.max():  # degenerate draw; flip one outcome
         y[0] = 1.0 - y[0]
     return X, y
+
+
+def _columns(rows):
+    """Row dicts transposed into the frame encode_design reads; a key a row
+    lacks reads as None there."""
+    names = dict.fromkeys(name for row in rows for name in row)
+    return {name: [row.get(name) for row in rows] for name in names}
 
 
 def _spec(**overrides):
@@ -38,7 +47,7 @@ def test_encode_design_by_hand():
         {"y": 0, "a": 7.0, "b": "green"},
     ]
     spec = _spec(categorical={"b": ("blue", "green", "red")})
-    design = glm.encode_design(rows, spec)
+    design = glm.encode_design(_columns(rows), spec)
     assert design.columns == ("Intercept", "a", "b (green)", "b (red)")
     assert design.n_dropped == 0
     np.testing.assert_array_equal(design.y, [1.0, 0.0, 1.0, 0.0])
@@ -59,7 +68,7 @@ def test_encode_design_skips_absent_levels():
         {"y": 0, "a": 2.0, "b": "red"},
     ]
     spec = _spec(categorical={"b": ("blue", "green", "red")})
-    assert glm.encode_design(rows, spec).columns == ("Intercept", "a", "b (red)")
+    assert glm.encode_design(_columns(rows), spec).columns == ("Intercept", "a", "b (red)")
 
 
 def test_encode_design_drops_and_counts_missing():
@@ -70,7 +79,7 @@ def test_encode_design_drops_and_counts_missing():
         {"y": 0, "a": 3.0},  # b absent entirely
         {"y": 0, "a": 4.0, "b": 1.0},
     ]
-    design = glm.encode_design(rows, _spec())
+    design = glm.encode_design(_columns(rows), _spec())
     assert design.n_dropped == 3
     assert design.X.shape == (2, 3)
 
@@ -78,7 +87,7 @@ def test_encode_design_drops_and_counts_missing():
 def test_encode_design_applies_log1p():
     rows = [{"y": i % 2, "a": float(i), "b": float(i * i)} for i in range(6)]
     spec = _spec(transforms={"b": "log1p"})
-    design = glm.encode_design(rows, spec)
+    design = glm.encode_design(_columns(rows), spec)
     np.testing.assert_allclose(design.X[:, 2], np.log1p([i * i for i in range(6)]))
 
 
@@ -116,7 +125,79 @@ def test_encode_design_applies_log1p():
 )
 def test_encode_design_rejections(rows, spec, match):
     with pytest.raises(glm.DesignError, match=match):
-        glm.encode_design(rows, spec)
+        glm.encode_design(_columns(rows), spec)
+
+
+_MISSING = st.sampled_from([None, math.nan])
+_NUMBER = st.integers(-3, 40) | st.floats(-3.0, 1e6, allow_nan=False) | st.booleans()
+_LEVELS = ("small", "medium", "large")
+
+
+def _cells(value):
+    """About one cell in six is missing (a middle index, since hypothesis
+    draws the first element of a sample more often than the others)."""
+    return st.tuples(st.sampled_from(range(6)), value, _MISSING).map(
+        lambda t: t[2] if t[0] == 3 else t[1]
+    )
+
+
+_CELLS = {
+    "y": _cells(st.sampled_from([0, 1, 0.0, 1.0, False, True])),
+    "a": _cells(_NUMBER),
+    "b": _cells(_NUMBER),
+    "c": _cells(st.sampled_from(_LEVELS)),
+}
+# A value each variable rejects: an outcome off {0, 1}, a word where a
+# number belongs, an undeclared level.
+_BAD = {"y": 2, "a": "word", "c": "huge"}
+
+
+@st.composite
+def _frames(draw):
+    """A drawn frame and spec: missing cells, an absent column, float-array
+    and list columns, categorical levels, transforms and bad values."""
+    n = draw(st.integers(0, 10))
+    frame = {name: draw(st.lists(cells, min_size=n, max_size=n)) for name, cells in _CELLS.items()}
+    bad = draw(st.sampled_from([None] * 6 + list(_BAD)))
+    if bad and n:
+        frame[bad][draw(st.integers(0, n - 1))] = _BAD[bad]
+    for name in ("a", "b"):
+        if "word" not in frame[name] and draw(st.booleans()):
+            frame[name] = np.array(frame[name], dtype=float)  # as the pipeline passes them
+    absent = draw(st.sampled_from([None] * 12 + list(_CELLS)))
+    if absent:
+        del frame[absent]
+    spec = glm.ModelSpec(
+        name="m",
+        outcome="y",
+        predictors=tuple(draw(st.permutations(["a", "b", "c"]))[: draw(st.integers(1, 3))]),
+        categorical={"c": _LEVELS},
+        transforms=draw(
+            st.fixed_dictionaries(
+                {}, optional={"a": st.sampled_from(["log1p", "sqrt"]), "b": st.just("log1p")}
+            )
+        ),
+    )
+    return frame, spec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(drawn=_frames())
+def test_column_encoder_matches_the_row_oracle(drawn):
+    frame, spec = drawn
+    n = max(map(len, frame.values()), default=0)
+    rows = [{name: column[i] for name, column in frame.items()} for i in range(n)]
+    try:
+        X, y, columns, n_dropped = oracles.encode_design_rows(rows, spec)
+    except ValueError as exc:
+        with pytest.raises(glm.DesignError) as rejected:
+            glm.encode_design(frame, spec)
+        assert str(rejected.value) == str(exc)
+        return
+    design = glm.encode_design(frame, spec)
+    assert (design.X.shape, design.X.tobytes()) == (X.shape, X.tobytes())
+    assert design.y.tobytes() == y.tobytes()
+    assert (design.columns, design.n_dropped) == (columns, n_dropped)
 
 
 # --- exact fits ------------------------------------------------------------------
@@ -157,7 +238,7 @@ def test_score_equations_hold_at_optimum():
     rng = np.random.default_rng(99)
     X, y = _random_dataset(rng, 300, 4)
     fit = glm.fit_logistic(X, y)
-    score = glm.log_likelihood_gradient(X, y, fit.coefficients)
+    score = oracles.log_likelihood_gradient(X, y, fit.coefficients)
     assert np.max(np.abs(score)) < 1e-6 * X.shape[0]
     # the intercept score equation makes fitted and observed totals agree
     prob = 1.0 / (1.0 + np.exp(-(X @ fit.coefficients)))
@@ -169,7 +250,7 @@ def test_gradient_matches_finite_differences():
     X, y = _random_dataset(rng, 80, 3)
     for _ in range(10):
         beta = rng.uniform(-2, 2, size=3)
-        grad = glm.log_likelihood_gradient(X, y, beta)
+        grad = oracles.log_likelihood_gradient(X, y, beta)
         assert grad == pytest.approx(oracles.fd_gradient(X, y, beta), abs=1e-6)
 
 
@@ -354,7 +435,7 @@ def test_nested_outcome_model_is_structurally_separated():
         row["recent_sustainedp_or_not"] >= row["sustainedp_or_not_12"] for row in rows
     )
     spec = glm.canned_model_specs()[2]
-    design = glm.encode_design(rows, spec)
+    design = glm.encode_design(_columns(rows), spec)
     with pytest.raises(glm.SeparationError):
         glm.fit_logistic(design.X, design.y, design.columns)
 
@@ -363,7 +444,7 @@ def test_first_two_canned_models_fit_nested_rows():
     rng = random.Random(9090)
     rows = _labelled_rows(400, rng)
     for spec in glm.canned_model_specs()[:2]:
-        design = glm.encode_design(rows, spec)
+        design = glm.encode_design(_columns(rows), spec)
         fit = glm.fit_logistic(design.X, design.y, design.columns)
         assert fit.converged
         assert fit.n_observations == 400

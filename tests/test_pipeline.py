@@ -4,13 +4,17 @@ import hashlib
 import json
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import CORPUS12_DATA_END
-from prsafety import pipeline
+from prsafety import diagnostics, glm, pipeline
+from prsafety.corpus import FilterConfig
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -150,6 +154,10 @@ def test_read_config_file_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"corpus_dir": "c"}', encoding="utf-8")
     assert pipeline.read_config_file(good) == {"corpus_dir": "c"}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"corpus_dir": "caf\xe9"}')
+    with pytest.raises(pipeline.ConfigError, match=r"latin1\.json is not UTF-8 \(byte 19\)"):
+        pipeline.read_config_file(latin1)
 
 
 def test_config_hash_tracks_content(tmp_path):
@@ -293,3 +301,74 @@ def test_all_models_failing_is_a_stage_error(corpus12_dir, tmp_path):
     report = (out / "report.txt").read_text("utf-8")
     assert "Sustained participation models" not in report
     assert report.count("has no finite fit") == 3
+
+
+# --- the fit stage's model frame --------------------------------------------------------
+
+def _assert_frame_matches_rows(state):
+    """The column path gives the row path's control transforms and, for every
+    model, a bit-identical design."""
+    rows = oracles.model_rows(state)
+    screening = state.config.screening
+    assert state.control_transforms == oracles.control_transforms_rows(
+        rows, pipeline.CONTINUOUS_CONTROLS, screening.skew_threshold, screening.skew_type,
+        diagnostics.skewness,
+    )
+    frame = pipeline._model_frame(state)
+    assert {len(column) for column in frame.values()} == {len(rows)}
+    for spec in state.specs.values():
+        X, y, columns, n_dropped = oracles.encode_design_rows(rows, spec)
+        design = glm.encode_design(frame, spec)
+        assert (design.X.shape, design.X.tobytes()) == (X.shape, X.tobytes()), spec.name
+        assert design.y.tobytes() == y.tobytes(), spec.name
+        assert (design.columns, design.n_dropped) == (columns, n_dropped), spec.name
+
+
+@pytest.mark.parametrize("unit", ["pr", "contributor"])
+def test_model_frame_matches_the_row_path(small_corpus_dir, tmp_path, unit):
+    state = pipeline.run_stages(_config(small_corpus_dir, tmp_path / "out", unit=unit), "fit")
+    assert len(state.specs) == 3
+    _assert_frame_matches_rows(state)
+
+
+def test_model_frame_matches_the_row_path_on_the_scaled_corpus(scaled_corpus_dir, tmp_path):
+    # The corpus and filter of acceptance criterion 8.
+    config = _config(scaled_corpus_dir, tmp_path / "out", filter=FilterConfig())
+    _assert_frame_matches_rows(pipeline.run_stages(config, "fit"))
+
+
+_SAMPLES = st.one_of(
+    st.lists(st.none() | st.floats(-5.0, 1e4, allow_nan=False), max_size=12),
+    st.lists(st.none() | st.integers(0, 1000), max_size=12),
+    st.builds(lambda value, n: [value] * n, st.floats(-2.0, 9.0, allow_nan=False), st.integers(0, 6)),
+    st.builds(lambda n, big: [0.0] * n + [big], st.integers(0, 40), st.floats(1.0, 1e6)),
+    st.builds(lambda n, low: [low] + [0.0] * n + [1e3], st.integers(0, 40), st.floats(-50.0, -0.5)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(  # skewness exactly at the threshold is not above it
+    samples={name: [0.0, 1.0, 2.0] for name in pipeline.CONTINUOUS_CONTROLS},
+    skew_threshold=0.0,
+    skew_type=3,
+)
+@given(
+    samples=st.fixed_dictionaries({name: _SAMPLES for name in pipeline.CONTINUOUS_CONTROLS}),
+    skew_threshold=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    skew_type=st.sampled_from([1, 2, 3]),
+)
+def test_control_transforms_match_the_row_rule(tmp_path_factory, samples, skew_threshold, skew_type):
+    # Samples with fewer than three values, zero variance, negative values and
+    # skewed non-negative values; None is a missing value.
+    n = max(map(len, samples.values()))
+    columns = {name: values + [None] * (n - len(values)) for name, values in samples.items()}
+    rows = [{name: column[i] for name, column in columns.items()} for i in range(n)]
+    screening = diagnostics.ScreeningConfig(skew_threshold, 0.05, skew_type)
+    config = _config("c", tmp_path_factory.mktemp("fit"), screening=screening, models=(1,))
+    state = pipeline.PipelineResult(config)
+    frame = {name: np.array(column, dtype=float) for name, column in columns.items()}
+    with mock.patch.object(pipeline, "_model_frame", return_value=frame):
+        pipeline._fit(config, state)
+    assert state.control_transforms == oracles.control_transforms_rows(
+        rows, pipeline.CONTINUOUS_CONTROLS, skew_threshold, skew_type, diagnostics.skewness
+    )
