@@ -12,7 +12,15 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .cues import CUE_NAMES, CueVector, count_emojis, extract_cues, load_emoji_table
+from .cues import (
+    CUE_NAMES,
+    CueTable,
+    CueVector,
+    count_emojis,
+    extract_all,
+    extract_cues,
+    load_emoji_table,
+)
 from .diagnostics import ScreeningConfig, log1p_transform, screen_predictors, skewness
 from .github_fetch import FetchJob, FetchReport, GitHubFetcher, fetch_repository
 from .glm import (
@@ -43,6 +51,7 @@ __all__ = [
     "CommitEvent",
     "ContributorContext",
     "Corpus",
+    "CueTable",
     "CueVector",
     "FetchJob",
     "FetchReport",
@@ -65,6 +74,7 @@ __all__ = [
     "count_emojis",
     "detect_gap_return",
     "encode_design",
+    "extract_all",
     "extract_cues",
     "fetch_repository",
     "filter_repositories",

@@ -133,7 +133,7 @@ STAGE_SUMMARIES = {
     "ingest": lambda r: json.dumps(
         {**r.corpus.counts(), "ingest_errors": len(r.ingest_errors)}, sort_keys=True
     ),
-    "cues": lambda r: f"wrote cues for {len(r.cue_rows)} pull requests",
+    "cues": lambda r: f"wrote cues for {len(r.cue_table)} pull requests",
     "screen": lambda r: r.screening_report.format_table(),
     "label": lambda r: (
         f"labeled {len(r.labeling.labels)} contributors, {len(r.labeling.unlabeled)} unlabeled"

@@ -28,6 +28,16 @@ range test instead of by trying the alternation.  A pure-ASCII body is not
 scanned at all when no entry of the table is pure ASCII, as in the packaged
 table: such a body cannot contain any entry.  A custom table with a
 pure-ASCII entry is always scanned.
+
+extract_all builds the cues of a whole corpus as a CueTable in one walk over
+each thread: every comment updates all thirteen counters at once.  A body is
+searched for a mention only when it contains "@", which every mention needs,
+and a PR's conflict or mention search stops at its first hit; the emoji sum
+reads every body.  The table keeps the pulls in corpus order as row keys and
+the cues as columns in CUE_NAMES order, which screening, thresholds,
+cues.csv and the model frame read directly.  Iterating the table gives the
+row view, (pull, CueVector) pairs; CueVector is a NamedTuple, so a row
+compares equal to the plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -37,8 +47,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import PullRequestRecord
 
@@ -176,8 +187,7 @@ def mentions_conflict(text: str) -> bool:
     return _CONFLICT_RE.search(text) is not None
 
 
-@dataclass(frozen=True)
-class CueVector:
+class CueVector(NamedTuple):
     merged_or_not: int
     pr_comment_num: int
     reopen_num: int
@@ -193,44 +203,85 @@ class CueVector:
     emoji_count: int
 
 
+@dataclass(frozen=True)
+class CueTable:
+    """The cues of a corpus: row i holds the cues of pulls[i], and each
+    column of `columns` holds one cue, keyed in CUE_NAMES order."""
+
+    pulls: Sequence[PullRequestRecord]
+    columns: dict[str, list[int]]
+
+    def __len__(self) -> int:
+        return len(self.pulls)
+
+    def __iter__(self) -> Iterator[tuple[PullRequestRecord, CueVector]]:
+        """The row view: (pull, CueVector) pairs in corpus order."""
+        values = zip(*(self.columns[name] for name in CUE_NAMES))
+        return zip(self.pulls, map(CueVector._make, values))
+
+
 def extract_cues(pull: PullRequestRecord, table: EmojiTable) -> CueVector:
-    """Compute the thirteen cues for one pull request.
+    """Compute the thirteen cues for one pull request: row 0 of extract_all.
 
     The result depends only on the multiset of comments, not their order.
     """
-    roles = [c.role for c in pull.comments]
-    bodies = [c.body for c in pull.comments]
-    num_comments_con = roles.count("contributor")
-    contrib_comment = int(num_comments_con > 0)
-    inte_comment = int("integrator" in roles)
-    return CueVector(
-        merged_or_not=int(pull.merged),
-        pr_comment_num=len(pull.comments),
-        reopen_num=pull.reopen_count,
-        has_exchange=int(contrib_comment and inte_comment),
-        comment_conflict=int(any(mentions_conflict(b) for b in bodies)),
-        contrib_comment=contrib_comment,
-        num_comments_con=num_comments_con,
-        inte_comment=inte_comment,
-        reviewer_comment=int("reviewer" in roles),
-        other_comment=int("other" in roles),
-        num_participant=len({c.author for c in pull.comments}),
-        at_tag=int(any(has_mention(b) for b in bodies)),
-        emoji_count=sum(count_emojis(b, table) for b in bodies),
-    )
+    ((_, vector),) = extract_all([pull], table)
+    return vector
 
 
-def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> list[tuple[PullRequestRecord, CueVector]]:
-    return [(pull, extract_cues(pull, table)) for pull in pulls]
+def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTable:
+    """The cue table of the pulls, one pass over each thread."""
+    columns: dict[str, list[int]] = {name: [] for name in CUE_NAMES}
+    # Appending to the columns keeps no container per row alive, so the
+    # garbage collector has no per-row object to walk.
+    (
+        merged_or_not, pr_comment_num, reopen_num, has_exchange, comment_conflict,
+        contrib_comment, num_comments_con, inte_comment, reviewer_comment, other_comment,
+        num_participant, at_tag, emoji_count,
+    ) = (column.append for column in columns.values())
+    for pull in pulls:
+        contributor = integrator = reviewer = other = conflict = mention = emoji = 0
+        authors = set()
+        for comment in pull.comments:
+            role, body = comment.role, comment.body
+            if role == "contributor":
+                contributor += 1
+            elif role == "integrator":
+                integrator = 1
+            elif role == "reviewer":
+                reviewer = 1
+            elif role == "other":
+                other = 1
+            authors.add(comment.author)
+            if not conflict and mentions_conflict(body):
+                conflict = 1
+            if not mention and "@" in body and has_mention(body):
+                mention = 1
+            emoji += count_emojis(body, table)
+        contributed = int(contributor > 0)
+        merged_or_not(int(pull.merged))
+        pr_comment_num(len(pull.comments))
+        reopen_num(pull.reopen_count)
+        has_exchange(contributed & integrator)
+        comment_conflict(conflict)
+        contrib_comment(contributed)
+        num_comments_con(contributor)
+        inte_comment(integrator)
+        reviewer_comment(reviewer)
+        other_comment(other)
+        num_participant(len(authors))
+        at_tag(mention)
+        emoji_count(emoji)
+    return CueTable(list(pulls), columns)
 
 
-def write_cues_csv(path: str | Path, rows: Iterable[tuple[PullRequestRecord, CueVector]]) -> None:
+def write_cues_csv(path: str | Path, table: CueTable) -> None:
     """Dump one row per PR: identifying keys followed by the 13 cue columns."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("repo_full_name", "pr_number") + CUE_NAMES)
-        for pull, vector in rows:
-            writer.writerow(
-                [pull.repo_full_name, pull.pr_number]
-                + [getattr(vector, name) for name in CUE_NAMES]
-            )
+        writer.writerows(zip(
+            map(attrgetter("repo_full_name"), table.pulls),
+            map(attrgetter("pr_number"), table.pulls),
+            *(table.columns[name] for name in CUE_NAMES),
+        ))

@@ -484,7 +484,6 @@ class GitHubFetcher:
         contexts = []
         for author in authors:
             profile = self._get(report, job, f"/users/{author}").json()
-            followers = profile.get("followers", 0)
             contexts.append(
                 corpus_mod.ContributorContext(
                     repo_full_name=repo,
@@ -493,7 +492,9 @@ class GitHubFetcher:
                     contrib_rate_author=(
                         commit_authors.get(author, 0) / total_commits if total_commits else 0.0
                     ),
-                    followers=int(followers) if isinstance(followers, int) else 0,
+                    followers=self._count(
+                        profile.get("followers"), f"users/{author} followers"
+                    ),
                     # Single-repo exports cannot observe these; see module docs.
                     num_languages=1,
                     contrib_follow_integrator=False,

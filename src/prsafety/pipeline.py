@@ -34,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class PipelineConfig:
             raise ConfigError(f"models must list at least one model index, got {self.models!r}")
         if not all(type(i) is int and i in (1, 2, 3) for i in self.models):
             raise ConfigError(f"models must be model indices from (1, 2, 3), got {self.models!r}")
+        if len(set(self.models)) != len(self.models):
+            raise ConfigError(f"models must not repeat a model index, got {self.models!r}")
         self.models = tuple(self.models)
 
     def to_json(self) -> dict:
@@ -278,7 +280,7 @@ class PipelineResult:
     corpus: corpus_mod.Corpus | None = None
     ingest_errors: list = field(default_factory=list)
     emoji_table: cues_mod.EmojiTable | None = None
-    cue_rows: list = field(default_factory=list)
+    cue_table: cues_mod.CueTable | None = None
     screening_report: diagnostics.ScreeningReport | None = None
     labeling: participation.LabelingOutcome | None = None
     thresholds: ps_index.Thresholds | None = None
@@ -325,35 +327,37 @@ def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
 
 
 def screen_cues(
-    cue_rows: Sequence[tuple[corpus_mod.PullRequestRecord, cues_mod.CueVector]],
-    config: diagnostics.ScreeningConfig,
+    table: cues_mod.CueTable, config: diagnostics.ScreeningConfig
 ) -> diagnostics.ScreeningReport:
-    table = {
-        name: [getattr(vector, name) for _, vector in cue_rows] for name in cues_mod.CUE_NAMES
-    }
-    return diagnostics.screen_predictors(table, CUE_KINDS, config)
+    return diagnostics.screen_predictors(table.columns, CUE_KINDS, config)
 
 
 def _model_frame(state: PipelineResult) -> dict[str, np.ndarray]:
     """The fit stage's variables as columns, one entry per PR, or per
     contributor (their first PR in the repository) when collapsed.  A
     missing label, context or index reads NaN, a missing repo_size None;
-    the design encoder drops and counts those rows."""
-    keys = [(pull.repo_full_name, pull.author) for pull, _vector in state.cue_rows]
-    if state.config.unit == "contributor":
-        keys = list(dict.fromkeys(keys))
+    the design encoder drops and counts those rows.
+
+    Every variable depends only on the row's (repo, author), so each is
+    looked up once per distinct key and then spread over the rows."""
+    keys = [(pull.repo_full_name, pull.author) for pull in state.cue_table.pulls]
+    distinct = list(dict.fromkeys(keys))
     contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
     sources = dict.fromkeys(("sustainedp_or_not_12", "recent_sustainedp_or_not"), state.labeling.labels)
     sources.update((name, contexts) for name in glm.CONTROL_PREDICTORS if name != "repo_size")
     frame = {
-        name: np.array([getattr(records.get(key), name, None) for key in keys], dtype=float)
+        name: np.array([getattr(records.get(key), name, None) for key in distinct], dtype=float)
         for name, records in sources.items()
     }
     index = state.summary.repository_index
-    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in keys], dtype=float)
+    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in distinct], dtype=float)
     sizes = {m.repo_full_name: m.repo_size for m in state.corpus.repos}
-    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in keys], dtype=object)
-    return frame
+    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in distinct], dtype=object)
+    if state.config.unit == "contributor":
+        return frame
+    position = {key: i for i, key in enumerate(distinct)}
+    rows = np.fromiter(map(position.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return {name: column[rows] for name, column in frame.items()}
 
 
 # Stage functions look every module function up at call time, so a caller
@@ -367,12 +371,12 @@ def _ingest(config: PipelineConfig, state: PipelineResult) -> None:
 
 def _cues(config: PipelineConfig, state: PipelineResult) -> None:
     state.emoji_table = cues_mod.load_emoji_table(config.emoji_table_path)
-    state.cue_rows = cues_mod.extract_all(state.corpus.pulls, state.emoji_table)
-    cues_mod.write_cues_csv(config.out_dir / "cues.csv", state.cue_rows)
+    state.cue_table = cues_mod.extract_all(state.corpus.pulls, state.emoji_table)
+    cues_mod.write_cues_csv(config.out_dir / "cues.csv", state.cue_table)
 
 
 def _screen(config: PipelineConfig, state: PipelineResult) -> None:
-    state.screening_report = screen_cues(state.cue_rows, config.screening)
+    state.screening_report = screen_cues(state.cue_table, config.screening)
     diagnostics.write_screening_report(
         state.screening_report, config.out_dir / "screening_report.json"
     )
@@ -387,10 +391,9 @@ def _label(config: PipelineConfig, state: PipelineResult) -> None:
 
 
 def _index(config: PipelineConfig, state: PipelineResult) -> None:
-    pairs = [(pull.repo_full_name, vector) for pull, vector in state.cue_rows]
-    state.thresholds = ps_index.compute_thresholds(pairs, scope=config.threshold_scope)
+    state.thresholds = ps_index.compute_thresholds(state.cue_table, scope=config.threshold_scope)
     state.summary = ps_index.summarize(
-        state.cue_rows, state.labeling.labels, state.thresholds, merged_only=config.merged_only
+        state.cue_table, state.labeling.labels, state.thresholds, merged_only=config.merged_only
     )
     ps_index.write_repository_csv(config.out_dir / "ps_index_repository.csv", state.summary)
     ps_index.write_contributor_csv(config.out_dir / "ps_index_contributor.csv", state.summary)

@@ -24,6 +24,16 @@ explicit skip marker rather than a zero so they cannot drag aggregates.
 
 A contributor's index is the mean of their PR scores; a repository's index
 is the unweighted mean of its contributor indices.
+
+The inputs come from the cue table:
+
+    table = cues.extract_all(pulls, emoji_table)          # a CueTable
+    thresholds = compute_thresholds(table, scope="global")
+    summary = summarize(table, labels, thresholds)
+
+compute_thresholds reads the table's columns; summarize reads its row view,
+(pull, CueVector) pairs, and calls score_pr once per row.  CueVector is a
+NamedTuple, so a vector compares equal to the plain tuple of its values.
 """
 
 from __future__ import annotations
@@ -32,9 +42,9 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .cues import CueVector
+from .cues import CueTable, CueVector
 from .participation import ParticipationLabel
 
 THRESHOLD_CUES = ("pr_comment_num", "num_comments_con", "num_participant")
@@ -65,34 +75,27 @@ class Thresholds:
         return self.per_repository[repo_full_name]
 
 
-def compute_thresholds(
-    rows: Sequence[tuple[str, CueVector]], scope: str = "global"
-) -> Thresholds:
+def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
     """Median thresholds for the count-valued conditions.
 
-    rows pairs each cue vector with its repository name so per-repository
-    scope can partition them.  Medians use the standard order statistic
-    (mean of the two central values for even counts).
+    The medians are taken over the table's columns, or, per repository, over
+    the rows of each repository's pulls.  Medians use the standard order
+    statistic (mean of the two central values for even counts).
     """
     if scope not in THRESHOLD_SCOPES:
         raise ValueError(f"threshold scope must be one of {THRESHOLD_SCOPES}, got {scope!r}")
-    if not rows:
+    if not len(table):
         raise ValueError("cannot compute thresholds from an empty cue table")
+    columns = [(cue, table.columns[cue]) for cue in THRESHOLD_CUES]
     if scope == "global":
-        medians = {
-            cue: float(median([getattr(vector, cue) for _, vector in rows]))
-            for cue in THRESHOLD_CUES
-        }
+        medians = {cue: float(median(values)) for cue, values in columns}
         return Thresholds(scope="global", global_medians=medians)
-    by_repo: dict[str, list[CueVector]] = {}
-    for repo, vector in rows:
-        by_repo.setdefault(repo, []).append(vector)
+    rows_of: dict[str, list[int]] = {}
+    for row, pull in enumerate(table.pulls):
+        rows_of.setdefault(pull.repo_full_name, []).append(row)
     per_repo = {
-        repo: {
-            cue: float(median([getattr(v, cue) for v in by_repo[repo]]))
-            for cue in THRESHOLD_CUES
-        }
-        for repo in sorted(by_repo)
+        repo: {cue: float(median([values[row] for row in rows_of[repo]])) for cue, values in columns}
+        for repo in sorted(rows_of)
     }
     return Thresholds(scope="per_repository", per_repository=per_repo)
 
@@ -148,22 +151,22 @@ class PsSummary:
 
 
 def summarize(
-    rows: Sequence[tuple[object, CueVector]],
+    table: CueTable,
     labels: Mapping[tuple[str, str], ParticipationLabel],
     thresholds: Thresholds,
     merged_only: bool = False,
 ) -> PsSummary:
     """Score all PRs and aggregate to contributor and repository indices.
 
-    rows pairs PullRequestRecord-like objects (repo_full_name, pr_number,
-    author attributes) with their cue vectors.  PRs whose author has no
-    label are skipped and reported, like censored and excluded ones.
+    Each row of the table's row view, a pull and its CueVector, is scored
+    once by score_pr.  PRs whose author has no label are skipped and
+    reported, like censored and excluded ones.
     """
     pr_scores: dict[tuple[str, int], int] = {}
     skipped: dict[tuple[str, int], str] = {}
     per_contributor: dict[tuple[str, str], list[int]] = {}
 
-    for pull, vector in rows:
+    for pull, vector in table:
         repo = pull.repo_full_name
         key = (repo, pull.pr_number)
         label = labels.get((repo, pull.author))

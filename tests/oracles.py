@@ -34,6 +34,141 @@ def emoji_count_window_scan(text: str, sequences: set[str]) -> int:
     return count
 
 
+# --- cues -------------------------------------------------------------------
+
+_LOGIN_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
+
+# What a case-insensitive "conflict" accepts letter by letter: the ASCII pair,
+# and for "i" also the Turkish dotted capital and dotless small i.
+_CONFLICT_LETTERS = [
+    {ch, ch.upper()} | ({"\u0130", "\u0131"} if ch == "i" else set()) for ch in "conflict"
+]
+
+
+def _is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def _outside_fences(text: str) -> str:
+    """The text outside ``` fences, a space where each fenced part was; an
+    unterminated fence runs to the end."""
+    pieces, inside, start = [], False, 0
+    while True:
+        at = text.find("```", start)
+        if not inside:
+            pieces.append(text[start : len(text) if at < 0 else at])
+        if at < 0:
+            return " ".join(pieces)
+        inside, start = not inside, at + 3
+
+
+def mention_scan(text: str) -> bool:
+    """An "@" outside fences, not after a word character or another "@",
+    followed by an ASCII letter or digit."""
+    text = _outside_fences(text)
+    for k, ch in enumerate(text):
+        if ch != "@" or text[k + 1 : k + 2] not in _LOGIN_START:
+            continue
+        if k == 0 or not (_is_word(text[k - 1]) or text[k - 1] == "@"):
+            return True
+    return False
+
+
+def conflict_scan(text: str) -> bool:
+    """"conflict" in any case at a position not preceded by a word character."""
+    width = len(_CONFLICT_LETTERS)
+    for k in range(len(text) - width + 1):
+        if k and _is_word(text[k - 1]):
+            continue
+        if all(text[k + j] in letters for j, letters in enumerate(_CONFLICT_LETTERS)):
+            return True
+    return False
+
+
+def extract_cues_rows(pull, count_emojis) -> tuple[int, ...]:
+    """The thirteen cues of one pull request in column order, by separate
+    passes over the thread.  count_emojis(body) is passed in, so the
+    per-thread sum is checked, not the emoji scan."""
+    roles = [c.role for c in pull.comments]
+    bodies = [c.body for c in pull.comments]
+    num_comments_con = roles.count("contributor")
+    contrib_comment = int(num_comments_con > 0)
+    inte_comment = int("integrator" in roles)
+    return (
+        int(pull.merged),
+        len(pull.comments),
+        pull.reopen_count,
+        int(contrib_comment and inte_comment),
+        int(any(conflict_scan(b) for b in bodies)),
+        contrib_comment,
+        num_comments_con,
+        inte_comment,
+        int("reviewer" in roles),
+        int("other" in roles),
+        len({c.author for c in pull.comments}),
+        int(any(mention_scan(b) for b in bodies)),
+        sum(count_emojis(b) for b in bodies),
+    )
+
+
+# --- ps index ---------------------------------------------------------------
+# Row by row over (pull, vector) pairs, where the package reads columns.
+
+def thresholds_rows(rows, cues, scope: str) -> dict:
+    """{cue: median} over all rows for the global scope; {repo: {cue:
+    median}} over each repository's rows, repositories sorted, otherwise."""
+    if scope == "global":
+        return {cue: median_sorted([getattr(v, cue) for _, v in rows]) for cue in cues}
+    repos = sorted({pull.repo_full_name for pull, _ in rows})
+    return {
+        repo: {
+            cue: median_sorted([getattr(v, cue) for pull, v in rows if pull.repo_full_name == repo])
+            for cue in cues
+        }
+        for repo in repos
+    }
+
+
+def summarize_rows(rows, labels, medians: dict, scope: str, score) -> tuple[dict, dict, dict, dict]:
+    """(pr_scores, skipped_prs, contributor_index, repository_index).
+
+    medians is thresholds_rows' result for the scope.  score(vector, label,
+    medians) is passed in, so the row pairing, the thresholds each row gets
+    and the aggregation are checked, not the ten conditions.  A PR of an
+    unlabeled author is skipped as "unlabeled", one that scores None under
+    its label's status."""
+    pr_scores, skipped = {}, {}
+    for pull, vector in rows:
+        key = (pull.repo_full_name, pull.pr_number)
+        label = labels.get((pull.repo_full_name, pull.author))
+        if label is None:
+            skipped[key] = "unlabeled"
+            continue
+        value = score(vector, label, medians if scope == "global" else medians[pull.repo_full_name])
+        if value is None:
+            skipped[key] = label.status
+        else:
+            pr_scores[key] = value
+    contributors = sorted({
+        (pull.repo_full_name, pull.author)
+        for pull, _ in rows
+        if (pull.repo_full_name, pull.pr_number) in pr_scores
+    })
+    contributor_index = {}
+    for repo, author in contributors:
+        scores = [
+            pr_scores[(pull.repo_full_name, pull.pr_number)]
+            for pull, _ in rows
+            if (pull.repo_full_name, pull.author) == (repo, author)
+        ]
+        contributor_index[(repo, author)] = sum(scores) / len(scores)
+    repository_index = {}
+    for repo in sorted({repo for repo, _ in contributors}):
+        values = [value for (r, _), value in contributor_index.items() if r == repo]
+        repository_index[repo] = sum(values) / len(values)
+    return pr_scores, skipped, contributor_index, repository_index
+
+
 # --- ingest -----------------------------------------------------------------
 
 _COMMENT_FIELDS = ("repo_full_name", "pr_number", "author", "role", "body", "created_at")
@@ -287,7 +422,7 @@ def model_rows(state) -> list[dict]:
     metas = {m.repo_full_name: m for m in state.corpus.repos}
     rows = []
     seen: set[tuple[str, str]] = set()
-    for pull, _vector in state.cue_rows:
+    for pull in state.cue_table.pulls:
         key = (pull.repo_full_name, pull.author)
         if state.config.unit == "contributor":
             if key in seen:

@@ -222,7 +222,7 @@ def test_criterion_4_fixture_matches_hand_enumeration(corpus12_dir):
     labeling = label_contributors(
         loaded.corpus.commits, contributors, LabelingConfig(data_end=date(2021, 6, 30))
     )
-    thresholds = compute_thresholds([(p.repo_full_name, v) for p, v in cue_rows])
+    thresholds = compute_thresholds(cue_rows)
     summary = summarize(cue_rows, labeling.labels, thresholds)
 
     assert summary.pr_scores == FIXTURE_SCORES

@@ -195,6 +195,7 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("models", 3),
         ("models", []),
         ("models", [[1]]),
+        ("models", [1, 1]),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):

@@ -375,6 +375,10 @@ def test_job_validation():
         ("pulls", 4, {"reopen_count": -1}, "pulls item #5 reopen_count: .* got -1"),
         ("repo", 0, {"stargazers_count": 2.7}, f"repos item {REPO} stargazers_count: .* 2.7"),
         ("repo", 0, {"stargazers_count": "many"}, f"repos item {REPO} stargazers_count"),
+        ("users", "mia", 2.7, "users/mia followers: expected an integer >= 0, got 2.7"),
+        ("users", "sam", "12", "users/sam followers: .* got '12'"),
+        ("users", "leo", True, "users/leo followers: .* got True"),
+        ("users", "ann", -1, "users/ann followers: .* got -1"),
     ],
 )
 def test_malformed_api_field_is_a_fetch_error(tmp_path, route, index, change, named):
@@ -383,6 +387,8 @@ def test_malformed_api_field_is_a_fetch_error(tmp_path, route, index, change, na
     if route == "repo":  # the repository metadata is one object, not a list
         session = FakeSession()
         session.scripted[f"/repos/{REPO}"] = [FakeResponse(change)]
+    elif route == "users":  # index names the login, change is its followers count
+        session = FakeSession(users={**USERS, index: change})
     else:
         items = [dict(item) for item in payloads[route]]
         items[index].update(change)

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from prsafety import ps_index as psi
-from prsafety.cues import CueVector
+from prsafety.cues import CUE_NAMES, CueTable, CueVector
 from prsafety.participation import ParticipationLabel
 
 SUSTAINED = ParticipationLabel("sustained", 1, 1)
@@ -29,8 +29,16 @@ FIXTURE_SCORES = {
 }
 
 
-def _rows(cue_rows):
-    return [(pull.repo_full_name, vector) for pull, vector in cue_rows]
+def _table(rows):
+    """A CueTable of (pull, vector) rows."""
+    return CueTable(
+        [pull for pull, _ in rows], {name: [getattr(v, name) for _, v in rows] for name in CUE_NAMES}
+    )
+
+
+def _repo_table(rows):
+    """A CueTable of (repo, vector) rows; each pull carries only its repository."""
+    return _table([(SimpleNamespace(repo_full_name=repo), vector) for repo, vector in rows])
 
 
 def _vector(**overrides):
@@ -54,7 +62,7 @@ def test_median_oracle_basics():
 
 
 def test_fixture_global_medians(cue_rows12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     assert thresholds.scope == "global"
     assert thresholds.global_medians == FIXTURE_MEDIANS
     for cue in psi.THRESHOLD_CUES:
@@ -63,7 +71,7 @@ def test_fixture_global_medians(cue_rows12):
 
 
 def test_fixture_per_repository_medians(cue_rows12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12), scope="per_repository")
+    thresholds = psi.compute_thresholds(cue_rows12, scope="per_repository")
     assert thresholds.per_repository == {
         "acme/rocket": {"pr_comment_num": 1.0, "num_comments_con": 0.0, "num_participant": 1.0},
         "acme/wrench": {"pr_comment_num": 2.0, "num_comments_con": 1.0, "num_participant": 2.0},
@@ -80,7 +88,7 @@ def test_per_repository_medians_match_oracle_on_many_repositories():
                                     num_participant=rng.randrange(8)))
         for _ in range(3000)
     ]
-    thresholds = psi.compute_thresholds(rows, scope="per_repository")
+    thresholds = psi.compute_thresholds(_repo_table(rows), scope="per_repository")
     present = sorted({repo for repo, _ in rows})
     assert list(thresholds.per_repository) == present
     for repo in present:
@@ -91,9 +99,9 @@ def test_per_repository_medians_match_oracle_on_many_repositories():
 
 def test_thresholds_reject_bad_input():
     with pytest.raises(ValueError, match="scope"):
-        psi.compute_thresholds([("a/a", _vector())], scope="weekly")
+        psi.compute_thresholds(_repo_table([("a/a", _vector())]), scope="weekly")
     with pytest.raises(ValueError, match="empty"):
-        psi.compute_thresholds([])
+        psi.compute_thresholds(_repo_table([]))
 
 
 # --- single-PR scoring ---------------------------------------------------------------
@@ -146,14 +154,14 @@ def test_raising_count_cues_never_lowers_score():
         )
         base = psi.score_pr(vector, SUSTAINED, FIXTURE_MEDIANS)
         for cue in psi.THRESHOLD_CUES:
-            raised = replace(vector, **{cue: getattr(vector, cue) + 3})
+            raised = vector._replace(**{cue: getattr(vector, cue) + 3})
             assert psi.score_pr(raised, SUSTAINED, FIXTURE_MEDIANS) >= base
 
 
 # --- aggregation on the fixture -------------------------------------------------------
 
 def test_fixture_pr_scores_exact(cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
     assert summary.pr_scores == FIXTURE_SCORES
     assert summary.skipped_prs == {
@@ -163,7 +171,7 @@ def test_fixture_pr_scores_exact(cue_rows12, labels12):
 
 
 def test_fixture_indices_exact(cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
     assert summary.contributor_index == {
         ("acme/rocket", "alice"): 4.75,
@@ -177,7 +185,7 @@ def test_fixture_indices_exact(cue_rows12, labels12):
 
 
 def test_fixture_merged_only_variant(cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds, merged_only=True)
     assert summary.contributor_index == {
         ("acme/rocket", "alice"): 4.5,
@@ -191,18 +199,18 @@ def test_fixture_merged_only_variant(cue_rows12, labels12):
 
 
 def test_summarize_is_order_insensitive(cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     direct = psi.summarize(cue_rows12, labels12.labels, thresholds)
     shuffled = list(cue_rows12)
     random.Random(3).shuffle(shuffled)
-    permuted = psi.summarize(shuffled, labels12.labels, thresholds)
+    permuted = psi.summarize(_table(shuffled), labels12.labels, thresholds)
     assert permuted.pr_scores == direct.pr_scores
     assert permuted.contributor_index == direct.contributor_index
     assert permuted.repository_index == direct.repository_index
 
 
 def test_repository_index_bounded_by_contributors(cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
     for repo, value in summary.repository_index.items():
         members = [v for (r, _), v in summary.contributor_index.items() if r == repo]
@@ -212,7 +220,7 @@ def test_repository_index_bounded_by_contributors(cue_rows12, labels12):
 def test_unlabeled_author_is_skipped(cue_rows12, labels12):
     labels = dict(labels12.labels)
     del labels[("acme/rocket", "bob")]
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels, thresholds)
     assert summary.skipped_prs[("acme/rocket", 5)] == "unlabeled"
     assert ("acme/rocket", "bob") not in summary.contributor_index
@@ -221,7 +229,7 @@ def test_unlabeled_author_is_skipped(cue_rows12, labels12):
 # --- artifacts ------------------------------------------------------------------------
 
 def test_csv_outputs(tmp_path, cue_rows12, labels12):
-    thresholds = psi.compute_thresholds(_rows(cue_rows12))
+    thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
     repo_path = tmp_path / "ps_index_repository.csv"
     contrib_path = tmp_path / "ps_index_contributor.csv"
