@@ -25,6 +25,11 @@ is not UTF-8, not JSON, nested too deeply, not an object, has a field of the
 wrong kind, repeats a key or names an unknown pull, becomes exactly one
 ingest-error line and is skipped; the load never aborts on a line.  A
 missing required file is fatal.
+
+Each record table is compiled once, at import, into one straight-line parser
+(as dataclasses generates __init__): cheap acceptance tests run inline, and
+a value that fails one, or a field whose kind transforms its value, goes to
+the kind function, which states every check and message once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
@@ -73,14 +77,14 @@ class _ChoiceError(_LineError):
     """Internal: a value outside its enumeration; comments name their position."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IngestError:
     file: str
     line: int
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentRecord:
     author: str
     role: str
@@ -88,7 +92,7 @@ class CommentRecord:
     created_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PullRequestRecord:
     repo_full_name: str
     pr_number: int
@@ -100,14 +104,14 @@ class PullRequestRecord:
     comments: tuple[CommentRecord, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitEvent:
     repo_full_name: str
     author: str
     committed_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContributorContext:
     repo_full_name: str
     author: str
@@ -119,7 +123,7 @@ class ContributorContext:
     social_strength: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepoMeta:
     repo_full_name: str
     stars: int
@@ -244,6 +248,9 @@ def derive_comment_role(
 
 # A field kind reads one field of a line's JSON object, checks it and returns
 # the value the record holds.  Required kinds report absent and null alike.
+# A kind that returns the value unchanged when it passes also states that
+# test as `accepts`, Python source over the value `v`, which the compiled
+# parsers run inline; a value that fails it still goes to the kind.
 
 
 def _fault(value, name: str, wanted: str) -> _LineError:
@@ -259,11 +266,17 @@ def _name(obj: dict, name: str) -> str:
     raise _fault(value, name, "must be a non-empty string")
 
 
+_name.accepts = "type(v) is str and v"
+
+
 def _text(obj: dict, name: str) -> str:
     value = obj.get(name)
     if type(value) is str:
         return value
     raise _fault(value, name, "must be a string")
+
+
+_text.accepts = "type(v) is str"
 
 
 def _integer(minimum: int):
@@ -275,6 +288,7 @@ def _integer(minimum: int):
             raise _LineError(f"field {name!r} must be >= {minimum}, got {value}")
         return value
 
+    check.accepts = f"type(v) is int and v >= {minimum!r}"
     return check
 
 
@@ -283,6 +297,9 @@ def _boolean(obj: dict, name: str) -> bool:
     if value is True or value is False:
         return value
     raise _fault(value, name, "must be a boolean")
+
+
+_boolean.accepts = "v is True or v is False"
 
 
 def _fraction(obj: dict, name: str) -> float:
@@ -315,6 +332,7 @@ def _choice(choices: tuple[str, ...]):
         _name(obj, name)  # an absent, null or non-string value fails as a name
         raise _ChoiceError(f"{name} {value!r} not one of {choices}")
 
+    check.accepts = f"v in {choices!r}"
     return check
 
 
@@ -329,7 +347,7 @@ def _comments(obj: dict, name: str) -> tuple[CommentRecord, ...]:
     value = obj.get(name, [])
     if type(value) is not list:
         raise _LineError(f"field {name!r} must be a list")
-    return _sort_comments(_comment(c, f"comments[{i}]") for i, c in enumerate(value))
+    return _sort_comments([_comment(c, i) for i, c in enumerate(value)])
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -390,26 +408,67 @@ _REPO = (
 )
 
 
-def _parse(table, record_type, obj: dict):
-    """Check obj against a record table, row by row, and build the record."""
-    values = {}
-    for name, kind in table:
-        values[name] = kind(obj, name)
-    return record_type(**values)
+def _compile(table, record_type=None):
+    """One parser function for a record table.
+
+    The function checks the rows in order and builds the record from each
+    field's last value, passed by position in the record's field order.
+    Without a record type it returns the rows' values as a tuple, in row
+    order.  For a row whose kind has an `accepts` test the test runs inline
+    and the kind is called only when it fails; every other row calls its kind.
+    """
+    namespace = {}
+    lines = ["def parse(obj):", "    get = obj.get"]
+    for i, (name, kind) in enumerate(table):
+        namespace[f"kind{i}"] = kind
+        call = f"kind{i}(obj, {name!r})"
+        test = getattr(kind, "accepts", None)
+        if test is None:
+            lines.append(f"    f_{name} = {call}")
+        else:
+            lines += [f"    v = get({name!r})", f"    if not ({test}):", f"        v = {call}",
+                      f"    f_{name} = v"]
+    if record_type is None:
+        lines.append(f"    return ({', '.join(f'f_{name}' for name, _ in table)},)")
+    else:
+        namespace["record"] = record_type
+        lines.append(f"    return record({', '.join(f'f_{f.name}' for f in fields(record_type))})")
+    label = "key" if record_type is None else record_type.__name__
+    exec(compile("\n".join(lines), f"<{label} parser>", "exec"), namespace)
+    return namespace["parse"]
 
 
-def _comment(obj, where: str) -> CommentRecord:
-    if not isinstance(obj, dict):
-        raise _LineError(f"{where} must be an object")
-    try:
-        return _parse(_COMMENT, CommentRecord, obj)
-    except _ChoiceError as exc:
-        raise _LineError(f"{where}: {exc}") from None
+_parse_comment = _compile(_COMMENT, CommentRecord)
+_parse_pull = _compile(_PULL, PullRequestRecord)
+_parse_pull_key = _compile(_COMMENT_KEY)
+_parse_commit = _compile(_COMMIT, CommitEvent)
+_parse_context = _compile(_CONTEXT, ContributorContext)
+_parse_repo = _compile(_REPO, RepoMeta)
+
+
+def _comment(obj, index: int | None) -> CommentRecord:
+    """Item `index` of a pull's comment list, or (None) a comments.jsonl line.
+
+    The position is formatted only into an error message.
+    """
+    if isinstance(obj, dict):
+        try:
+            return _parse_comment(obj)
+        except _ChoiceError as exc:
+            raise _LineError(f"{_position(index)}: {exc}") from None
+    raise _LineError(f"{_position(index)} must be an object")
+
+
+def _position(index: int | None) -> str:
+    return "comment" if index is None else f"comments[{index}]"
+
+
+_CREATED_AT = attrgetter("created_at")
 
 
 def _sort_comments(comments: Iterable[CommentRecord]) -> tuple[CommentRecord, ...]:
     # Stable on timestamp so same-second comments keep their input order.
-    return tuple(sorted(comments, key=lambda c: c.created_at))
+    return tuple(sorted(comments, key=_CREATED_AT))
 
 
 def _decode(line: str) -> dict:
@@ -474,14 +533,14 @@ def load_corpus(directory: str | Path) -> LoadResult:
 
     pulls = unique(
         "pulls.jsonl",
-        partial(_parse, _PULL, PullRequestRecord),
+        _parse_pull,
         _PULL_KEY,
         lambda p: f"duplicate pr_number {p.pr_number} for {p.repo_full_name}",
     )
 
     def separate_comment(obj: dict) -> tuple[tuple[str, int], CommentRecord]:
-        key = tuple(kind(obj, name) for name, kind in _COMMENT_KEY)
-        comment = _comment(obj, "comment")
+        key = _parse_pull_key(obj)
+        comment = _comment(obj, None)
         if key not in pulls:
             raise _LineError(f"comment references unknown pull {key[0]}#{key[1]}")
         return key, comment
@@ -497,16 +556,16 @@ def load_corpus(directory: str | Path) -> LoadResult:
             pull = pulls[key]
             pulls[key] = replace(pull, comments=_sort_comments(pull.comments + tuple(comments)))
 
-    commits = [c for _, c in read("commits.jsonl", partial(_parse, _COMMIT, CommitEvent))]
+    commits = [c for _, c in read("commits.jsonl", _parse_commit)]
     contexts = unique(
         "contributor_context.jsonl",
-        partial(_parse, _CONTEXT, ContributorContext),
+        _parse_context,
         _CONTEXT_KEY,
         lambda c: f"duplicate context for {c.repo_full_name}:{c.author}",
     )
     repos = unique(
         "repos.jsonl",
-        partial(_parse, _REPO, RepoMeta),
+        _parse_repo,
         _REPO_KEY,
         lambda r: f"duplicate repo {r.repo_full_name}",
     )

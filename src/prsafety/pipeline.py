@@ -94,7 +94,8 @@ class PipelineConfig:
             raise ConfigError(f"models must be model indices from (1, 2, 3), got {self.models!r}")
         if len(set(self.models)) != len(self.models):
             raise ConfigError(f"models must not repeat a model index, got {self.models!r}")
-        self.models = tuple(self.models)
+        # Sorted: the same models give the same config hash and manifest.
+        self.models = tuple(sorted(self.models))
 
     def to_json(self) -> dict:
         return {
@@ -412,7 +413,7 @@ def _fit(config: PipelineConfig, state: PipelineResult) -> None:
             if diagnostics.log1p_if_skewed(values, config.screening)[1] is not None:
                 state.control_transforms[name] = "log1p"
     all_specs = glm.canned_model_specs(state.control_transforms)
-    for index in sorted(config.models):
+    for index in config.models:
         spec = state.specs[index] = all_specs[index - 1]
         try:
             design = glm.encode_design(frame, spec)

@@ -178,6 +178,16 @@ def _instant(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
 
 
+def parse_record_rows(table, record_type, obj: dict):
+    """The interpreted walk of a record table: each row's kind in order into
+    a dict of field values (a later row of a field replaces its value), then
+    the record built by keyword."""
+    values = {}
+    for name, kind in table:
+        values[name] = kind(obj, name)
+    return record_type(**values)
+
+
 def comment_merge_replay(
     pulls: list[dict], comment_lines: list[str]
 ) -> tuple[dict[tuple[str, int], list[str]], list[int]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -326,6 +327,79 @@ def test_report_stage_prints_report(small_corpus_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "PS index by repository (0-10 scale)" in stdout
     assert "Sustained participation models" in stdout
+
+
+# --- the cyclic collector -------------------------------------------------------------
+
+@pytest.fixture
+def collector_restored():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector_seen_by_ingest(monkeypatch):
+    """gc.isenabled() at each call of corpus.load_corpus, observed as the tracer wraps it."""
+    seen = []
+    load_corpus = corpus_mod.load_corpus
+
+    def observed(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", observed)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_stage_commands_pause_the_collector_and_restore_it(
+    small_corpus_dir, corpus12_dir, tmp_path, capsys, collector_restored, collector_seen_by_ingest,
+    enabled,
+):
+    fails_to_fit = ["--corpus", str(corpus12_dir), "--out", str(tmp_path / "fail"),
+                    "--data-end", CORPUS12_DATA_END.isoformat(), "--no-filter"]
+    runs = [
+        (["ingest", *_run_args(small_corpus_dir, tmp_path / "ingest")], 0),
+        (["run", *fails_to_fit], 1),
+        (["fit", *fails_to_fit], 1),
+        (["run", *_run_args(tmp_path / "nowhere", tmp_path / "out")], 2),
+        (["run", *_run_args(small_corpus_dir, tmp_path / "out"), "--models", "4"], 2),
+    ]
+    for argv, code in runs:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.main(argv) == code, argv
+        assert gc.isenabled() is enabled, argv
+    assert collector_seen_by_ingest == [False, False, False]
+
+
+def test_run_stages_leaves_the_collector_as_the_caller_set_it(
+    small_corpus_dir, tmp_path, collector_restored, collector_seen_by_ingest
+):
+    config = pipeline.config_from_dict({"corpus_dir": str(small_corpus_dir), "out_dir": str(tmp_path),
+                                        "labeling": {"data_end": "2025-06-30"}})
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        pipeline.run_stages(config, through="ingest")
+        assert gc.isenabled() is enabled
+    assert collector_seen_by_ingest == [True, False]
+
+
+def test_cyclic_garbage_of_a_run_does_not_grow_with_the_corpus(
+    small_corpus_dir, scaled_corpus_dir, tmp_path, capsys, collector_restored
+):
+    # Pausing the collector for a command is sound only while a run leaves
+    # no cyclic garbage in proportion to its input.
+    def garbage(corpus_dir) -> int:
+        gc.collect()
+        gc.disable()
+        assert cli.main(["run", *_run_args(corpus_dir, tmp_path / "out")]) == 0
+        return gc.collect()
+
+    garbage(small_corpus_dir)  # first-call caches
+    small = garbage(small_corpus_dir)
+    scaled = garbage(scaled_corpus_dir)
+    assert scaled - small <= 100, (small, scaled)
 
 
 # --- fetch wiring ---------------------------------------------------------------------

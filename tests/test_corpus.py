@@ -7,7 +7,7 @@ import re
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -598,3 +598,113 @@ def test_save_then_load_round_trips(tmp_path_factory, corpus):
     )
     assert result.corpus.contexts == sorted(corpus.contexts, key=lambda c: (c.repo_full_name, c.author))
     assert result.corpus.repos == sorted(corpus.repos, key=lambda r: r.repo_full_name)
+
+
+# --- compiled parsers against the interpreted walk ------------------------------------
+
+def _interpreted_comment(obj, where):
+    """A comment through the interpreted walk, its position formatted up front."""
+    if not isinstance(obj, dict):
+        raise cm._LineError(f"{where} must be an object")
+    try:
+        return oracles.parse_record_rows(cm._COMMENT, cm.CommentRecord, obj)
+    except cm._ChoiceError as exc:
+        raise cm._LineError(f"{where}: {exc}") from None
+
+
+def _interpreted_comments(obj, name):
+    value = obj.get(name, [])
+    if type(value) is not list:
+        raise cm._LineError(f"field {name!r} must be a list")
+    comments = [_interpreted_comment(c, f"comments[{i}]") for i, c in enumerate(value)]
+    return tuple(sorted(comments, key=lambda c: c.created_at))
+
+
+_INTERPRETED_PULL = tuple(
+    (name, _interpreted_comments if name == "comments" else kind) for name, kind in cm._PULL
+)
+
+# Each file's line parser, compiled and interpreted.
+_PARSERS = {
+    "pulls.jsonl": (
+        cm._parse_pull,
+        lambda obj: oracles.parse_record_rows(_INTERPRETED_PULL, cm.PullRequestRecord, obj),
+    ),
+    "comments.jsonl": (
+        lambda obj: (cm._parse_pull_key(obj), cm._comment(obj, None)),
+        lambda obj: (tuple(kind(obj, name) for name, kind in cm._COMMENT_KEY),
+                     _interpreted_comment(obj, "comment")),
+    ),
+    "commits.jsonl": (
+        cm._parse_commit,
+        lambda obj: oracles.parse_record_rows(cm._COMMIT, cm.CommitEvent, obj),
+    ),
+    "contributor_context.jsonl": (
+        cm._parse_context,
+        lambda obj: oracles.parse_record_rows(cm._CONTEXT, cm.ContributorContext, obj),
+    ),
+    "repos.jsonl": (
+        cm._parse_repo,
+        lambda obj: oracles.parse_record_rows(cm._REPO, cm.RepoMeta, obj),
+    ),
+}
+
+_ABSENT = object()  # a drawn field value that removes the field
+
+
+def _outcome(parse, obj):
+    """The record, or the error's class and message."""
+    try:
+        return parse(obj)
+    except cm._LineError as exc:
+        return type(exc), str(exc)
+
+
+def _override(base: dict, drawn: dict) -> dict:
+    return {k: v for k, v in {**base, **drawn}.items() if v is not _ABSENT}
+
+
+_DRAWN_FIELDS = st.dictionaries(st.sampled_from(_FIELDS), _JSON_VALUES | st.just(_ABSENT), max_size=4)
+
+
+@_PROPERTY
+@given(filename=st.sampled_from(_FILES), drawn=_DRAWN_FIELDS, from_valid=st.booleans())
+@example(filename="comments.jsonl", drawn={"role": "manager"}, from_valid=True)
+@example(filename="repos.jsonl", drawn={"repo_size": "huge"}, from_valid=True)
+@example(filename="contributor_context.jsonl", drawn={"contrib_rate_author": 10**400}, from_valid=True)
+@example(filename="contributor_context.jsonl", drawn={"social_strength": -10**400}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"author": None}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"author": _ABSENT}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"pr_number": True}, from_valid=True)
+@example(filename="repos.jsonl", drawn={"stars": False}, from_valid=True)
+@example(filename="contributor_context.jsonl", drawn={"followers": True}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"pr_number": 0}, from_valid=True)
+@example(filename="repos.jsonl", drawn={"repo_size": "", "pr_count": -1}, from_valid=True)
+@example(filename="commits.jsonl", drawn={"author": ""}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"merged": 1}, from_valid=True)
+def test_compiled_parsers_match_the_interpreted_walk(filename, drawn, from_valid):
+    obj = _override(_VALID[filename] if from_valid else {}, drawn)
+    compiled, interpreted = _PARSERS[filename]
+    assert _outcome(compiled, obj) == _outcome(interpreted, obj)
+
+
+_VALID_COMMENT = {"author": "kai", "role": "other", "body": "hi", "created_at": "2019-01-02T00:00:00Z"}
+
+
+@_PROPERTY
+@given(
+    position=st.integers(0, 2),
+    item=st.one_of(_DRAWN_FIELDS.map(lambda drawn: _override(_VALID_COMMENT, drawn)), _JSON_VALUES),
+)
+@example(position=1, item={**_VALID_COMMENT, "role": "manager"})
+@example(position=2, item={**_VALID_COMMENT, "role": None})
+@example(position=0, item={**_VALID_COMMENT, "created_at": 5})
+@example(position=1, item=5)
+@example(position=0, item={**_VALID_COMMENT, "role": ""})
+@example(position=2, item={**_VALID_COMMENT, "body": None})
+def test_embedded_comment_matches_the_interpreted_walk_at_any_position(position, item):
+    comments = [_VALID_COMMENT, {**_VALID_COMMENT, "created_at": "2019-01-01T00:00:00Z"}]
+    comments.insert(position, item)
+    pull = _pull_obj(comments=comments)
+    compiled, interpreted = _PARSERS["pulls.jsonl"]
+    assert _outcome(compiled, pull) == _outcome(interpreted, pull)

@@ -167,6 +167,14 @@ def test_config_hash_tracks_content(tmp_path):
     assert pipeline.config_hash(a) == pipeline.config_hash(b)
     assert pipeline.config_hash(a) != pipeline.config_hash(c)
     assert len(pipeline.config_hash(a)) == 64
+    unordered, ordered = (
+        pipeline.config_from_dict({"corpus_dir": "c", "out_dir": "o", "models": models,
+                                   "labeling": {"data_end": "2025-06-30"}})
+        for models in ([3, 1], [1, 3])
+    )
+    assert unordered.models == ordered.models == (1, 3)
+    assert pipeline.config_hash(unordered) == pipeline.config_hash(ordered)
+    assert unordered.to_json()["models"] == [1, 3]
 
 
 def test_missing_corpus_dir_is_config_error(tmp_path):
