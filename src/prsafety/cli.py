@@ -17,10 +17,11 @@ caller's collector state is restored.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
+import re
 import sys
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import cues as cues_mod
@@ -29,16 +30,27 @@ from . import diagnostics, github_fetch, participation, pipeline, ps_index, repo
 STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES) + ("run",)
 
 
+_DIGITS = re.compile(r"\d+", re.ASCII)
+
+
+def _count(text: str) -> int:
+    """An integer flag value: ASCII digits only, so no sign, space, "_" or other script's digits."""
+    if not _DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The stage commands' flags; each dest is the name of the setting it overrides."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
     parser.add_argument("--out", dest="out_dir", help="output directory for artifacts")
     parser.add_argument("--data-end", help="last observed date, YYYY-MM-DD")
     parser.add_argument("--snapshot-date", help="snapshot date, YYYY-MM-DD")
-    parser.add_argument("--window-months", type=int, help="sustain window length")
+    parser.add_argument("--window-months", type=_count, help="sustain window length")
     parser.add_argument("--recent-horizon-end", help="recent-outcome horizon, YYYY-MM-DD")
-    parser.add_argument("--censor-margin-months", type=int, help="censoring margin")
-    parser.add_argument("--gap-months", type=int, help="gap-return threshold")
+    parser.add_argument("--censor-margin-months", type=_count, help="censoring margin")
+    parser.add_argument("--gap-months", type=_count, help="gap-return threshold")
     parser.add_argument("--threshold-scope", choices=ps_index.THRESHOLD_SCOPES)
     parser.add_argument("--merged-only", action="store_true", default=None,
                         help="credit the merge condition only for merged PRs")
@@ -58,17 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each dest is a FetchJob field; a flag not given keeps the field's default.
     fetch = sub.add_parser("fetch", help="export one repository via the GitHub REST API")
-    fetch.add_argument("--repo", required=True, help="owner/name")
-    fetch.add_argument("--out", required=True, help="output corpus directory")
+    fetch.add_argument("--repo", dest="repo_full_name", required=True, help="owner/name")
+    fetch.add_argument("--out", dest="output_dir", required=True, help="output corpus directory")
     fetch.add_argument("--since", help="RFC 3339 lower bound for comments and commits")
-    fetch.add_argument(
-        "--token-env",
-        default="GITHUB_TOKEN",
-        help="name of the environment variable holding the API token",
-    )
-    fetch.add_argument("--page-size", type=int, default=100)
-    fetch.add_argument("--max-retries", type=int, default=3)
+    fetch.add_argument("--token-env", dest="auth_token_source",
+                       help="name of the environment variable holding the API token")
+    fetch.add_argument("--page-size", type=_count)
+    fetch.add_argument("--max-retries", type=_count)
 
     for name in STAGE_COMMANDS:
         stage = sub.add_parser(name, help=f"run the {name} stage")
@@ -77,50 +87,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args: argparse.Namespace, *skip: str) -> dict:
+    """The flags given on the command line, by dest."""
+    return {k: v for k, v in vars(args).items() if v is not None and k not in ("command", *skip)}
+
+
 def _pipeline_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    overrides: dict = {}
-    for key in ("corpus_dir", "out_dir", "threshold_scope", "unit", "emoji_table_path",
-                "merged_only", "global_activity"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "models", None):
+    overrides = _given(args, "config", "no_filter")
+    if "models" in overrides:
         try:
-            overrides["models"] = tuple(int(v) for v in str(args.models).split(",") if v)
-        except ValueError:
+            overrides["models"] = [_count(v) for v in overrides["models"].split(",")]
+        except argparse.ArgumentTypeError:
             raise pipeline.ConfigError(f"bad --models value: {args.models!r}") from None
-
-    labeling_overrides = {}
-    for key in ("data_end", "snapshot_date", "window_months", "recent_horizon_end",
-                "censor_margin_months", "gap_months"):
-        value = getattr(args, key, None)
-        if value is not None:
-            labeling_overrides[key] = value
-
-    if args.config:
-        raw = pipeline.read_config_file(args.config)
-    else:
-        raw = {}
-    labeling = raw.get("labeling") or {}
+    labeling = {
+        f.name: overrides.pop(f.name)
+        for f in dataclasses.fields(participation.LabelingConfig)
+        if f.name in overrides
+    }
+    raw = pipeline.read_config_file(args.config) if args.config else {}
     # A malformed section is left in place for config_from_dict to reject.
-    if labeling_overrides and isinstance(labeling, dict):
-        raw["labeling"] = {**labeling, **labeling_overrides}
-    if getattr(args, "no_filter", None):
+    if labeling and isinstance(raw.get("labeling", {}), dict):
+        raw["labeling"] = {**raw.get("labeling", {}), **labeling}
+    if args.no_filter:
         raw["filter"] = None
-    elif not args.config and "filter" not in raw:
-        raw["filter"] = {}
     return pipeline.config_from_dict(raw, overrides)
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    job = github_fetch.FetchJob(
-        repo_full_name=args.repo,
-        output_dir=args.out,
-        since=args.since,
-        auth_token_source=args.token_env,
-        page_size=args.page_size,
-        max_retries=args.max_retries,
-    )
+    try:
+        job = github_fetch.FetchJob(**_given(args))
+    except ValueError as exc:
+        raise pipeline.ConfigError(str(exc)) from None
     report = github_fetch.fetch_repository(job)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0

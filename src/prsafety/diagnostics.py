@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -114,17 +114,6 @@ class ScreeningDecision:
     transformed_skewness: float | None = None
     minority_fraction: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "action": self.action,
-            "reason": self.reason,
-            "raw_skewness": self.raw_skewness,
-            "transformed_skewness": self.transformed_skewness,
-            "minority_fraction": self.minority_fraction,
-        }
-
 
 @dataclass
 class ScreeningReport:
@@ -138,14 +127,7 @@ class ScreeningReport:
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {
-            "config": {
-                "skew_threshold": self.config.skew_threshold,
-                "minority_threshold": self.config.minority_threshold,
-                "skew_type": self.config.skew_type,
-            },
-            "variables": [d.to_json() for d in self.decisions],
-        }
+        return {"config": asdict(self.config), "variables": [asdict(d) for d in self.decisions]}
 
     def format_table(self) -> str:
         header = f"{'variable':<26} {'kind':<11} {'decision':<12} reason"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -70,6 +70,8 @@ class FetchJob:
             raise ValueError(f"repo_full_name must be owner/name, got {self.repo_full_name!r}")
         if not 1 <= self.page_size <= 100:
             raise ValueError(f"page_size must be in [1, 100], got {self.page_size}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass
@@ -86,18 +88,7 @@ class FetchReport:
     defaulted_context_fields: tuple[str, ...] = DEFAULTED_CONTEXT_FIELDS
 
     def to_json(self) -> dict:
-        return {
-            "repo_full_name": self.repo_full_name,
-            "pulls": self.pulls,
-            "comments": self.comments,
-            "commits": self.commits,
-            "contributors": self.contributors,
-            "requests_made": self.requests_made,
-            "rate_limit_waits": self.rate_limit_waits,
-            "retries": self.retries,
-            "resumed": self.resumed,
-            "defaulted_context_fields": list(self.defaulted_context_fields),
-        }
+        return asdict(self)
 
 
 class GitHubFetcher:
@@ -212,9 +203,8 @@ class GitHubFetcher:
             self._staging_path(out, endpoint).unlink(missing_ok=True)
         return self._fresh_cursor(job), False
 
-    @staticmethod
-    def _save_cursor(out: Path, cursor: dict) -> None:
-        path = out / "fetch_cursor.json"
+    def _save_cursor(self, out: Path, cursor: dict) -> None:
+        path = self._cursor_path(out)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(cursor, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, path)
@@ -252,9 +242,8 @@ class GitHubFetcher:
                 return
             page += 1
 
-    @staticmethod
-    def _read_staging(out: Path, endpoint: str) -> list[dict]:
-        path = out / f"raw_{endpoint}.jsonl"
+    def _read_staging(self, out: Path, endpoint: str) -> list[dict]:
+        path = self._staging_path(out, endpoint)
         if not path.is_file():
             return []
         # A crash between a page append and the cursor save can re-stage a
@@ -312,20 +301,28 @@ class GitHubFetcher:
         out.mkdir(parents=True, exist_ok=True)
         report = FetchReport(repo_full_name=job.repo_full_name)
 
-        cursor, resumed = self._load_cursor(job, out)
-        report.resumed = resumed
-        if cursor.get("complete"):
-            # Identical job already finished: validate the artifacts and stop.
-            result = corpus_mod.load_corpus(out)
-            if result.errors:
+        cursor, report.resumed = self._load_cursor(job, out)
+        finished = cursor.get("complete")
+        if finished:
+            # Identical job already finished: validate the artifacts; fetch nothing.
+            exported = corpus_mod.load_corpus(out)
+            if exported.errors:
                 raise FetchError(f"existing output in {out} fails validation")
-            counts = result.corpus.counts()
-            report.pulls = counts["pulls"]
-            report.comments = counts["comments"]
-            report.commits = counts["commits"]
-            report.contributors = counts["contexts"]
-            return report
+        else:
+            exported = self._export(job, out, cursor, report)
+        counts = exported.corpus.counts()
+        report.pulls = counts["pulls"]
+        report.comments = counts["comments"]
+        report.commits = counts["commits"]
+        report.contributors = counts["contexts"]
+        if not finished:
+            with open(out / "fetch_report.json", "w", encoding="utf-8") as handle:
+                json.dump(report.to_json(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        return report
 
+    def _export(self, job: FetchJob, out: Path, cursor: dict, report: FetchReport) -> corpus_mod.LoadResult:
+        """Fetch what the cursor has not marked done, then write and validate the corpus."""
         repo_path = f"/repos/{job.repo_full_name}"
         meta_response = self._get(report, job, repo_path)
         meta = meta_response.json()
@@ -362,16 +359,7 @@ class GitHubFetcher:
         self._save_cursor(out, cursor)
         for endpoint in ENDPOINTS:
             self._staging_path(out, endpoint).unlink(missing_ok=True)
-
-        counts = validation.corpus.counts()
-        report.pulls = counts["pulls"]
-        report.comments = counts["comments"]
-        report.commits = counts["commits"]
-        report.contributors = counts["contexts"]
-        with open(out / "fetch_report.json", "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return report
+        return validation
 
     def _assemble(
         self,

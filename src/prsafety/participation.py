@@ -55,18 +55,20 @@ class LabelingConfig:
     gap_months: int = 12
 
     def __post_init__(self) -> None:
+        # Each message starts with a field name; config_from_dict prefixes "labeling.".
         if self.snapshot_date >= self.data_end:
             raise LabelingConfigError(
                 f"snapshot_date {self.snapshot_date} must precede data_end {self.data_end}"
             )
+        for name in ("window_months", "censor_margin_months", "gap_months"):
+            if getattr(self, name) < 1:
+                raise LabelingConfigError(f"{name} must be positive, got {getattr(self, name)}")
         try:
             if self.window_end > self.data_end:
                 raise LabelingConfigError(
-                    f"window ends {self.window_end}, beyond data_end {self.data_end}; "
-                    "sustained status would be unobservable"
+                    f"window_months ends the window on {self.window_end}, beyond data_end "
+                    f"{self.data_end}; sustained status would be unobservable"
                 )
-            for name in ("window_months", "censor_margin_months", "gap_months"):
-                months_to_days(getattr(self, name))
             self.data_end - timedelta(days=months_to_days(self.censor_margin_months))
         except OverflowError:
             raise LabelingConfigError(

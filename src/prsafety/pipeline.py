@@ -30,9 +30,14 @@ Artifacts written under the output directory:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
+import re
+import types
+import typing
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -71,10 +76,15 @@ CONTINUOUS_CONTROLS = ("contrib_rate_author", "followers", "num_languages", "soc
 
 @dataclass
 class PipelineConfig:
+    """The run's settings, each declared once: config_from_dict reads a JSON
+    value of the field's type (an absent key keeps the default), to_json
+    writes the same form, and __post_init__ and the nested configs check
+    the ranges."""
+
     corpus_dir: Path
     out_dir: Path
     labeling: participation.LabelingConfig
-    filter: corpus_mod.FilterConfig | None = None
+    filter: corpus_mod.FilterConfig | None = field(default_factory=corpus_mod.FilterConfig)
     screening: diagnostics.ScreeningConfig = field(default_factory=diagnostics.ScreeningConfig)
     threshold_scope: str = "global"
     merged_only: bool = False
@@ -98,158 +108,108 @@ class PipelineConfig:
         self.models = tuple(sorted(self.models))
 
     def to_json(self) -> dict:
-        return {
-            "corpus_dir": str(self.corpus_dir),
-            "out_dir": str(self.out_dir),
-            "labeling": {
-                "data_end": self.labeling.data_end.isoformat(),
-                "snapshot_date": self.labeling.snapshot_date.isoformat(),
-                "window_months": self.labeling.window_months,
-                "recent_horizon_end": self.labeling.recent_horizon_end.isoformat(),
-                "censor_margin_months": self.labeling.censor_margin_months,
-                "gap_months": self.labeling.gap_months,
-            },
-            "filter": None
-            if self.filter is None
-            else {
-                "top_n_by_stars": self.filter.top_n_by_stars,
-                "excluded_labels": sorted(self.filter.excluded_labels),
-            },
-            "screening": {
-                "skew_threshold": self.screening.skew_threshold,
-                "minority_threshold": self.screening.minority_threshold,
-                "skew_type": self.screening.skew_type,
-            },
-            "threshold_scope": self.threshold_scope,
-            "merged_only": self.merged_only,
-            "global_activity": self.global_activity,
-            "unit": self.unit,
-            "models": list(self.models),
-            "emoji_table_path": None if self.emoji_table_path is None else str(self.emoji_table_path),
-        }
+        return _json_form(self)
 
 
-def _parse_date(value, name: str):
-    from datetime import date
+def _json_form(value):
+    """A config value in the JSON form config_from_dict reads."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (Path, date)):
+        return str(value)  # a date's str is its ISO form
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
-    if isinstance(value, date):
+
+def _exact(value, *types):
+    """value if its exact type is one of types (so true is no integer), else TypeError."""
+    if type(value) not in types:
+        raise TypeError(value)
+    return value
+
+
+# Only this grammar goes on to date.fromisoformat, which from Python 3.11 on
+# also reads compact, week and date-time forms.
+_ISO_DATE = re.compile(r"\d\d\d\d-\d\d-\d\d", re.ASCII)
+
+
+def _read_date(value) -> date:
+    if type(value) is date:
         return value
+    if not _ISO_DATE.fullmatch(_exact(value, str)):
+        raise ValueError(value)
+    return date.fromisoformat(value)
+
+
+def _read_path(value) -> Path:
+    if not _exact(value, str):
+        raise ValueError(value)
+    return Path(value)
+
+
+# Each setting type: what its JSON value must be, and how it is read.
+_READERS = {
+    bool: ("true or false", lambda v: _exact(v, bool)),
+    int: ("an integer", lambda v: _exact(v, int)),
+    float: ("a number", lambda v: float(_exact(v, int, float))),
+    str: ("a string", lambda v: _exact(v, str)),
+    Path: ("a non-empty string", _read_path),
+    date: ("an ISO date (YYYY-MM-DD)", _read_date),
+    frozenset[str]: ("a list of strings", lambda v: frozenset(_exact(s, str) for s in _exact(v, list))),
+    tuple[int, ...]: ("a list of integers", lambda v: tuple(_exact(i, int) for i in _exact(v, list))),
+}
+
+
+def _read_value(hint, value, key: str):
+    if isinstance(hint, types.UnionType):  # X | None, an optional setting
+        if value is None:
+            return None
+        hint, _ = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return _read_config(hint, value, key)
+    expected, read = _READERS[hint]
     try:
-        return date.fromisoformat(str(value))
-    except ValueError:
-        raise ConfigError(f"{name} must be an ISO date (YYYY-MM-DD), got {value!r}") from None
+        return read(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
 
 
-def _section(merged: Mapping, name: str) -> dict:
-    """A nested config object; absent or null reads as empty."""
-    value = merged.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return dict(value)
+def _read_config(cls, raw, where: str = ""):
+    """An instance of the config dataclass cls from the JSON object raw.
 
-
-def _flag(merged: Mapping, name: str) -> bool:
-    value = merged.get(name, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _integer(section: Mapping, section_name: str, name: str, default: int) -> int:
-    value = section.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section_name}.{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(section: Mapping, section_name: str, name: str, default: float) -> float:
-    value = section.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section_name}.{name} must be a number, got {value!r}")
+    Each field is read by its type hint; an absent key keeps the field's
+    default, and an absent nested config without one reads as {} so that
+    the error names its required key.  A range error of a nested config
+    names its key as section.key.
+    """
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        key = f"{where}.{f.name}" if where else f.name
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.name in raw:
+            values[f.name] = _read_value(hints[f.name], raw[f.name], key)
+        elif required and dataclasses.is_dataclass(hints[f.name]):
+            values[f.name] = _read_config(hints[f.name], {}, key)
+        elif required:
+            raise ConfigError(f"{key} is required")
     try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{section_name}.{name} is out of range, got {value!r}") from None
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def config_from_dict(raw: Mapping, overrides: Mapping | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a JSON-shaped mapping plus CLI overrides."""
-    merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-
-    corpus_dir = merged.get("corpus_dir")
-    if not corpus_dir:
-        raise ConfigError("corpus_dir is required")
-    out_dir = merged.get("out_dir")
-    if not out_dir:
-        raise ConfigError("out_dir is required (use --out)")
-
-    labeling_raw = _section(merged, "labeling")
-    if "data_end" not in labeling_raw:
-        raise ConfigError("labeling.data_end is required")
-    try:
-        labeling = participation.LabelingConfig(
-            data_end=_parse_date(labeling_raw["data_end"], "labeling.data_end"),
-            snapshot_date=_parse_date(
-                labeling_raw.get("snapshot_date", "2019-06-30"), "labeling.snapshot_date"
-            ),
-            window_months=_integer(labeling_raw, "labeling", "window_months", 12),
-            recent_horizon_end=_parse_date(
-                labeling_raw.get("recent_horizon_end", "2024-12-31"),
-                "labeling.recent_horizon_end",
-            ),
-            censor_margin_months=_integer(labeling_raw, "labeling", "censor_margin_months", 12),
-            gap_months=_integer(labeling_raw, "labeling", "gap_months", 12),
-        )
-    except participation.LabelingConfigError as exc:
-        raise ConfigError(str(exc)) from None
-
-    filter_config = None
-    if merged.get("filter") is not None:
-        filter_raw = _section(merged, "filter")
-        labels = filter_raw.get("excluded_labels", list(corpus_mod.DEFAULT_EXCLUDED_LABELS))
-        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-            raise ConfigError(f"filter.excluded_labels must be a list of strings, got {labels!r}")
-        # Read outside the try: ConfigError is itself a ValueError.
-        top_n_by_stars = _integer(filter_raw, "filter", "top_n_by_stars", 200)
-        try:
-            filter_config = corpus_mod.FilterConfig(top_n_by_stars, frozenset(labels))
-        except ValueError as exc:
-            raise ConfigError(f"filter.{exc}") from None
-
-    screening_raw = _section(merged, "screening")
-    skew_threshold = _number(screening_raw, "screening", "skew_threshold", 3.0)
-    minority_threshold = _number(screening_raw, "screening", "minority_threshold", 0.05)
-    skew_type = _integer(screening_raw, "screening", "skew_type", 3)
-    try:
-        screening = diagnostics.ScreeningConfig(skew_threshold, minority_threshold, skew_type)
-    except ValueError as exc:
-        raise ConfigError(f"screening.{exc}") from None
-
-    try:
-        return PipelineConfig(
-            corpus_dir=Path(corpus_dir),
-            out_dir=Path(out_dir),
-            labeling=labeling,
-            filter=filter_config,
-            screening=screening,
-            threshold_scope=str(merged.get("threshold_scope", "global")),
-            merged_only=_flag(merged, "merged_only"),
-            global_activity=_flag(merged, "global_activity"),
-            unit=str(merged.get("unit", "pr")),
-            models=merged.get("models", (1, 2, 3)),
-            emoji_table_path=Path(merged["emoji_table_path"])
-            if merged.get("emoji_table_path")
-            else None,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    """Build a PipelineConfig from a JSON-shaped mapping; each override
+    replaces the top-level key of its name."""
+    return _read_config(PipelineConfig, {**raw, **(overrides or {})})
 
 
 def read_config_file(path: str | Path) -> dict:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from conftest import CORPUS12_DATA_END
 from prsafety import cli, github_fetch, pipeline
 from prsafety import corpus as corpus_mod
+from prsafety.corpus import DEFAULT_EXCLUDED_LABELS
+from prsafety.participation import LabelingConfig
 
 
 def _run_args(corpus_dir, out_dir, *extra):
@@ -197,6 +200,13 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("models", []),
         ("models", [[1]]),
         ("models", [1, 1]),
+        ("corpus_dir", 5),
+        ("emoji_table_path", 5),
+        ("emoji_table_path", ""),
+        ("unit", 3),
+        ("threshold_scope", 1),
+        ("labeling", None),
+        ("screening", None),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):
@@ -214,6 +224,82 @@ def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, 
     if isinstance(value, dict):
         (name,) = value
         assert f"{key}.{name}" in err
+
+
+def _exit_code(argv) -> int:
+    """cli.main's exit code, also where argparse rejects a flag and exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _no_session(*args, **kwargs):
+    raise AssertionError("a fetch session was built")
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(20250630, False), ("20250630", False), ("2025-W26-1", False), ("2025-06-30T00:00", False),
+     ("2025-02-30", False), ("2025-06-30", True), (date(2025, 6, 30), True)],
+    ids=repr,
+)
+@pytest.mark.parametrize("key", ["data_end", "snapshot_date", "recent_horizon_end"])
+def test_dates_follow_one_grammar(small_corpus_dir, tmp_path, capsys, key, value, accepted):
+    raw = {"corpus_dir": str(small_corpus_dir), "out_dir": str(tmp_path / "out"),
+           "labeling": {"data_end": "2026-06-30", key: value}}
+    if accepted:
+        assert pipeline.config_from_dict(raw).labeling == LabelingConfig(
+            **{"data_end": date(2026, 6, 30), key: date(2025, 6, 30)}
+        )
+    else:
+        with pytest.raises(pipeline.ConfigError, match=f"labeling.{key} must be an ISO date"):
+            pipeline.config_from_dict(raw)
+    flag = "--" + key.replace("_", "-")
+    code = _exit_code(["ingest", *_run_args(small_corpus_dir, tmp_path / "out"),
+                       "--data-end", "2026-06-30", flag, str(value)])
+    assert code == (0 if accepted else 2)
+    if not accepted:
+        assert f"labeling.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1_2", " 12", "+12", "\u0661\u0662", "12.0", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("ingest", "--window-months"), ("ingest", "--censor-margin-months"), ("ingest", "--gap-months"),
+     ("fetch", "--page-size"), ("fetch", "--max-retries")],
+)
+def test_integer_flags_take_ascii_digits_only(
+    small_corpus_dir, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", _no_session)
+    out = tmp_path / "out"
+    if command == "fetch":
+        argv = ["fetch", "--repo", "acme/site", "--out", str(out)]
+    else:
+        argv = ["ingest", *_run_args(small_corpus_dir, out)]
+    assert _exit_code([*argv, f"{flag}={value}"]) == 2
+    assert "expected ASCII digits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_without_filter_filters_like_flags(small_corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "corpus_dir": str(small_corpus_dir), "out_dir": str(out), "labeling": {"data_end": "2025-06-30"},
+    }), encoding="utf-8")
+    manifests = []
+    for argv in (["run", "--config", str(config_path)],
+                 ["run", "--corpus", str(small_corpus_dir), "--out", str(out), "--data-end", "2025-06-30"]):
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        manifests.append((manifest["config"], manifest["config_hash"]))
+    assert manifests[0] == manifests[1]
+    assert manifests[0][0]["filter"] == {"excluded_labels": sorted(DEFAULT_EXCLUDED_LABELS),
+                                         "top_n_by_stars": 200}
+    raw = {**json.loads(config_path.read_text("utf-8")), "filter": None}
+    assert pipeline.config_from_dict(raw).filter is None
 
 
 # --- stage subcommands ------------------------------------------------------------------
@@ -429,6 +515,19 @@ def test_fetch_maps_flags_to_job(tmp_path, capsys, monkeypatch):
     assert job.max_retries == 5
     assert job.since == "2019-01-01T00:00:00Z"
     assert json.loads(capsys.readouterr().out)["pulls"] == 3
+
+
+@pytest.mark.parametrize(
+    "flag, named",
+    [("--repo=noslash", "owner/name"), ("--page-size=0", "page_size"),
+     ("--page-size=101", "page_size"), ("--max-retries=-1", "--max-retries")],
+)
+def test_bad_fetch_flags_are_exit_2(tmp_path, capsys, monkeypatch, flag, named):
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", _no_session)
+    out = tmp_path / "corpus"
+    assert _exit_code(["fetch", "--repo", "acme/site", "--out", str(out), flag]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fetch_failure_is_exit_1(tmp_path, capsys, monkeypatch):

@@ -356,6 +356,8 @@ def test_job_validation():
         gf.FetchJob(repo_full_name=REPO, output_dir=".", page_size=0)
     with pytest.raises(ValueError, match="page_size"):
         gf.FetchJob(repo_full_name=REPO, output_dir=".", page_size=101)
+    with pytest.raises(ValueError, match="max_retries"):
+        gf.FetchJob(repo_full_name=REPO, output_dir=".", max_retries=-1)
 
 
 # --- malformed API timestamps -------------------------------------------------------------

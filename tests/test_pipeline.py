@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -138,6 +139,18 @@ def test_overrides_beat_file_values():
     assert config.out_dir == Path("cli_out")
     assert config.corpus_dir == Path("from_file")
     assert config.merged_only is True
+
+
+def test_readme_config_block_shows_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Running the pipeline\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    shown = json.loads(block)
+    required = {"corpus_dir": shown["corpus_dir"], "out_dir": shown["out_dir"],
+                "labeling": {"data_end": shown["labeling"]["data_end"]}}
+    defaults = pipeline.config_from_dict(required).to_json()
+    assert pipeline.config_from_dict(shown).to_json() == defaults
+    assert shown == defaults
 
 
 def test_read_config_file_errors(tmp_path):
