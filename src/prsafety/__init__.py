@@ -36,7 +36,6 @@ from .glm import (
 from .participation import (
     LabelingConfig,
     ParticipationLabel,
-    build_timeline,
     detect_gap_return,
     label_participation,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SeparationError",
     "StageError",
     "Thresholds",
-    "build_timeline",
     "canned_model_specs",
     "compute_thresholds",
     "count_emojis",

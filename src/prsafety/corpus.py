@@ -30,6 +30,18 @@ Each record table is compiled once, at import, into one straight-line parser
 (as dataclasses generates __init__): cheap acceptance tests run inline, and
 a value that fails one, or a field whose kind transforms its value, goes to
 the kind function, which states every check and message once.
+
+Three fast paths serve the common case, and each sends every other case to
+the one slow path, so none can change a record or a message.  A line is
+read by one call of the C JSON scanner and kept only when it holds an
+object followed by nothing but JSON whitespace, as json.loads would return
+it; every other line goes to json.loads, which words the error.  A
+timestamp of the form YYYY-MM-DDTHH:MM:SSZ (ASCII digits, hour 00-23, "t"
+and "z" too) is read by datetime.fromisoformat after one structural match;
+any other value, or one that fromisoformat rejects (February 30, second
+60), goes through parse_timestamp.  A pull's comments are parsed in one
+pass; a list with an item that fails is walked again item by item, so that
+the message names the item's position.
 """
 
 from __future__ import annotations
@@ -174,11 +186,17 @@ class FilterConfig:
 
 # RFC 3339 date-time: full-date "T" partial-time time-offset, with the
 # offset optional here only to name its absence in the error message.
-# re.ASCII keeps \d to 0-9; \d\d\d\d matches faster than \d{4}.
+# re.ASCII keeps \d to 0-9; \d\d\d\d matches faster than \d{4}.  The hour is
+# checked here as well as by datetime, which on some versions reads 24:00.
 _TIMESTAMP = re.compile(
-    r"(\d\d\d\d-\d\d-\d\d)[Tt](\d\d:\d\d:\d\d)(?:\.(\d+))?([Zz]|[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
+    r"(\d\d\d\d-\d\d-\d\d)[Tt]((?:[01]\d|2[0-3]):\d\d:\d\d)(?:\.(\d+))?"
+    r"([Zz]|[+-](?:[01]\d|2[0-3]):[0-5]\d)?",
     re.ASCII,
 )
+
+# The common form YYYY-MM-DDTHH:MM:SSZ, which the compiled parsers read
+# without the general grammar (see _timestamp.reads).
+_UTC_SECONDS = re.compile(r"\d\d\d\d-\d\d-\d\d[Tt](?:[01]\d|2[0-3]):\d\d:\d\d[Zz]", re.ASCII)
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -193,17 +211,14 @@ def parse_timestamp(value: str) -> datetime:
     match = _TIMESTAMP.fullmatch(value)
     if match is None:
         raise _LineError(f"invalid RFC 3339 timestamp {value!r}")
-    if len(value) == 20:  # YYYY-MM-DDTHH:MM:SSZ, the common form
-        text = value[:-1] + "+00:00"
-    else:
-        day, time, fraction, offset = match.groups()
-        if offset is None:
-            raise _LineError(f"timestamp {value!r} is missing a UTC offset")
-        if offset in ("Z", "z"):
-            offset = "+00:00"
-        # Six fraction digits: every supported Python reads that form alike.
-        fraction = "" if fraction is None else "." + fraction[:6].ljust(6, "0")
-        text = f"{day}T{time}{fraction}{offset}"
+    day, time, fraction, offset = match.groups()
+    if offset is None:
+        raise _LineError(f"timestamp {value!r} is missing a UTC offset")
+    if offset in ("Z", "z"):
+        offset = "+00:00"
+    # Six fraction digits: every supported Python reads that form alike.
+    fraction = "" if fraction is None else "." + fraction[:6].ljust(6, "0")
+    text = f"{day}T{time}{fraction}{offset}"
     try:
         return datetime.fromisoformat(text).astimezone(timezone.utc)
     except (ValueError, OverflowError):
@@ -250,7 +265,10 @@ def derive_comment_role(
 # the value the record holds.  Required kinds report absent and null alike.
 # A kind that returns the value unchanged when it passes also states that
 # test as `accepts`, Python source over the value `v`, which the compiled
-# parsers run inline; a value that fails it still goes to the kind.
+# parsers run inline; a value that fails it still goes to the kind.  A kind
+# that converts its common form states that form as `accepts` and the
+# conversion as `reads`; a ValueError from `reads` sends the value to the
+# kind as well, so every message is still written once, in the kind.
 
 
 def _fault(value, name: str, wanted: str) -> _LineError:
@@ -324,6 +342,14 @@ def _optional_timestamp(obj: dict, name: str) -> datetime | None:
     return None if value is None else parse_timestamp(value)
 
 
+# fromisoformat gives a zero offset as the timezone.utc singleton, which is
+# what parse_timestamp's astimezone returns; a day or second out of range
+# raises ValueError, and parse_timestamp then words the message.
+_timestamp.accepts = _optional_timestamp.accepts = "type(v) is str and utc_seconds(v)"
+_timestamp.reads = _optional_timestamp.reads = "from_iso(v[:19] + '+00:00')"
+_INLINE_NAMES = {"utc_seconds": _UTC_SECONDS.fullmatch, "from_iso": datetime.fromisoformat}
+
+
 def _choice(choices: tuple[str, ...]):
     def check(obj: dict, name: str) -> str:
         value = obj.get(name)
@@ -347,7 +373,12 @@ def _comments(obj: dict, name: str) -> tuple[CommentRecord, ...]:
     value = obj.get(name, [])
     if type(value) is not list:
         raise _LineError(f"field {name!r} must be a list")
-    return _sort_comments([_comment(c, i) for i, c in enumerate(value)])
+    try:
+        comments = [_parse_comment(c) for c in value]
+    except (_LineError, AttributeError):  # AttributeError: an item that is not an object
+        # Walk the list again item by item, so the error names its position.
+        comments = [_comment(c, i) for i, c in enumerate(value)]
+    return _sort_comments(comments)
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -412,27 +443,42 @@ def _compile(table, record_type=None):
     """One parser function for a record table.
 
     The function checks the rows in order and builds the record from each
-    field's last value, passed by position in the record's field order.
-    Without a record type it returns the rows' values as a tuple, in row
-    order.  For a row whose kind has an `accepts` test the test runs inline
-    and the kind is called only when it fails; every other row calls its kind.
+    field's last value.  It sets the record's slots one by one, as the
+    frozen dataclass __init__ does but without its object.__setattr__ call
+    per field, so the record type may have no __post_init__.  Without a
+    record type it returns the rows' values as a tuple, in row order.  For
+    a row whose kind has an `accepts` test the test runs inline and the kind
+    is called only when it fails (or, for a kind that also `reads`, when the
+    conversion raises ValueError); every other row calls its kind.
     """
-    namespace = {}
+    namespace = dict(_INLINE_NAMES)
     lines = ["def parse(obj):", "    get = obj.get"]
     for i, (name, kind) in enumerate(table):
         namespace[f"kind{i}"] = kind
         call = f"kind{i}(obj, {name!r})"
         test = getattr(kind, "accepts", None)
+        read = getattr(kind, "reads", None)
         if test is None:
             lines.append(f"    f_{name} = {call}")
+        elif read is None:
+            lines += [f"    v = get({name!r})", f"    if not ({test}):", f"        v = {call}"]
         else:
-            lines += [f"    v = get({name!r})", f"    if not ({test}):", f"        v = {call}",
-                      f"    f_{name} = v"]
+            lines += [f"    v = get({name!r})", f"    if {test}:", "        try:",
+                      f"            v = {read}", "        except ValueError:",
+                      f"            v = {call}", "    else:", f"        v = {call}"]
+        if test is not None:
+            lines.append(f"    f_{name} = v")
     if record_type is None:
         lines.append(f"    return ({', '.join(f'f_{name}' for name, _ in table)},)")
     else:
-        namespace["record"] = record_type
-        lines.append(f"    return record({', '.join(f'f_{f.name}' for f in fields(record_type))})")
+        if hasattr(record_type, "__post_init__"):
+            raise TypeError(f"{record_type.__name__} is built without __init__")
+        namespace.update(new=object.__new__, record=record_type)
+        lines.append("    rec = new(record)")
+        for f in fields(record_type):
+            namespace[f"set_{f.name}"] = vars(record_type)[f.name].__set__
+            lines.append(f"    set_{f.name}(rec, f_{f.name})")
+        lines.append("    return rec")
     label = "key" if record_type is None else record_type.__name__
     exec(compile("\n".join(lines), f"<{label} parser>", "exec"), namespace)
     return namespace["parse"]
@@ -471,8 +517,20 @@ def _sort_comments(comments: Iterable[CommentRecord]) -> tuple[CommentRecord, ..
     return tuple(sorted(comments, key=_CREATED_AT))
 
 
+_scan = json.JSONDecoder().scan_once
+
+
 def _decode(line: str) -> dict:
-    """The JSON object on one line; every way the line can fail is a _LineError."""
+    """The JSON object on one line; every way the line can fail is a _LineError.
+
+    The scanner's object is kept only when nothing but JSON whitespace
+    follows it; every other line (an error of any kind, a value that is not
+    an object, extra data, leading whitespace, a byte order mark) is read
+    again by json.loads, which words the message.  Where the scanner
+    shares the recursion limit with Python frames (3.10, 3.11), it runs three
+    frames shallower here than under json.loads, so "nested too deeply" starts
+    three levels deeper; the limit was always relative to the call depth.
+    """
     if not line.isascii():
         try:
             # Files are read with surrogateescape, so bytes that are not
@@ -480,6 +538,13 @@ def _decode(line: str) -> dict:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise _LineError("line is not valid UTF-8") from None
+    try:
+        obj, end = _scan(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if type(obj) is dict and not line[end:].strip(" \t\n\r"):
+            return obj
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -513,7 +578,7 @@ def load_corpus(directory: str | Path) -> LoadResult:
         """(line number, record) for each valid line of a file; each other line is one error."""
         with open(directory / filename, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
+                if line.isspace():  # a line from a file is never empty
                     continue
                 try:
                     record = parse(_decode(line))

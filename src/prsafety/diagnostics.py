@@ -120,12 +120,6 @@ class ScreeningReport:
     config: ScreeningConfig
     decisions: list[ScreeningDecision]
 
-    def decision_for(self, name: str) -> ScreeningDecision:
-        for decision in self.decisions:
-            if decision.name == name:
-                return decision
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {"config": asdict(self.config), "variables": [asdict(d) for d in self.decisions]}
 

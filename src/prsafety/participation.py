@@ -87,25 +87,6 @@ class ParticipationLabel:
     recent_sustainedp_or_not: int | None
 
 
-def build_timeline(
-    commits: Iterable[CommitEvent],
-    author: str,
-    repo_full_name: str | None = None,
-) -> tuple[date, ...]:
-    """Commit days for one author, deduplicated and sorted.
-
-    With repo_full_name None the timeline spans all repositories (global
-    activity scoping); otherwise only commits in that repository count.
-    """
-    days = {
-        c.committed_at.date()
-        for c in commits
-        if c.author == author
-        and (repo_full_name is None or c.repo_full_name == repo_full_name)
-    }
-    return tuple(sorted(days))
-
-
 def detect_gap_return(timeline: Sequence[date], gap_months: int = 12) -> bool:
     """True when any two consecutive commit days are more than the gap apart."""
     threshold = months_to_days(gap_months)

@@ -182,15 +182,20 @@ def _read_config(cls, raw, where: str = ""):
 
     Each field is read by its type hint; an absent key keeps the field's
     default, and an absent nested config without one reads as {} so that
-    the error names its required key.  A range error of a nested config
-    names its key as section.key.
+    the error names its required key.  A key that names no field, and a
+    range error of a nested config, is named as section.key.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    prefix = f"{where}." if where else ""
+    names = {f.name for f in dataclasses.fields(cls)}
+    for name in raw:
+        if name not in names:
+            raise ConfigError(f"{prefix}{name} is not a setting")
     hints = typing.get_type_hints(cls)
     values = {}
     for f in dataclasses.fields(cls):
-        key = f"{where}.{f.name}" if where else f.name
+        key = prefix + f.name
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if f.name in raw:
             values[f.name] = _read_value(hints[f.name], raw[f.name], key)
@@ -223,6 +228,10 @@ def read_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ConfigError(f"config file {path} holds an integer with too many digits") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deeply") from None
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return dict(raw)

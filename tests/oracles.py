@@ -178,6 +178,28 @@ def _instant(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
 
 
+def decode_line(line: str) -> dict:
+    """The JSON object on one corpus line through json.loads alone; every
+    way the line can fail is a ValueError carrying the ingest message."""
+    if not line.isascii():
+        try:
+            # Lone surrogates stand for bytes that were not UTF-8.
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("line is not valid UTF-8") from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise ValueError("invalid JSON: integer has too many digits") from None
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    return obj
+
+
 def parse_record_rows(table, record_type, obj: dict):
     """The interpreted walk of a record table: each row's kind in order into
     a dict of field values (a later row of a field replaces its value), then
@@ -227,6 +249,17 @@ def comment_merge_replay(
 
 
 # --- participation ----------------------------------------------------------
+
+def build_timeline(commits, author: str, repo_full_name: str | None = None) -> tuple[date, ...]:
+    """Commit days for one author, deduplicated and sorted; with
+    repo_full_name None the timeline spans all repositories."""
+    days = {
+        c.committed_at.date()
+        for c in commits
+        if c.author == author and repo_full_name in (None, c.repo_full_name)
+    }
+    return tuple(sorted(days))
+
 
 def months_to_days_rounded(months: int) -> int:
     # months/12 of a 365-day year, halves rounded up (exact integer arithmetic)

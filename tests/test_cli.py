@@ -170,6 +170,10 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+class _Literal(str):
+    """A config value written into the file as raw JSON text, which json.dumps cannot write."""
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -207,20 +211,26 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
         ("threshold_scope", 1),
         ("labeling", None),
         ("screening", None),
+        ("treshold_scope", "per_repository"),
+        ("labeling", {"window_month": 6}),
+        pytest.param("threshold_scope", _Literal("9" * 5000), id="integer_past_digit_limit"),
+        pytest.param("models", _Literal("[" * 100_000 + "]" * 100_000), id="nested_too_deeply"),
     ],
 )
 def test_malformed_config_values_are_exit_2(small_corpus_dir, tmp_path, capsys, key, value):
     config_path = tmp_path / "config.json"
-    config_path.write_text(
-        json.dumps({"corpus_dir": str(small_corpus_dir), key: value}), encoding="utf-8"
-    )
+    text = json.dumps({"corpus_dir": str(small_corpus_dir), key: value})
+    if isinstance(value, _Literal):
+        text = text.replace(json.dumps(value), value)
+    config_path.write_text(text, encoding="utf-8")
     code = cli.main([
         "ingest", "--config", str(config_path), "--out", str(tmp_path / "out"),
         "--data-end", "2025-06-30",
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert key in err
+    # A file that json cannot read is named as a file; every other error names its key.
+    assert (str(config_path) if isinstance(value, _Literal) else key) in err
     if isinstance(value, dict):
         (name,) = value
         assert f"{key}.{name}" in err

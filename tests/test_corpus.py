@@ -104,18 +104,65 @@ _TIMESTAMP_TABLE = [
     ("2019-06-30T12:34:56", "timestamp '2019-06-30T12:34:56' is missing a UTC offset"),
     ("2019-06-30T12:34:56.5", "is missing a UTC offset"),
     (5, "timestamp must be a string, got int"),
+    # Twenty characters, the length of the form the compiled parsers read inline.
+    ("2019-02-30T00:00:00Z", "invalid RFC 3339 timestamp '2019-02-30T00:00:00Z'"),
+    ("2019-06-30T24:00:00Z", "invalid RFC 3339 timestamp '2019-06-30T24:00:00Z'"),
+    ("0000-01-01T00:00:00Z", "invalid RFC 3339 timestamp '0000-01-01T00:00:00Z'"),
+    ("2019-06-30X12:00:00Z", "invalid RFC 3339 timestamp '2019-06-30X12:00:00Z'"),
+    ("2019-06-30T12:00:00z", _utc(2019, 6, 30, 12)),
+    ("0001-01-01T00:00:00Z", _utc(1, 1, 1)),
+    ("9999-12-31T23:59:59Z", _utc(9999, 12, 31, 23, 59, 59)),
+    ("2019-06-30T\u0661\u0662:00:00Z", "invalid RFC 3339 timestamp"),
+    ("2019-06-30T12:00:00+", "invalid RFC 3339 timestamp"),
 ]
+
+
+def _compiled_timestamp(value):
+    """A timestamp through a compiled record parser, inline path first."""
+    return cm._parse_commit({"repo_full_name": "a/b", "author": "ann", "committed_at": value}).committed_at
 
 
 @pytest.mark.parametrize("text, expected", _TIMESTAMP_TABLE)
 def test_timestamp_grammar_accept_reject_table(text, expected):
-    if isinstance(expected, datetime):
-        parsed = cm.parse_timestamp(text)
-        assert parsed == expected
-        assert parsed.tzinfo == timezone.utc
-    else:
-        with pytest.raises(ValueError, match=re.escape(expected)):
-            cm.parse_timestamp(text)
+    for parse in (cm.parse_timestamp, _compiled_timestamp):
+        if isinstance(expected, datetime):
+            parsed = parse(text)
+            assert parsed == expected
+            assert parsed.tzinfo is timezone.utc
+        else:
+            with pytest.raises(cm._LineError, match=re.escape(expected)):
+                parse(text)
+
+
+def _timestamp_outcome(parse, value):
+    try:
+        parsed = parse(value)
+    except cm._LineError as exc:
+        return str(exc)
+    assert parsed.tzinfo is timezone.utc
+    return parsed
+
+
+_STAMP_CHARACTERS = "0123456789-:TtZz+. X\u0661"
+
+
+@st.composite
+def _twenty_character_stamps(draw):
+    """The inline form's layout, with fields near and past their ranges."""
+    year, month, day, hour, minute, second = (
+        draw(st.integers(0, top)) for top in (9999, 13, 32, 25, 60, 61)
+    )
+    dash, sep, colon, zone = (draw(st.sampled_from(marks)) for marks in ("--X", "TTt ", "::.", "ZZzX"))
+    return f"{year:04d}{dash}{month:02d}-{day:02d}{sep}{hour:02d}:{minute:02d}{colon}{second:02d}{zone}"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(value=st.text(_STAMP_CHARACTERS, min_size=20, max_size=20) | _twenty_character_stamps())
+@example(value="2019-02-30T00:00:00Z")
+@example(value="2019-06-30T23:59:60Z")
+def test_inline_timestamp_form_matches_the_grammar(value):
+    assert len(value) == 20
+    assert _timestamp_outcome(_compiled_timestamp, value) == _timestamp_outcome(cm.parse_timestamp, value)
 
 
 def test_format_timestamp_pads_years_and_keeps_fractions():
@@ -481,6 +528,64 @@ def test_filter_replays_curation_to_26_of_200():
     kept = cm.filter_repositories(_repo_corpus(metas), cm.FilterConfig())
     assert len(kept.repos) == 26
     assert all(not (r.category_labels & frozenset(excluded_cycle)) for r in kept.repos)
+
+
+# --- the line decoder against json.loads alone ----------------------------------
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_DEEP = 100_000  # past the interpreter's recursion limit on every version
+_ODD_BODIES = [
+    '{"a": ' + "1" * 5000 + "}",
+    '{"a": ' + "[" * _DEEP + "]" * _DEEP + "}",
+    '{"a": "\\ud800"}',  # an escaped lone surrogate is valid JSON
+    '{"a": "x\udcffy"}',  # a raw one stands for a byte that is not UTF-8
+    "\udcff{}",
+    "{}{}",
+    "{} x",
+    '{"a": 1}]',
+    "[]",
+    "",
+]
+_LINES = st.builds(
+    lambda lead, body, tail, end: lead + body + tail + end,
+    st.text(" \t\r\ufeff\x0b", max_size=2),
+    st.one_of(
+        st.builds(json.dumps, st.dictionaries(st.text(max_size=4), _ANY_JSON, max_size=4),
+                  ensure_ascii=st.booleans()),
+        st.builds(json.dumps, _ANY_JSON, ensure_ascii=st.booleans()),
+        st.sampled_from(_ODD_BODIES),
+        st.text(max_size=12),
+    ),
+    # JSON whitespace, and characters str.strip removes but JSON does not allow.
+    st.text(" \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000x", max_size=3),
+    st.sampled_from(["\n", ""]),
+)
+
+
+def _decode_outcome(decode, error, line):
+    try:
+        # json.dumps tells 1 from 1.0 and True, keeps key order, and writes NaN.
+        return "object", json.dumps(decode(line))
+    except error as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(line=_LINES)
+@example(line='{"a": 1}\n')
+@example(line='{"a": 1} \t\r\n')
+@example(line='{"a": 1}\x0b\n')
+@example(line='{"a": 1}\xa0')
+@example(line='\ufeff{"a": 1}\n')
+@example(line=' {"a": 1}\n')
+def test_decoder_matches_json_loads_alone(line):
+    assert _decode_outcome(cm._decode, cm._LineError, line) == _decode_outcome(
+        oracles.decode_line, ValueError, line
+    )
 
 
 # --- properties -------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_log1p_monotone_and_precise():
 
 def test_imbalanced_binary_excluded():
     values = [0.0] * 491 + [1.0] * 9  # minority share 1.8%
-    decision = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decision_for("flag")
+    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decisions
     assert decision.action == "excluded"
     assert decision.minority_fraction == pytest.approx(0.018)
     assert "below" in decision.reason
@@ -109,7 +109,7 @@ def test_imbalanced_binary_excluded():
 
 def test_balanced_binary_retained():
     values = [0.0] * 475 + [1.0] * 25  # exactly at the 5% default
-    decision = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decision_for("flag")
+    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decisions
     assert decision.action == "retained"
 
 
@@ -121,7 +121,7 @@ def test_binary_with_other_values_rejected():
 def test_mild_continuous_retained():
     rng = random.Random(55)
     values = [rng.gauss(10, 2) for _ in range(200)]
-    decision = dg.screen_predictors({"v": values}, {"v": "continuous"}).decision_for("v")
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
     assert decision.action == "retained"
     assert abs(decision.raw_skewness) <= 3.0
     assert decision.transformed_skewness is None
@@ -130,8 +130,7 @@ def test_mild_continuous_retained():
 def test_heavy_tail_transformed():
     rng = random.Random(314)
     values = [math.exp(rng.gauss(0, 4)) for _ in range(300)]
-    report = dg.screen_predictors({"v": values}, {"v": "continuous"})
-    decision = report.decision_for("v")
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
     assert decision.action == "transformed"
     assert abs(decision.raw_skewness) > 3.0
     assert abs(decision.transformed_skewness) <= 3.0
@@ -139,14 +138,14 @@ def test_heavy_tail_transformed():
 
 def test_spike_still_skewed_after_transform_is_excluded():
     values = [0.0] * 299 + [5e8]
-    decision = dg.screen_predictors({"v": values}, {"v": "continuous"}).decision_for("v")
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
     assert decision.action == "excluded"
     assert abs(decision.transformed_skewness) > 3.0
     assert "after log1p" in decision.reason
 
 
 def test_zero_variance_continuous_excluded_not_fatal():
-    decision = dg.screen_predictors({"v": [7.0] * 10}, {"v": "continuous"}).decision_for("v")
+    (decision,) = dg.screen_predictors({"v": [7.0] * 10}, {"v": "continuous"}).decisions
     assert decision.action == "excluded"
     assert "undefined" in decision.reason
 

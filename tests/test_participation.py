@@ -175,12 +175,19 @@ def test_build_timeline_deduplicates_days_and_filters():
         _commit("b/b", "kim", date(2019, 2, 2)),
         _commit("a/a", "lee", date(2019, 4, 4)),
     ]
-    assert pp.build_timeline(commits, "kim", "a/a") == (date(2019, 1, 5), date(2019, 3, 1))
-    assert pp.build_timeline(commits, "kim") == (
+    assert oracles.build_timeline(commits, "kim", "a/a") == (date(2019, 1, 5), date(2019, 3, 1))
+    assert oracles.build_timeline(commits, "kim") == (
         date(2019, 1, 5),
         date(2019, 2, 2),
         date(2019, 3, 1),
     )
+    # label_contributors labels each contributor from the same days.
+    pairs = [("a/a", "kim"), ("b/b", "kim"), ("a/a", "lee")]
+    for global_activity in (False, True):
+        outcome = pp.label_contributors(commits, pairs, _config(), global_activity=global_activity)
+        for repo, author in pairs:
+            days = oracles.build_timeline(commits, author, None if global_activity else repo)
+            assert outcome.labels[(repo, author)] == pp.label_participation(days, _config())
 
 
 def test_label_contributors_scoping():

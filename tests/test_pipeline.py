@@ -70,6 +70,8 @@ _SECTION_KEYS = {
 }
 _TOP_KEYS = ["threshold_scope", "merged_only", "global_activity", "unit", "models",
              "emoji_table_path"]
+# Keys that name no setting, at the top and in each section.
+_UNKNOWN_KEYS = ["treshold_scope", "window_month", "comment"]
 # The paths are fixed and labeling is an object with a data_end, so that most
 # draws get past the first checks to the sections.
 _CONFIGS = st.fixed_dictionaries(
@@ -78,15 +80,21 @@ _CONFIGS = st.fixed_dictionaries(
         "out_dir": st.just("o"),
         "labeling": st.fixed_dictionaries(
             {"data_end": st.sampled_from(["2025-06-30", "0001-01-02", "9999-12-31"]) | _CONFIG_VALUES},
-            optional={key: _SECTION_VALUES for key in _SECTION_KEYS["labeling"][1:]},
+            optional={key: _SECTION_VALUES for key in _SECTION_KEYS["labeling"][1:] + _UNKNOWN_KEYS},
         ),
     },
     optional={
-        **{key: _CONFIG_VALUES for key in _TOP_KEYS},
-        **{section: st.dictionaries(st.sampled_from(_SECTION_KEYS[section]), _SECTION_VALUES)
+        **{key: _CONFIG_VALUES for key in _TOP_KEYS + _UNKNOWN_KEYS},
+        **{section: st.dictionaries(st.sampled_from(_SECTION_KEYS[section] + _UNKNOWN_KEYS),
+                                    _SECTION_VALUES)
            | _CONFIG_VALUES for section in ("filter", "screening")},
     },
 )
+
+
+def _names_an_unknown_key(raw) -> bool:
+    sections = [raw] + [raw[s] for s in ("labeling", "filter", "screening") if isinstance(raw.get(s), dict)]
+    return any(key in _UNKNOWN_KEYS for section in sections for key in section)
 
 
 _BASE = {"corpus_dir": "c", "out_dir": "o", "labeling": {"data_end": "2025-06-30"}}
@@ -97,11 +105,14 @@ _BASE = {"corpus_dir": "c", "out_dir": "o", "labeling": {"data_end": "2025-06-30
 @example(raw={**_BASE, "labeling": {"data_end": "2025-06-30", "window_months": 10**12}})
 @example(raw={**_BASE, "labeling": {"data_end": "2025-06-30", "censor_margin_months": 10**5}})
 @example(raw={**_BASE, "screening": {"skew_threshold": 10**400}})
+@example(raw={**_BASE, "treshold_scope": "per_repository"})
+@example(raw={**_BASE, "labeling": {"data_end": "2025-06-30", "window_month": 6}})
 def test_any_config_mapping_is_a_config_or_a_config_error(raw):
     try:
         config = pipeline.config_from_dict(raw)
     except pipeline.ConfigError:
         return
+    assert not _names_an_unknown_key(raw)
     assert isinstance(config, pipeline.PipelineConfig)
     assert pipeline.config_hash(config)
 
