@@ -18,7 +18,6 @@ from .cues import (
     CueVector,
     count_emojis,
     extract_all,
-    extract_cues,
     load_emoji_table,
 )
 from .diagnostics import ScreeningConfig, log1p_transform, screen_predictors, skewness
@@ -73,7 +72,6 @@ __all__ = [
     "detect_gap_return",
     "encode_design",
     "extract_all",
-    "extract_cues",
     "fetch_repository",
     "filter_repositories",
     "fit_logistic",

@@ -42,10 +42,20 @@ any other value, or one that fromisoformat rejects (February 30, second
 60), goes through parse_timestamp.  A pull's comments are parsed in one
 pass; a list with an item that fails is walked again item by item, so that
 the message names the item's position.
+
+A line is "nested too deeply" once reading it opens a level of arrays and
+objects past MAX_NESTING, on every Python version and at every call depth.
+A line that decodes is at least twice as long as it is deep, so most lines
+cost one len() call and the longer ones two str.count() calls; only a line
+with more than MAX_NESTING "[" and "{" is walked, without recursion.
+
+write_json and write_csv give every artifact its form: indented JSON with
+sorted keys, and CSV under a header row.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import sys
@@ -53,7 +63,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 ROLES = ("contributor", "integrator", "reviewer", "other")
 REPO_SIZES = ("small", "medium", "large")
@@ -519,17 +529,38 @@ def _sort_comments(comments: Iterable[CommentRecord]) -> tuple[CommentRecord, ..
 
 _scan = json.JSONDecoder().scan_once
 
+# The deepest nesting of arrays and objects a line may have: well under the
+# recursion limit of every supported Python, so no decoder reaches that limit.
+MAX_NESTING = 256
+
+# A JSON string (an unterminated one runs to the end of the line) or a bracket.
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting_cut(line: str) -> int:
+    """The end of the first bracket outside strings that opens a level past
+    MAX_NESTING, or 0 when there is none."""
+    if len(line) <= MAX_NESTING or line.count("[") + line.count("{") <= MAX_NESTING:
+        return 0
+    depth = 0
+    for match in _STRING_OR_BRACKET.finditer(line):
+        depth += _DEPTH_STEP.get(match[0], 0)
+        if depth > MAX_NESTING:
+            return match.end()
+    return 0
+
 
 def _decode(line: str) -> dict:
     """The JSON object on one line; every way the line can fail is a _LineError.
 
-    The scanner's object is kept only when nothing but JSON whitespace
-    follows it; every other line (an error of any kind, a value that is not
-    an object, extra data, leading whitespace, a byte order mark) is read
-    again by json.loads, which words the message.  Where the scanner
-    shares the recursion limit with Python frames (3.10, 3.11), it runs three
-    frames shallower here than under json.loads, so "nested too deeply" starts
-    three levels deeper; the limit was always relative to the call depth.
+    A line that nests past MAX_NESTING is read only up to the bracket that
+    opens the level past it, so an error before that bracket keeps its
+    message and a read that runs to the cut is "nested too deeply".  The
+    scanner's object is kept only when nothing but JSON whitespace follows
+    it; every other line (an error of any kind, a value that is not an
+    object, extra data, leading whitespace, a byte order mark) is read again
+    by json.loads, which words the message.
     """
     if not line.isascii():
         try:
@@ -538,17 +569,22 @@ def _decode(line: str) -> dict:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise _LineError("line is not valid UTF-8") from None
+    # A line that decodes is at least twice as long as it is deep.
+    cut = _nesting_cut(line) if len(line) > 2 * MAX_NESTING else 0
+    if not cut:
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if type(obj) is dict and not line[end:].strip(" \t\n\r"):
+                return obj
+        cut = _nesting_cut(line)
     try:
-        obj, end = _scan(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    else:
-        if type(obj) is dict and not line[end:].strip(" \t\n\r"):
-            return obj
-    try:
-        obj = json.loads(line)
+        obj = json.loads(line[:cut] if cut else line)
     except json.JSONDecodeError as exc:
-        raise _LineError(f"invalid JSON: {exc.msg}") from None
+        message = "nested too deeply" if cut and exc.pos == cut else exc.msg
+        raise _LineError(f"invalid JSON: {message}") from None
     except RecursionError:
         raise _LineError("invalid JSON: nested too deeply") from None
     except ValueError:  # an integer past the interpreter's digit limit
@@ -657,6 +693,21 @@ def _write_jsonl(path: Path, records: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, default=_to_json, separators=(",", ":")) + "\n")
+
+
+def write_json(path: str | Path, payload) -> None:
+    """A JSON artifact: two-space indent, sorted keys, one final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV artifact: the header row, then one row per item of rows."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:

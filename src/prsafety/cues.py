@@ -37,12 +37,12 @@ reads every body.  The table keeps the pulls in corpus order as row keys and
 the cues as columns in CUE_NAMES order, which screening, thresholds,
 cues.csv and the model frame read directly.  Iterating the table gives the
 row view, (pull, CueVector) pairs; CueVector is a NamedTuple, so a row
-compares equal to the plain tuple of its values.
+compares equal to the plain tuple of its values, and CUE_NAMES is its
+field tuple.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,26 +51,30 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .corpus import PullRequestRecord
+from .corpus import PullRequestRecord, write_csv
 
-CUE_NAMES = (
-    "merged_or_not",
-    "pr_comment_num",
-    "reopen_num",
-    "has_exchange",
-    "comment_conflict",
-    "contrib_comment",
-    "num_comments_con",
-    "inte_comment",
-    "reviewer_comment",
-    "other_comment",
-    "num_participant",
-    "at_tag",
-    "emoji_count",
-)
 
-# Count-valued cues; the remaining ten-point conditions treat them against
-# corpus medians, everything else is already 0/1.
+class CueVector(NamedTuple):
+    """One row of the cue table; its fields name the cues, in column order."""
+
+    merged_or_not: int
+    pr_comment_num: int
+    reopen_num: int
+    has_exchange: int
+    comment_conflict: int
+    contrib_comment: int
+    num_comments_con: int
+    inte_comment: int
+    reviewer_comment: int
+    other_comment: int
+    num_participant: int
+    at_tag: int
+    emoji_count: int
+
+
+CUE_NAMES = CueVector._fields
+
+# Count-valued cues, screened as continuous; every other cue is 0/1.
 COUNT_CUES = ("pr_comment_num", "reopen_num", "num_comments_con", "num_participant", "emoji_count")
 
 # "@" followed by login characters (alphanumeric plus inner hyphens), with a
@@ -187,22 +191,6 @@ def mentions_conflict(text: str) -> bool:
     return _CONFLICT_RE.search(text) is not None
 
 
-class CueVector(NamedTuple):
-    merged_or_not: int
-    pr_comment_num: int
-    reopen_num: int
-    has_exchange: int
-    comment_conflict: int
-    contrib_comment: int
-    num_comments_con: int
-    inte_comment: int
-    reviewer_comment: int
-    other_comment: int
-    num_participant: int
-    at_tag: int
-    emoji_count: int
-
-
 @dataclass(frozen=True)
 class CueTable:
     """The cues of a corpus: row i holds the cues of pulls[i], and each
@@ -218,15 +206,6 @@ class CueTable:
         """The row view: (pull, CueVector) pairs in corpus order."""
         values = zip(*(self.columns[name] for name in CUE_NAMES))
         return zip(self.pulls, map(CueVector._make, values))
-
-
-def extract_cues(pull: PullRequestRecord, table: EmojiTable) -> CueVector:
-    """Compute the thirteen cues for one pull request: row 0 of extract_all.
-
-    The result depends only on the multiset of comments, not their order.
-    """
-    ((_, vector),) = extract_all([pull], table)
-    return vector
 
 
 def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTable:
@@ -277,11 +256,8 @@ def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTab
 
 def write_cues_csv(path: str | Path, table: CueTable) -> None:
     """Dump one row per PR: identifying keys followed by the 13 cue columns."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("repo_full_name", "pr_number") + CUE_NAMES)
-        writer.writerows(zip(
-            map(attrgetter("repo_full_name"), table.pulls),
-            map(attrgetter("pr_number"), table.pulls),
-            *(table.columns[name] for name in CUE_NAMES),
-        ))
+    write_csv(path, ("repo_full_name", "pr_number") + CUE_NAMES, zip(
+        map(attrgetter("repo_full_name"), table.pulls),
+        map(attrgetter("pr_number"), table.pulls),
+        *(table.columns[name] for name in CUE_NAMES),
+    ))

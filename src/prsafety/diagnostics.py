@@ -19,13 +19,14 @@ same skew rule, log1p_if_skewed, but are never excluded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .corpus import write_json
 
 VariableKind = str  # "continuous" | "binary"
 
@@ -209,6 +210,4 @@ def screen_predictors(
 
 
 def write_screening_report(report: ScreeningReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, report.to_json())

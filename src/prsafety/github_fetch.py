@@ -316,9 +316,7 @@ class GitHubFetcher:
         report.commits = counts["commits"]
         report.contributors = counts["contexts"]
         if not finished:
-            with open(out / "fetch_report.json", "w", encoding="utf-8") as handle:
-                json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            corpus_mod.write_json(out / "fetch_report.json", report.to_json())
         return report
 
     def _export(self, job: FetchJob, out: Path, cursor: dict, report: FetchReport) -> corpus_mod.LoadResult:

@@ -32,6 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import REPO_SIZES
+
 INTERCEPT_NAME = "Intercept"
 
 # |beta| beyond this on any coordinate is treated as runaway growth.
@@ -384,7 +386,11 @@ def vif(X: np.ndarray, columns: Sequence[str]) -> dict[str, float]:
     return out
 
 
-def vif_gate(vifs: Mapping[str, float], threshold: float = 5.0) -> bool:
+# Variance inflation factors at or above this flag a collinear design.
+VIF_THRESHOLD = 5.0
+
+
+def vif_gate(vifs: Mapping[str, float], threshold: float = VIF_THRESHOLD) -> bool:
     """True when every factor sits below the threshold."""
     return all(value < threshold for value in vifs.values())
 
@@ -402,9 +408,6 @@ CONTROL_PREDICTORS = (
     "repo_size",
 )
 
-REPO_SIZE_LEVELS = ("small", "medium", "large")
-
-
 def canned_model_specs(transforms: Mapping[str, str] | None = None) -> tuple[ModelSpec, ...]:
     """The three standard models.
 
@@ -413,7 +416,7 @@ def canned_model_specs(transforms: Mapping[str, str] | None = None) -> tuple[Mod
     Model 3 keeps that outcome and adds the 12-month flag as a predictor.
     """
     transforms = dict(transforms or {})
-    categorical = {"repo_size": REPO_SIZE_LEVELS}
+    categorical = {"repo_size": REPO_SIZES}
     base = ("PS_index_repository",) + CONTROL_PREDICTORS
     return (
         ModelSpec(

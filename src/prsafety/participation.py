@@ -19,15 +19,18 @@ arithmetic would make labels depend on where the window happens to fall.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CommitEvent
+from .corpus import CommitEvent, write_csv
 
 STATUSES = ("sustained", "not_sustained", "censored", "excluded_gap_return")
+
+# The binary outcomes a label carries, by field name.
+OUTCOMES = ("sustainedp_or_not_12", "recent_sustainedp_or_not")
 
 
 class LabelingConfigError(ValueError):
@@ -163,19 +166,8 @@ def label_contributors(
 def write_labels_csv(
     path: str | Path, labels: Mapping[tuple[str, str], ParticipationLabel]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("repo_full_name", "author", "status", "sustainedp_or_not_12", "recent_sustainedp_or_not")
-        )
-        for (repo, author) in sorted(labels):
-            label = labels[(repo, author)]
-            writer.writerow(
-                (
-                    repo,
-                    author,
-                    label.status,
-                    "" if label.sustainedp_or_not_12 is None else label.sustainedp_or_not_12,
-                    "" if label.recent_sustainedp_or_not is None else label.recent_sustainedp_or_not,
-                )
-            )
+    outcomes = attrgetter(*OUTCOMES)
+    write_csv(path, ("repo_full_name", "author", "status", *OUTCOMES), (
+        (repo, author, label.status, *("" if value is None else value for value in outcomes(label)))
+        for (repo, author), label in sorted(labels.items())
+    ))

@@ -56,22 +56,6 @@ class StageError(RuntimeError):
     """A pipeline stage failed after partial artifacts were written."""
 
 
-CUE_KINDS: dict[str, str] = {
-    "merged_or_not": "binary",
-    "pr_comment_num": "continuous",
-    "reopen_num": "continuous",
-    "has_exchange": "binary",
-    "comment_conflict": "binary",
-    "contrib_comment": "binary",
-    "num_comments_con": "continuous",
-    "inte_comment": "binary",
-    "reviewer_comment": "binary",
-    "other_comment": "binary",
-    "num_participant": "continuous",
-    "at_tag": "binary",
-    "emoji_count": "continuous",
-}
-
 CONTINUOUS_CONTROLS = ("contrib_rate_author", "followers", "num_languages", "social_strength")
 
 @dataclass
@@ -299,7 +283,8 @@ def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
 def screen_cues(
     table: cues_mod.CueTable, config: diagnostics.ScreeningConfig
 ) -> diagnostics.ScreeningReport:
-    return diagnostics.screen_predictors(table.columns, CUE_KINDS, config)
+    kinds = {name: "continuous" if name in cues_mod.COUNT_CUES else "binary" for name in table.columns}
+    return diagnostics.screen_predictors(table.columns, kinds, config)
 
 
 def _model_frame(state: PipelineResult) -> dict[str, np.ndarray]:
@@ -313,7 +298,7 @@ def _model_frame(state: PipelineResult) -> dict[str, np.ndarray]:
     keys = [(pull.repo_full_name, pull.author) for pull in state.cue_table.pulls]
     distinct = list(dict.fromkeys(keys))
     contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
-    sources = dict.fromkeys(("sustainedp_or_not_12", "recent_sustainedp_or_not"), state.labeling.labels)
+    sources = dict.fromkeys(participation.OUTCOMES, state.labeling.labels)
     sources.update((name, contexts) for name in glm.CONTROL_PREDICTORS if name != "repo_size")
     frame = {
         name: np.array([getattr(records.get(key), name, None) for key in distinct], dtype=float)
@@ -475,7 +460,7 @@ def _manifest(result: PipelineResult) -> dict:
             "model_rows_dropped": result.rows_dropped,
         },
         "vif": {
-            "threshold": 5.0,
+            "threshold": glm.VIF_THRESHOLD,
             "per_model": {str(i): result.vifs[i] for i in sorted(result.vifs)},
             "all_below_threshold": all(glm.vif_gate(v) for v in result.vifs.values()),
         },
@@ -491,9 +476,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     result = run_stages(config)
     result.manifest = _manifest(result)
     path = config.out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    corpus_mod.write_json(path, result.manifest)
     if result.fit_failed:
         raise StageError(f"fit stage failed: {NO_FIT}; see {path}")
     return result

@@ -34,16 +34,19 @@ The inputs come from the cue table:
 compute_thresholds reads the table's columns; summarize reads its row view,
 (pull, CueVector) pairs, and calls score_pr once per row.  CueVector is a
 NamedTuple, so a vector compares equal to the plain tuple of its values.
+
+The CSVs and the report print an index with format_index_value (three
+decimals) and rank repositories with ranked (highest first, ties by name).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 from typing import Mapping
 
+from .corpus import write_csv
 from .cues import CueTable, CueVector
 from .participation import ParticipationLabel
 
@@ -199,19 +202,24 @@ def summarize(
     )
 
 
+def format_index_value(value: float) -> str:
+    return f"{value:.3f}"
+
+
+def ranked(repository_index: Mapping[str, float]) -> list[tuple[str, float]]:
+    """(repository, index) pairs, highest index first, ties by name."""
+    return sorted(repository_index.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
 def write_repository_csv(path: str | Path, summary: PsSummary) -> None:
     """Repository indices, three decimals, highest first."""
-    ordered = sorted(summary.repository_index.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("repo_full_name", "ps_index"))
-        for repo, value in ordered:
-            writer.writerow((repo, f"{value:.3f}"))
+    write_csv(path, ("repo_full_name", "ps_index"), (
+        (repo, format_index_value(value)) for repo, value in ranked(summary.repository_index)
+    ))
 
 
 def write_contributor_csv(path: str | Path, summary: PsSummary) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("repo_full_name", "author", "ps_index"))
-        for (repo, author), value in sorted(summary.contributor_index.items()):
-            writer.writerow((repo, author, f"{value:.3f}"))
+    write_csv(path, ("repo_full_name", "author", "ps_index"), (
+        (repo, author, format_index_value(value))
+        for (repo, author), value in sorted(summary.contributor_index.items())
+    ))

@@ -2,22 +2,31 @@
 
 Coefficient cells render as "beta(se)stars", for example "1.03(0.02)***".
 Odds ratios print with two decimals below ten and three significant digits
-from ten up, so 46.525 renders as "46.5".  Index tables print three
-decimals, highest repository first.
+from ten up, so 46.525 renders as "46.5".  Index tables take their three
+decimals and their order, highest repository first, from ps_index.
+
+The text table and models_table.csv show the same cells, built once by
+_model_cells, under one title per fit ("Model i" by default).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import math
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import write_csv, write_json
 from .glm import INTERCEPT_NAME, LogisticFit, ModelSpec, odds_ratios, significance_stars
-from .ps_index import OUTCOME_COUPLING_NOTE, PsSummary
+from .ps_index import OUTCOME_COUPLING_NOTE, PsSummary, format_index_value, ranked
 
-CRITERIA_ROWS = ("AIC", "BIC", "Log Likelihood", "Deviance", "Num. obs.")
+# Each criteria row's label and the LogisticFit field it shows.
+CRITERIA_ROWS = {
+    "AIC": "aic",
+    "BIC": "bic",
+    "Log Likelihood": "log_likelihood",
+    "Deviance": "deviance",
+    "Num. obs.": "n_observations",
+}
 
 
 def format_coefficient_cell(beta: float, se: float, p_value: float) -> str:
@@ -30,69 +39,57 @@ def format_odds_ratio(value: float) -> str:
     return f"{value:.3g}"
 
 
-def format_index_value(value: float) -> str:
-    return f"{value:.3f}"
-
-
 def format_index_table(repository_index: Mapping[str, float]) -> str:
     """Repository index table, three decimals, descending."""
-    ordered = sorted(repository_index.items(), key=lambda kv: (-kv[1], kv[0]))
     width = max([len("owner/repository name")] + [len(name) for name in repository_index])
     lines = [f"{'owner/repository name':<{width}}  PS Index"]
     lines.append("-" * (width + 10))
-    for repo, value in ordered:
+    for repo, value in ranked(repository_index):
         lines.append(f"{repo:<{width}}  {format_index_value(value):>8}")
     return "\n".join(lines)
 
 
 def _term_order(fits: Sequence[LogisticFit]) -> list[str]:
-    terms: list[str] = []
+    terms = dict.fromkeys(name for fit in fits for name in fit.columns)
+    # Intercept always leads regardless of per-model column order; the sort
+    # is stable, so the other terms keep their first-seen order.
+    return sorted(terms, key=lambda name: name != INTERCEPT_NAME)
+
+
+def _titles(fits: Sequence[LogisticFit], titles: Sequence[str] | None) -> list[str]:
+    titles = [f"Model {i}" for i in range(1, len(fits) + 1)] if titles is None else list(titles)
+    if len(titles) != len(fits):
+        raise ValueError("one title per fit required")
+    return titles
+
+
+def _model_cells(fits: Sequence[LogisticFit]) -> tuple[list[str], dict[str, list[tuple[str, str]]]]:
+    """The terms in table order, and per term one (beta(se)stars, OR) pair
+    per fit; a term a fit lacks has two empty cells."""
+    terms = _term_order(fits)
+    cells: dict[str, list[tuple[str, str]]] = {term: [] for term in terms}
     for fit in fits:
-        for name in fit.columns:
-            if name not in terms:
-                terms.append(name)
-    # Intercept always leads regardless of per-model column order.
-    if INTERCEPT_NAME in terms:
-        terms.remove(INTERCEPT_NAME)
-        terms.insert(0, INTERCEPT_NAME)
-    return terms
+        rows = {row.name: row for row in odds_ratios(fit)}
+        for term in terms:
+            row = rows.get(term)
+            cells[term].append(("", "") if row is None else (
+                format_coefficient_cell(row.coefficient, row.standard_error, row.p_value),
+                format_odds_ratio(row.odds_ratio),
+            ))
+    return terms, cells
 
 
 def _criteria_value(fit: LogisticFit, row: str) -> str:
-    if row == "AIC":
-        return f"{fit.aic:.2f}"
-    if row == "BIC":
-        return f"{fit.bic:.2f}"
-    if row == "Log Likelihood":
-        return f"{fit.log_likelihood:.2f}"
-    if row == "Deviance":
-        return f"{fit.deviance:.2f}"
-    return str(fit.n_observations)
+    value = getattr(fit, CRITERIA_ROWS[row])
+    return str(value) if row == "Num. obs." else f"{value:.2f}"
 
 
 def format_models_table(fits: Sequence[LogisticFit], titles: Sequence[str] | None = None) -> str:
     """Side-by-side regression table with beta(se)stars and OR columns."""
     if not fits:
         raise ValueError("no fits to render")
-    titles = list(titles) if titles is not None else [f"Model {i}" for i in range(1, len(fits) + 1)]
-    if len(titles) != len(fits):
-        raise ValueError("one title per fit required")
-
-    terms = _term_order(fits)
-    cells: dict[str, list[tuple[str, str]]] = {term: [] for term in terms}
-    for fit in fits:
-        rows = {row.name: row for row in odds_ratios(fit)}
-        for term in terms:
-            if term in rows:
-                row = rows[term]
-                cells[term].append(
-                    (
-                        format_coefficient_cell(row.coefficient, row.standard_error, row.p_value),
-                        format_odds_ratio(row.odds_ratio),
-                    )
-                )
-            else:
-                cells[term].append(("", ""))
+    titles = _titles(fits, titles)
+    terms, cells = _model_cells(fits)
 
     name_width = max(len(t) for t in terms + list(CRITERIA_ROWS))
     col_widths = []
@@ -118,60 +115,32 @@ def format_models_table(fits: Sequence[LogisticFit], titles: Sequence[str] | Non
 
 
 def write_models_csv(path: str | Path, fits: Sequence[LogisticFit], titles: Sequence[str] | None = None) -> None:
-    titles = list(titles) if titles is not None else [f"Model {i}" for i in range(1, len(fits) + 1)]
-    terms = _term_order(fits)
-    header = ["term"]
-    for title in titles:
-        header += [f"{title} beta(SE)", f"{title} OR"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for term in terms:
-            row = [term]
-            for fit in fits:
-                if term in fit.columns:
-                    j = fit.columns.index(term)
-                    row.append(
-                        format_coefficient_cell(
-                            float(fit.coefficients[j]),
-                            float(fit.standard_errors[j]),
-                            float(fit.p_values[j]),
-                        )
-                    )
-                    row.append(format_odds_ratio(math.exp(float(fit.coefficients[j]))))
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
-        for crit in CRITERIA_ROWS:
-            row = [crit]
-            for fit in fits:
-                row += ["", _criteria_value(fit, crit)]
-            writer.writerow(row)
+    """The cells of format_models_table as CSV; with no fits, the header and
+    the criteria names alone."""
+    titles = _titles(fits, titles)
+    terms, cells = _model_cells(fits)
+    header = ["term", *(f"{title} {column}" for title in titles for column in ("beta(SE)", "OR"))]
+    rows = [[term, *chain.from_iterable(cells[term])] for term in terms]
+    rows += [[row, *chain.from_iterable(("", _criteria_value(fit, row)) for fit in fits)] for row in CRITERIA_ROWS]
+    write_csv(path, header, rows)
 
 
-def write_model_json(path: str | Path, fit: LogisticFit, spec: ModelSpec) -> None:
-    payload = fit.to_json()
-    payload["model"] = spec.name
-    payload["outcome"] = spec.outcome
-    payload["predictors"] = list(spec.predictors)
-    payload["transforms"] = dict(spec.transforms)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def write_model_failure_json(path: str | Path, spec: ModelSpec, message: str) -> None:
-    """Record a model that has no finite fit, keeping the artifact set stable."""
-    payload = {
+def _spec_header(spec: ModelSpec) -> dict:
+    return {
         "model": spec.name,
         "outcome": spec.outcome,
         "predictors": list(spec.predictors),
         "transforms": dict(spec.transforms),
-        "error": message,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+
+
+def write_model_json(path: str | Path, fit: LogisticFit, spec: ModelSpec) -> None:
+    write_json(path, {**fit.to_json(), **_spec_header(spec)})
+
+
+def write_model_failure_json(path: str | Path, spec: ModelSpec, message: str) -> None:
+    """Record a model that has no finite fit, keeping the artifact set stable."""
+    write_json(path, {**_spec_header(spec), "error": message})
 
 
 def render_report(

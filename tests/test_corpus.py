@@ -588,6 +588,48 @@ def test_decoder_matches_json_loads_alone(line):
     )
 
 
+def _nested(depth: int, opener: str) -> str:
+    """An object line whose arrays or objects nest `depth` levels deep."""
+    if opener == "[":
+        return '{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}\n"
+    return '{"a": ' * (depth - 1) + "{}" + "}" * (depth - 1) + "\n"
+
+
+def _with_frames(frames: int, call):
+    return call() if frames == 0 else _with_frames(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("opener", ["[", "{"])
+def test_nesting_limit_does_not_depend_on_the_stack(frames, opener):
+    deepest = _nested(cm.MAX_NESTING, opener)
+    assert _with_frames(frames, lambda: cm._decode(deepest)) == json.loads(deepest)
+    too_deep = _nested(cm.MAX_NESTING + 1, opener)
+    with pytest.raises(cm._LineError, match="^invalid JSON: nested too deeply$"):
+        _with_frames(frames, lambda: cm._decode(too_deep))
+    # Brackets inside a string do not nest.
+    quoted = json.dumps({"a": opener * (cm.MAX_NESTING + 1) + '"\\'})
+    assert _with_frames(frames, lambda: cm._decode(quoted)) == json.loads(quoted)
+
+
+def test_an_unclosed_line_past_the_nesting_limit_is_too_deep():
+    # Unclosed, the line is shorter than twice the limit and still too deep.
+    with pytest.raises(cm._LineError, match="nested too deeply"):
+        cm._decode('{"a": ' + "[" * cm.MAX_NESTING + "\n")
+
+
+@pytest.mark.parametrize("line", [
+    "\ufeff" + _nested(cm.MAX_NESTING + 1, "["),
+    '{"a": tru, "b": ' + "[" * (cm.MAX_NESTING + 1) + "\n",
+    # The bracket past the limit stands where no value may start.
+    '{"a": ' + "[" * (cm.MAX_NESTING - 2) + '{"k"[' + "\n",
+])
+def test_an_error_before_the_nesting_limit_keeps_its_message(line):
+    assert _decode_outcome(cm._decode, cm._LineError, line) == _decode_outcome(
+        oracles.decode_line, ValueError, line
+    )
+
+
 # --- properties -------------------------------------------------------------------
 
 _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -179,8 +179,13 @@ def test_strip_code_fences():
 
 # --- extraction -------------------------------------------------------------------
 
+def _cues_of(pull, emoji_table):
+    ((_, vector),) = cues.extract_all([pull], emoji_table)
+    return vector
+
+
 def test_zero_comment_merged_pr(emoji_table):
-    vector = cues.extract_cues(_pull([], merged=True), emoji_table)
+    vector = _cues_of(_pull([], merged=True), emoji_table)
     assert vector.merged_or_not == 1
     assert all(
         getattr(vector, name) == 0 for name in cues.CUE_NAMES if name != "merged_or_not"
@@ -188,7 +193,7 @@ def test_zero_comment_merged_pr(emoji_table):
 
 
 def test_contributor_plus_integrator_example(emoji_table):
-    vector = cues.extract_cues(
+    vector = _cues_of(
         _pull(
             [
                 _comment("ann", "contributor", "please review @alice", 0),
@@ -222,9 +227,7 @@ def test_order_insensitivity(corpus12, emoji_table):
         shuffled = list(pull.comments)
         rng.shuffle(shuffled)
         permuted = replace(pull, comments=tuple(shuffled))
-        assert cues.extract_cues(permuted, emoji_table) == cues.extract_cues(
-            pull, emoji_table
-        )
+        assert _cues_of(permuted, emoji_table) == _cues_of(pull, emoji_table)
 
 
 def test_structural_invariants_on_fixture(cue_rows12):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CORPUS12_DATA_END
-from prsafety import diagnostics, glm, pipeline
+from prsafety import cues, diagnostics, glm, pipeline, reporting
 from prsafety.corpus import FilterConfig
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
@@ -249,6 +250,34 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     report = (out / "report.txt").read_text("utf-8")
     assert "Note: model_3 has no finite fit" in report
     assert "Note: " + OUTCOME_COUPLING_NOTE in report
+
+
+def test_artifacts_share_one_json_and_one_csv_form(small_corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    result = pipeline.run_pipeline(_config(small_corpus_dir, out))
+    json_files = sorted(out.glob("*.json"))
+    assert {p.name for p in json_files} >= {"manifest.json", "screening_report.json", "model_1.json"}
+    for path in json_files:
+        text = path.read_text("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = tables[path.name] = list(csv.reader(handle))
+        assert all(len(row) == len(rows[0]) for row in rows), path.name
+    assert tables["cues.csv"][0] == ["repo_full_name", "pr_number", *cues.CUE_NAMES]
+    assert tables["labels.csv"][0][:3] == ["repo_full_name", "author", "status"]
+    assert tables["ps_index_repository.csv"][0] == ["repo_full_name", "ps_index"]
+    assert tables["ps_index_contributor.csv"][0] == ["repo_full_name", "author", "ps_index"]
+
+    fits, titles = result.fit_columns()
+    models = tables.pop("models_table.csv")
+    assert sorted(tables) == ["cues.csv", "labels.csv", "ps_index_contributor.csv", "ps_index_repository.csv"]
+    assert models[0] == ["term", *(f"{t} {c}" for t in titles for c in ("beta(SE)", "OR"))]
+    lines = reporting.format_models_table(fits, titles).splitlines()
+    for term, *cells in models[1:]:
+        (line,) = [line for line in lines if line.startswith(term + "  ")]
+        assert [cell for cell in cells if cell] == line[len(term):].split(), term
 
 
 def test_manifest_carries_no_wall_clock_fields(small_corpus_dir, tmp_path):

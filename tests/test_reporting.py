@@ -153,6 +153,20 @@ def test_models_csv(tmp_path):
     assert by_term["Deviance"] == ["", "200.00", "", "180.50"]
 
 
+def test_models_csv_requires_matching_titles(tmp_path):
+    with pytest.raises(ValueError, match="one title per fit required"):
+        reporting.write_models_csv(tmp_path / "models_table.csv", _two_fits(), ["only one"])
+
+
+def test_models_csv_without_fits_keeps_header_and_criteria(tmp_path):
+    # Every requested model failing still leaves a models_table.csv.
+    path = tmp_path / "models_table.csv"
+    reporting.write_models_csv(path, [])
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["term"]] + [[row] for row in reporting.CRITERIA_ROWS]
+
+
 # --- json artifacts ---------------------------------------------------------------------
 
 def test_model_json_round_trip(tmp_path):
