@@ -1,11 +1,14 @@
 """Incremental GitHub REST v3 exporter producing canonical corpus files.
 
-The exporter walks the paginated list endpoints of one repository (pulls,
-issue comments, review comments, commits, plus per-user profiles for
-follower counts), staging raw pages to disk and recording progress in
-fetch_cursor.json after every page.  An interrupted run resumes from the
-cursor and never refetches completed pages; finalization deduplicates by
-natural key, so re-running cannot produce duplicate pull numbers.
+The export of one repository runs the phases of ENDPOINTS in order: the
+repository object, the paginated list endpoints of LISTS (pulls, issue
+comments, review comments, commits), then one profile per author for
+follower counts.  One loop, _stage, sends every request: it appends each
+response to raw_<phase>.jsonl and marks it in fetch_cursor.json with the
+file's new size.  A resume cuts off an append that a crash tore and never
+sends a marked request again; a cursor from other job parameters or other
+phases starts over.  Finalization deduplicates by natural key, so items that
+shift between pages cannot produce duplicate pull numbers.
 
 Requests are strictly sequential (one in flight per repository).  A 403
 with an exhausted rate-limit header sleeps until the advertised reset; a
@@ -21,8 +24,9 @@ which keeps the request budget linear in pages); everyone else is other.
 
 Context fields that a single-repository export cannot observe (languages
 across repositories, follow relations, social tie strength) are written as
-neutral defaults and listed in the report so downstream screening can judge
-them.
+neutral defaults.  The REST pull object has no reopen count, so
+reopen_count reads 0 unless a payload carries it.  The report lists both
+kinds, so downstream screening can judge them.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from . import corpus as corpus_mod
 
@@ -45,7 +50,16 @@ DEFAULTED_CONTEXT_FIELDS = (
     "social_strength",
 )
 
-ENDPOINTS = ("pulls", "issue_comments", "review_comments", "commits")
+# Each list endpoint: its path under /repos/{owner}/{name}, its query, and
+# whether it takes the job's since.
+LISTS = {
+    "pulls": ("/pulls", {"state": "all", "sort": "created", "direction": "asc"}, False),
+    "issue_comments": ("/issues/comments", {"sort": "created", "direction": "asc"}, True),
+    "review_comments": ("/pulls/comments", {"sort": "created", "direction": "asc"}, True),
+    "commits": ("/commits", {}, True),
+}
+# The export's phases in request order.
+ENDPOINTS = ("repo", *LISTS, "users")
 
 
 class FetchError(Exception):
@@ -86,6 +100,7 @@ class FetchReport:
     retries: int = 0
     resumed: bool = False
     defaulted_context_fields: tuple[str, ...] = DEFAULTED_CONTEXT_FIELDS
+    defaulted_pull_fields: tuple[str, ...] = ("reopen_count",)  # the REST pull has no such field
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -127,43 +142,40 @@ class GitHubFetcher:
         url = self.base_url + path
         attempts = 0
         while True:
+            report.requests_made += 1
             try:
-                report.requests_made += 1
                 response = self.session.get(url, params=dict(params or {}), headers=headers, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError, TimeoutError, ConnectionError) as exc:
-                attempts += 1
-                report.retries += 1
-                if attempts > job.max_retries:
-                    raise FetchError(f"GET {path} failed after {job.max_retries} retries: {exc}") from None
-                self.sleep(min(2.0**attempts, 30.0))
-                continue
-            status = response.status_code
-            if status == 404:
-                raise RepoNotFoundError(f"{job.repo_full_name}: GET {path} returned 404")
-            if status == 403:
-                remaining = response.headers.get("X-RateLimit-Remaining")
-                reset = response.headers.get("X-RateLimit-Reset")
-                retry_after = response.headers.get("Retry-After")
-                if remaining == "0" and reset is not None:
-                    # Primary limit: sleep until the advertised reset, then retry.
-                    report.rate_limit_waits += 1
-                    self.sleep(max(float(reset) - self.now(), 0.0) + 1.0)
-                    continue
-                if retry_after is not None:
-                    report.rate_limit_waits += 1
-                    self.sleep(float(retry_after))
-                    continue
-                raise FetchError(f"GET {path} returned 403 without rate-limit headers")
-            if status >= 500:
-                attempts += 1
-                report.retries += 1
-                if attempts > job.max_retries:
-                    raise FetchError(f"GET {path} kept failing with {status}")
-                self.sleep(min(2.0**attempts, 30.0))
-                continue
-            if status >= 400:
-                raise FetchError(f"GET {path} returned {status}")
-            return response
+                failure = f"failed after {job.max_retries} retries: {exc}"
+            else:
+                status = response.status_code
+                if status == 404:
+                    raise RepoNotFoundError(f"{job.repo_full_name}: GET {path} returned 404")
+                if status == 403:
+                    remaining = response.headers.get("X-RateLimit-Remaining")
+                    reset = response.headers.get("X-RateLimit-Reset")
+                    retry_after = response.headers.get("Retry-After")
+                    if remaining == "0" and reset is not None:
+                        # Primary limit: sleep until the advertised reset, then retry.
+                        report.rate_limit_waits += 1
+                        self.sleep(max(float(reset) - self.now(), 0.0) + 1.0)
+                        continue
+                    if retry_after is not None:
+                        report.rate_limit_waits += 1
+                        self.sleep(float(retry_after))
+                        continue
+                    raise FetchError(f"GET {path} returned 403 without rate-limit headers")
+                if status < 400:
+                    return response
+                if status < 500:
+                    raise FetchError(f"GET {path} returned {status}")
+                failure = f"kept failing with {status}"
+            # A timeout or a 5xx response: back off and retry, up to the cap.
+            attempts += 1
+            report.retries += 1
+            if attempts > job.max_retries:
+                raise FetchError(f"GET {path} {failure}")
+            self.sleep(min(2.0**attempts, 30.0))
 
     # -- cursor and staging ----------------------------------------------
 
@@ -180,7 +192,7 @@ class GitHubFetcher:
             "repo_full_name": job.repo_full_name,
             "since": job.since,
             "page_size": job.page_size,
-            "endpoints": {name: {"next_page": 1, "done": False} for name in ENDPOINTS},
+            "endpoints": {name: {"next": 1, "size": 0, "done": False} for name in ENDPOINTS},
             "complete": False,
         }
 
@@ -192,13 +204,14 @@ class GitHubFetcher:
             except json.JSONDecodeError:
                 cursor = None
             if (
-                cursor
+                isinstance(cursor, dict)
                 and cursor.get("repo_full_name") == job.repo_full_name
                 and cursor.get("since") == job.since
                 and cursor.get("page_size") == job.page_size
+                and set(cursor.get("endpoints", ())) == set(ENDPOINTS)
             ):
                 return cursor, True
-        # Parameters changed or no usable cursor: start over.
+        # Parameters or phases changed, or no usable cursor: start over.
         for endpoint in ENDPOINTS:
             self._staging_path(out, endpoint).unlink(missing_ok=True)
         return self._fresh_cursor(job), False
@@ -209,45 +222,46 @@ class GitHubFetcher:
         tmp.write_text(json.dumps(cursor, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, path)
 
-    def _paginate(
-        self,
-        report: FetchReport,
-        job: FetchJob,
-        out: Path,
-        cursor: dict,
-        endpoint: str,
-        path: str,
-        params: Mapping,
-    ) -> None:
-        state = cursor["endpoints"][endpoint]
-        if state["done"]:
-            return
-        staging = self._staging_path(out, endpoint)
-        page = state["next_page"]
-        while True:
-            response = self._get(
-                report, job, path, {**params, "per_page": job.page_size, "page": page}
-            )
-            items = response.json()
-            if not isinstance(items, list):
-                raise FetchError(f"GET {path} page {page}: expected a JSON array")
-            with open(staging, "a", encoding="utf-8") as handle:
-                for item in items:
-                    handle.write(json.dumps(item, separators=(",", ":")) + "\n")
-            done = len(items) < job.page_size
-            state["next_page"] = page + 1
-            state["done"] = done
-            self._save_cursor(out, cursor)
-            if done:
-                return
-            page += 1
+    def _stage(self, report: FetchReport, job: FetchJob, out: Path, cursor: dict,
+               phase: str, paths: list[str], query: Mapping | None = None) -> list[dict]:
+        """Send the phase's requests that the cursor has not marked; return its staged items.
+
+        With a query, the phase pages through the list at paths[0]; without
+        one, it stages the object at each of paths as {"path", "body"}.  The
+        cursor marks each response with the staging file's new size, so a
+        resume first cuts off an append that a crash tore.
+        """
+        state = cursor["endpoints"][phase]
+        paged = query is not None
+        with open(self._staging_path(out, phase), "ab") as handle:
+            if handle.tell() < state["size"]:  # marked responses were lost: stage them again
+                state.update(next=1, size=0, done=False)
+            handle.truncate(state["size"])
+            while not state["done"] and (paged or state["next"] <= len(paths)):
+                step = state["next"]
+                path = paths[0] if paged else paths[step - 1]
+                params = {**query, "per_page": job.page_size, "page": step} if paged else {}
+                body = self._get(report, job, path, params).json()
+                if paged and not isinstance(body, list):
+                    raise FetchError(f"GET {path} page {step}: expected a JSON array")
+                if not paged and not isinstance(body, dict):
+                    raise FetchError(f"GET {path}: expected a JSON object")
+                for item in body if paged else [{"path": path, "body": body}]:
+                    handle.write(json.dumps(item, separators=(",", ":")).encode() + b"\n")
+                # The bytes reach the file before the cursor counts them.
+                handle.flush()
+                state.update(
+                    next=step + 1,
+                    size=handle.tell(),
+                    done=len(body) < job.page_size if paged else step == len(paths),
+                )
+                self._save_cursor(out, cursor)
+        return self._read_staging(out, phase)
 
     def _read_staging(self, out: Path, endpoint: str) -> list[dict]:
         path = self._staging_path(out, endpoint)
-        if not path.is_file():
-            return []
-        # A crash between a page append and the cursor save can re-stage a
-        # page on resume; dedupe on the natural key (or the raw line).
+        # Items can shift between pages while pagination runs, so one can be
+        # staged twice; dedupe on the natural key (or the raw line).
         items = []
         seen = set()
         with open(path, encoding="utf-8") as handle:
@@ -322,30 +336,19 @@ class GitHubFetcher:
     def _export(self, job: FetchJob, out: Path, cursor: dict, report: FetchReport) -> corpus_mod.LoadResult:
         """Fetch what the cursor has not marked done, then write and validate the corpus."""
         repo_path = f"/repos/{job.repo_full_name}"
-        meta_response = self._get(report, job, repo_path)
-        meta = meta_response.json()
+        stage = partial(self._stage, report, job, out, cursor)
+        (meta,) = stage("repo", [repo_path])
+        since = {"since": job.since} if job.since else {}
+        lists = {
+            name: stage(name, [repo_path + suffix], {**query, **(since if takes_since else {})})
+            for name, (suffix, query, takes_since) in LISTS.items()
+        }
 
-        since_params = {"since": job.since} if job.since else {}
-        self._paginate(
-            report, job, out, cursor, "pulls", f"{repo_path}/pulls",
-            {"state": "all", "sort": "created", "direction": "asc"},
-        )
-        self._paginate(
-            report, job, out, cursor, "issue_comments", f"{repo_path}/issues/comments",
-            {"sort": "created", "direction": "asc", **since_params},
-        )
-        self._paginate(
-            report, job, out, cursor, "review_comments", f"{repo_path}/pulls/comments",
-            {"sort": "created", "direction": "asc", **since_params},
-        )
-        self._paginate(report, job, out, cursor, "commits", f"{repo_path}/commits", since_params)
+        def profiles(authors: list[str]) -> dict[str, Mapping]:
+            staged = stage("users", [f"/users/{login}" for login in authors])
+            return {item["path"].removeprefix("/users/"): item["body"] for item in staged}
 
-        raw_pulls = {p["number"]: p for p in self._read_staging(out, "pulls") if "number" in p}
-        raw_issue_comments = self._read_staging(out, "issue_comments")
-        raw_review_comments = self._read_staging(out, "review_comments")
-        raw_commits = self._read_staging(out, "commits")
-
-        corpus = self._assemble(job, meta, raw_pulls, raw_issue_comments, raw_review_comments, raw_commits, report)
+        corpus = self._assemble(job, meta["body"], lists, profiles)
         corpus_mod.save_corpus(corpus, out)
 
         validation = corpus_mod.load_corpus(out)
@@ -359,21 +362,16 @@ class GitHubFetcher:
             self._staging_path(out, endpoint).unlink(missing_ok=True)
         return validation
 
-    def _assemble(
-        self,
-        job: FetchJob,
-        meta: Mapping,
-        raw_pulls: Mapping[int, Mapping],
-        issue_comments: Iterable[Mapping],
-        review_comments: Iterable[Mapping],
-        raw_commits: Iterable[Mapping],
-        report: FetchReport,
-    ) -> corpus_mod.Corpus:
+    def _assemble(self, job: FetchJob, meta: Mapping, lists: Mapping[str, list[dict]],
+                  profiles: Callable[[list[str]], Mapping[str, Mapping]]) -> corpus_mod.Corpus:
+        """Build the corpus from the staged items; profiles(authors) stages the users phase."""
         repo = job.repo_full_name
+        raw_pulls = {p["number"]: p for p in lists["pulls"] if "number" in p}
+        issue_comments, review_comments = lists["issue_comments"], lists["review_comments"]
 
         members = {
             login
-            for item in list(issue_comments) + list(review_comments)
+            for item in issue_comments + review_comments
             if (login := self._login(item)) is not None
             and item.get("author_association") in ("OWNER", "MEMBER")
         }
@@ -447,7 +445,7 @@ class GitHubFetcher:
 
         commits = []
         commit_authors: dict[str, int] = {}
-        for item in raw_commits:
+        for item in lists["commits"]:
             login = self._login(item, "author") or self._login(item, "committer")
             date = (((item.get("commit") or {}).get("author")) or {}).get("date")
             if login is None or not date:
@@ -467,9 +465,9 @@ class GitHubFetcher:
             | set(commit_authors)
         )
         total_commits = sum(commit_authors.values())
+        profile_of = profiles(authors)
         contexts = []
         for author in authors:
-            profile = self._get(report, job, f"/users/{author}").json()
             contexts.append(
                 corpus_mod.ContributorContext(
                     repo_full_name=repo,
@@ -479,7 +477,7 @@ class GitHubFetcher:
                         commit_authors.get(author, 0) / total_commits if total_commits else 0.0
                     ),
                     followers=self._count(
-                        profile.get("followers"), f"users/{author} followers"
+                        profile_of[author].get("followers"), f"users/{author} followers"
                     ),
                     # Single-repo exports cannot observe these; see module docs.
                     num_languages=1,

@@ -202,9 +202,6 @@ class LogisticFit:
     iterations: int
     converged: bool
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.columns.index(name)])
-
     def to_json(self) -> dict:
         return {
             "columns": list(self.columns),

@@ -207,9 +207,13 @@ def read_config_file(path: str | Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text("utf-8"))
+        text = path.read_text("utf-8")
+        # The corpus's fixed limit, so the verdict does not depend on the stack.
+        cut = corpus_mod._nesting_cut(text)
+        raw = json.loads(text[:cut] if cut else text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
+        problem = "is nested too deeply" if cut and exc.pos == cut else f"is not valid JSON: {exc.msg}"
+        raise ConfigError(f"config file {path} {problem}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 (byte {exc.start})") from None
     except ValueError:  # an integer past the interpreter's digit limit

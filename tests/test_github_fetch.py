@@ -201,6 +201,7 @@ def test_full_export_counts_and_roles(tmp_path):
     payload = json.loads((tmp_path / "fetch_report.json").read_text("utf-8"))
     assert payload["pulls"] == 5
     assert payload["defaulted_context_fields"] == list(gf.DEFAULTED_CONTEXT_FIELDS)
+    assert payload["defaulted_pull_fields"] == ["reopen_count"]  # not in the REST pull object
 
 
 def test_pagination_requests_each_page_once(tmp_path):
@@ -259,6 +260,71 @@ def test_resume_after_failure_refetches_nothing_finished(tmp_path):
     numbers = oracles.jsonl_field_values(tmp_path / "pulls.jsonl", "pr_number")
     assert sorted(numbers) == [1, 2, 3, 4, 5]  # the duplicate line was collapsed
     assert report.pulls == 5
+
+
+def test_resume_after_a_profile_failure_requests_only_what_is_left(tmp_path):
+    broken = FakeSession()
+    broken.scripted["/users/sam"] = [FakeResponse({}, status=500) for _ in range(3)]
+    with pytest.raises(gf.FetchError, match="/users/sam kept failing with 500"):
+        _fetcher(broken).fetch_repository(_job(tmp_path, max_retries=2))
+    assert [broken.count(f"/users/{login}") for login in ("ann", "leo", "mia")] == [1, 1, 1]
+
+    fresh = FakeSession()
+    report = _fetcher(fresh).fetch_repository(_job(tmp_path, max_retries=2))
+    assert report.resumed is True
+    # profiles are requested in sorted order, so only sam's is left
+    assert [path for path, _, _ in fresh.calls] == ["/users/sam"]
+    contexts = load_corpus(tmp_path).corpus.contexts
+    assert {c.author: c.followers for c in contexts} == USERS
+
+
+def test_resume_cuts_off_a_torn_staging_append(tmp_path):
+    broken = FakeSession()
+    broken.scripted[f"/repos/{REPO}/issues/comments"] = [
+        FakeResponse(ISSUE_COMMENTS[:2]), *(FakeResponse({}, status=500) for _ in range(3))
+    ]
+    with pytest.raises(gf.FetchError, match="failing with 500"):
+        _fetcher(broken).fetch_repository(_job(tmp_path, page_size=2, max_retries=2))
+    # a crash in the middle of a page append leaves a partial line
+    with open(tmp_path / "raw_issue_comments.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"id": 201, "issue_u')
+
+    fresh = FakeSession()
+    report = _fetcher(fresh).fetch_repository(_job(tmp_path, page_size=2, max_retries=2))
+    assert report.resumed is True
+    issue_pages = [params["page"] for path, params, _ in fresh.calls
+                   if path == f"/repos/{REPO}/issues/comments"]
+    assert issue_pages == [2, 3]  # the marked first page is not requested again
+    assert report.comments == 5
+
+
+def test_resume_restages_a_phase_whose_staging_file_was_lost(tmp_path):
+    broken = FakeSession()
+    broken.scripted[f"/repos/{REPO}/issues/comments"] = [FakeResponse({}, status=500)] * 3
+    with pytest.raises(gf.FetchError):
+        _fetcher(broken).fetch_repository(_job(tmp_path, max_retries=2))
+    (tmp_path / "raw_pulls.jsonl").unlink()
+
+    fresh = FakeSession()
+    report = _fetcher(fresh).fetch_repository(_job(tmp_path, max_retries=2))
+    assert report.resumed is True
+    assert fresh.count(f"/repos/{REPO}/pulls") == 1
+    assert fresh.count(f"/repos/{REPO}") == 0  # the repository object is still staged
+    assert report.pulls == 5
+
+
+def test_cursor_from_other_phases_starts_over(tmp_path):
+    old_phases = ("pulls", "issue_comments", "review_comments", "commits")
+    (tmp_path / "fetch_cursor.json").write_text(json.dumps({
+        "repo_full_name": REPO, "since": None, "page_size": 100, "complete": False,
+        "endpoints": {name: {"next_page": 2, "done": True} for name in old_phases},
+    }), encoding="utf-8")
+    (tmp_path / "raw_pulls.jsonl").write_text(json.dumps(PULLS[0]) + "\n", encoding="utf-8")
+    session = FakeSession()
+    report = _fetcher(session).fetch_repository(_job(tmp_path))
+    assert report.resumed is False
+    assert session.count(f"/repos/{REPO}/pulls") == 1
+    assert (report.pulls, report.comments, report.commits, report.contributors) == (5, 5, 4, 4)
 
 
 def test_changed_parameters_invalidate_cursor(tmp_path):
@@ -377,6 +443,7 @@ def test_job_validation():
         ("pulls", 4, {"reopen_count": -1}, "pulls item #5 reopen_count: .* got -1"),
         ("repo", 0, {"stargazers_count": 2.7}, f"repos item {REPO} stargazers_count: .* 2.7"),
         ("repo", 0, {"stargazers_count": "many"}, f"repos item {REPO} stargazers_count"),
+        ("repo", 0, ["an array"], f"GET /repos/{REPO}: expected a JSON object"),
         ("users", "mia", 2.7, "users/mia followers: expected an integer >= 0, got 2.7"),
         ("users", "sam", "12", "users/sam followers: .* got '12'"),
         ("users", "leo", True, "users/leo followers: .* got True"),

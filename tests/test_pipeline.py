@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import CORPUS12_DATA_END
 from prsafety import cues, diagnostics, glm, pipeline, reporting
-from prsafety.corpus import FilterConfig
+from prsafety.corpus import MAX_NESTING, FilterConfig
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -165,6 +165,10 @@ def test_readme_config_block_shows_every_key_with_its_default():
     assert shown == defaults
 
 
+def _with_frames(frames: int, call):
+    return call() if frames == 0 else _with_frames(frames - 1, call)
+
+
 def test_read_config_file_errors(tmp_path):
     with pytest.raises(pipeline.ConfigError, match="not found"):
         pipeline.read_config_file(tmp_path / "missing.json")
@@ -183,6 +187,15 @@ def test_read_config_file_errors(tmp_path):
     latin1.write_bytes(b'{"corpus_dir": "caf\xe9"}')
     with pytest.raises(pipeline.ConfigError, match=r"latin1\.json is not UTF-8 \(byte 19\)"):
         pipeline.read_config_file(latin1)
+    # The corpus's nesting limit holds at every call depth: 256 levels reach the key check.
+    deepest, too_deep = tmp_path / "deepest.json", tmp_path / "too_deep.json"
+    for path, depth in ((deepest, MAX_NESTING), (too_deep, MAX_NESTING + 1)):
+        path.write_text('{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}", encoding="utf-8")
+    for frames in (0, 300):
+        with pytest.raises(pipeline.ConfigError, match="^a is not a setting$"):
+            _with_frames(frames, lambda: pipeline.config_from_dict(pipeline.read_config_file(deepest)))
+        with pytest.raises(pipeline.ConfigError, match=r"too_deep\.json is nested too deeply$"):
+            _with_frames(frames, lambda: pipeline.read_config_file(too_deep))
 
 
 def test_config_hash_tracks_content(tmp_path):

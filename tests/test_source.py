@@ -7,11 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).parent.parent / "src" / "prsafety").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).parent.parent / "src" / "prsafety"
+SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +33,29 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_module_import_is_used(path):
     assert _unused_imports(path.read_text("utf-8")) == []
+
+
+def _callers(source: str, method: str) -> list[str]:
+    """Every function around each self.<method>(...) call, nested ones included."""
+    return [
+        function.name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+    ]
+
+
+def test_the_check_sees_every_caller():
+    source = "class A:\n def f(self):\n  self._get()\n def g(self):\n  h = lambda: self._get()\n"
+    assert _callers(source, "_get") == ["f", "g"]
+
+
+def test_every_github_request_goes_through_the_staging_loop():
+    # One loop stages and cursor-marks every response, so nothing else may send a GET.
+    source = (PACKAGE / "github_fetch.py").read_text("utf-8")
+    assert _callers(source, "_get") == ["_stage"]
