@@ -39,7 +39,7 @@ from .participation import (
     label_participation,
 )
 from .pipeline import PipelineConfig, StageError, run_pipeline
-from .ps_index import Thresholds, compute_thresholds, score_pr, summarize
+from .ps_index import Thresholds, compute_thresholds, score_prs, summarize
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,7 @@ __all__ = [
     "odds_ratios",
     "run_pipeline",
     "save_corpus",
-    "score_pr",
+    "score_prs",
     "screen_predictors",
     "skewness",
     "summarize",

@@ -34,11 +34,11 @@ each thread: every comment updates all thirteen counters at once.  A body is
 searched for a mention only when it contains "@", which every mention needs,
 and a PR's conflict or mention search stops at its first hit; the emoji sum
 reads every body.  The table keeps the pulls in corpus order as row keys and
-the cues as columns in CUE_NAMES order, which screening, thresholds,
-cues.csv and the model frame read directly.  Iterating the table gives the
-row view, (pull, CueVector) pairs; CueVector is a NamedTuple, so a row
-compares equal to the plain tuple of its values, and CUE_NAMES is its
-field tuple.
+the cues as columns in CUE_NAMES order, which screening, thresholds, the
+index's scoring, cues.csv and the model frame read directly.  Iterating the
+table gives the row view, (pull, CueVector) pairs, for library callers and
+the benchmark's tracer; CueVector is a NamedTuple, so a row compares equal
+to the plain tuple of its values, and CUE_NAMES is its field tuple.
 """
 
 from __future__ import annotations

@@ -36,25 +36,29 @@ ACTIONS = ("retained", "transformed", "excluded")
 
 
 class UndefinedSkewnessError(ValueError):
-    """Skewness is undefined for a zero-variance sample."""
+    """Skewness is undefined: zero variance, or too few observations for the type."""
+
+
+# The fewest observations each skewness type is defined for.
+_MIN_OBSERVATIONS = {1: 2, 2: 3, 3: 3}
 
 
 def skewness(values: Sequence[float], type: int = 3) -> float:
     """Sample skewness of a 1-d sample.
 
     Types 2 and 3 rescale the moment coefficient g1 and need at least three
-    observations; type 1 needs two.  Zero variance raises
-    UndefinedSkewnessError since the coefficient divides by m2^(3/2).
+    observations; type 1 needs two.  Fewer observations, or zero variance
+    (the coefficient divides by m2^(3/2)), raise UndefinedSkewnessError.
     """
-    if type not in (1, 2, 3):
+    if type not in _MIN_OBSERVATIONS:
         raise ValueError(f"skewness type must be 1, 2 or 3, got {type}")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("skewness expects a 1-d sample")
     n = x.size
-    min_n = 2 if type == 1 else 3
+    min_n = _MIN_OBSERVATIONS[type]
     if n < min_n:
-        raise ValueError(f"skewness type {type} needs at least {min_n} observations, got {n}")
+        raise UndefinedSkewnessError(f"skewness type {type} needs at least {min_n} observations, got {n}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
@@ -99,8 +103,8 @@ class ScreeningConfig:
 def log1p_if_skewed(values: Sequence[float], config: ScreeningConfig) -> tuple[float, np.ndarray | None]:
     """The one skew rule: the sample skewness, and the log1p-transformed
     sample when |skewness| exceeds the threshold (else None).  Raises
-    ValueError on zero variance (UndefinedSkewnessError), too few values,
-    or a skewed sample with negative values, which log1p cannot take."""
+    ValueError on zero variance or too few values (UndefinedSkewnessError),
+    or on a skewed sample with negative values, which log1p cannot take."""
     raw = skewness(values, type=config.skew_type)
     return raw, log1p_transform(values) if abs(raw) > config.skew_threshold else None
 
@@ -157,10 +161,11 @@ def _screen_binary(name: str, values: np.ndarray, config: ScreeningConfig) -> Sc
 def _screen_continuous(name: str, values: np.ndarray, config: ScreeningConfig) -> ScreeningDecision:
     try:
         raw, logged = log1p_if_skewed(values, config)
-    except UndefinedSkewnessError:
-        return ScreeningDecision(
-            name, "continuous", "excluded", "zero variance, skewness undefined"
-        )
+    except UndefinedSkewnessError as exc:
+        # Too few values: the error names the count.  Zero variance: a fixed reason.
+        too_few = values.size < _MIN_OBSERVATIONS[config.skew_type]
+        reason = str(exc) if too_few else "zero variance, skewness undefined"
+        return ScreeningDecision(name, "continuous", "excluded", reason)
     if logged is None:
         return ScreeningDecision(
             name,

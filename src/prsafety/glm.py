@@ -19,7 +19,7 @@ encode_design builds the design matrix of a ModelSpec from a frame of
 columns: a mapping from each variable to an equal-length sequence.
 
 Quasi-separation makes the MLE drift to infinity; it is reported as an error
-(coefficients beyond +-20 on standardized-scale designs, or failure to
+(a raw, unstandardized coefficient beyond +-20 on any column, or failure to
 converge) rather than returned as a garbage fit.  Rank-deficient designs are
 rejected up front with the names of the dependent columns.
 """
@@ -36,7 +36,7 @@ from .corpus import REPO_SIZES
 
 INTERCEPT_NAME = "Intercept"
 
-# |beta| beyond this on any coordinate is treated as runaway growth.
+# A raw (unstandardized) |beta| beyond this on any coordinate is runaway growth.
 SEPARATION_BOUND = 20.0
 
 
@@ -66,10 +66,10 @@ class SeparationError(RuntimeError):
 class ModelSpec:
     """Declarative description of one regression.
 
-    categorical maps a variable to its ordered levels, reference level
-    first; dummies are emitted for the non-reference levels that occur in
-    the data.  transforms maps a variable to a named transform applied at
-    encoding time (only "log1p" is defined).
+    categorical maps a variable to its ordered levels.  The first level
+    that occurs in the kept rows is the reference; dummies are emitted for
+    the other levels that occur there.  transforms maps a variable to a
+    named transform applied at encoding time (only "log1p" is defined).
     """
 
     name: str
@@ -128,12 +128,12 @@ def encode_design(frame: Mapping[str, Sequence], spec: ModelSpec) -> DesignMatri
             unknown = observed - set(levels)
             if unknown:
                 raise DesignError(f"{name!r} has undeclared levels: {sorted(unknown)}")
-            # Reference level is levels[0]; absent levels produce no column,
-            # since an all-zero dummy is just a constant column in disguise.
-            for level in levels[1:]:
-                if level in observed:
-                    columns.append(f"{name} ({level})")
-                    data.append((values == level).astype(float))
+            # The first declared level that occurs is the reference; absent
+            # levels produce no column (an all-zero dummy is a constant column).
+            present = [level for level in levels if level in observed]
+            for level in present[1:]:
+                columns.append(f"{name} ({level})")
+                data.append((values == level).astype(float))
             continue
         try:
             column = np.asarray(values, dtype=float)
@@ -393,8 +393,9 @@ def vif_gate(vifs: Mapping[str, float], threshold: float = VIF_THRESHOLD) -> boo
 
 
 # Canned regression specifications.  All three share the control block
-# (repo_size is dummy coded against a small reference); watchers is not a
-# control anywhere, its post-transform skewness stays out of range.
+# (repo_size is dummy coded against its first observed level, small when a
+# small repository is kept); watchers is not a control anywhere, its
+# post-transform skewness stays out of range.
 CONTROL_PREDICTORS = (
     "core_member",
     "contrib_rate_author",

@@ -19,8 +19,9 @@ satisfied condition out of ten:
 
 "Above the median" is strict: ties do not earn the point.  Medians come
 from the whole corpus by default, or per repository when configured.
-Censored and gap-return contributors are never scored; their PRs carry an
-explicit skip marker rather than a zero so they cannot drag aggregates.
+Contributors without an outcome (censored and gap-return ones) are never
+scored; their PRs carry an explicit skip marker rather than a zero so they
+cannot drag aggregates.
 
 A contributor's index is the mean of their PR scores; a repository's index
 is the unweighted mean of its contributor indices.
@@ -31,9 +32,10 @@ The inputs come from the cue table:
     thresholds = compute_thresholds(table, scope="global")
     summary = summarize(table, labels, thresholds)
 
-compute_thresholds reads the table's columns; summarize reads its row view,
-(pull, CueVector) pairs, and calls score_pr once per row.  CueVector is a
-NamedTuple, so a vector compares equal to the plain tuple of its values.
+Both read the table's columns.  score_prs sums the ten conditions over the
+columns, one vectorised pass per cue, and summarize multiplies each PR's sum
+by its author's sustainedp_or_not_12: 1 keeps the sum, 0 makes it 0, and a
+label without that outcome skips the PR.
 
 The CSVs and the report print an index with format_index_value (three
 decimals) and rank repositories with ranked (highest first, ties by name).
@@ -44,13 +46,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .corpus import write_csv
-from .cues import CueTable, CueVector
+import numpy as np
+
+from .corpus import PullRequestRecord, write_csv
+from .cues import CueTable
 from .participation import ParticipationLabel
 
+# Conditions 2, 5 and 9 hold strictly above the cue's median; conditions 3,
+# 4, 6, 7, 8 and 10 hold when the 0/1 cue is 1.
 THRESHOLD_CUES = ("pr_comment_num", "num_comments_con", "num_participant")
+FLAG_CUES = (
+    "has_exchange", "contrib_comment", "inte_comment", "reviewer_comment", "other_comment", "at_tag"
+)
 
 THRESHOLD_SCOPES = ("global", "per_repository")
 
@@ -70,12 +79,13 @@ class Thresholds:
     global_medians: Mapping[str, float] | None = None
     per_repository: Mapping[str, Mapping[str, float]] | None = None
 
-    def for_repo(self, repo_full_name: str) -> Mapping[str, float]:
+    def row_medians(self, pulls: Sequence[PullRequestRecord]) -> Mapping[str, float | np.ndarray]:
+        """The medians score_prs compares the rows of pulls against: the
+        global medians, or per cue an array of each row's repository median."""
         if self.scope == "global":
-            assert self.global_medians is not None
             return self.global_medians
-        assert self.per_repository is not None
-        return self.per_repository[repo_full_name]
+        repos = [self.per_repository[pull.repo_full_name] for pull in pulls]
+        return {cue: np.array([medians[cue] for medians in repos]) for cue in THRESHOLD_CUES}
 
 
 def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
@@ -103,45 +113,23 @@ def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
     return Thresholds(scope="per_repository", per_repository=per_repo)
 
 
-def score_pr(
-    vector: CueVector,
-    label: ParticipationLabel,
-    thresholds: Mapping[str, float],
+def score_prs(
+    columns: Mapping[str, Sequence[int]],
+    medians: Mapping[str, float | np.ndarray],
     merged_only: bool = False,
-) -> int | None:
-    """Score one PR, or return None as a skip marker.
+) -> np.ndarray:
+    """The ten-condition score of each row of the cue columns, ungated.
 
-    None marks PRs of censored and gap-return contributors: they are not
-    zeros and never enter aggregation.
+    medians holds one number per threshold cue, or one array per cue over
+    the rows (Thresholds.row_medians).  Condition 1 ("merged or not merged")
+    holds for every terminal PR; merged_only credits it to merges alone.
     """
-    if label.status in ("censored", "excluded_gap_return"):
-        return None
-    if label.status == "not_sustained":
-        return 0
-
-    score = 0
-    # Condition 1 reads "merged or not merged": satisfied by construction for
-    # every terminal PR. The strict variant only credits actual merges.
-    if not merged_only or vector.merged_or_not == 1:
-        score += 1
-    if vector.pr_comment_num > thresholds["pr_comment_num"]:
-        score += 1
-    if vector.has_exchange == 1:
-        score += 1
-    if vector.contrib_comment == 1:
-        score += 1
-    if vector.num_comments_con > thresholds["num_comments_con"]:
-        score += 1
-    if vector.inte_comment == 1:
-        score += 1
-    if vector.reviewer_comment == 1:
-        score += 1
-    if vector.other_comment == 1:
-        score += 1
-    if vector.num_participant > thresholds["num_participant"]:
-        score += 1
-    if vector.at_tag == 1:
-        score += 1
+    merged = np.asarray(columns["merged_or_not"]) == 1
+    score = merged.astype(int) if merged_only else np.ones(len(merged), dtype=int)
+    for cue in THRESHOLD_CUES:
+        score += np.asarray(columns[cue]) > medians[cue]
+    for cue in FLAG_CUES:
+        score += np.asarray(columns[cue]) == 1
     return score
 
 
@@ -161,30 +149,31 @@ def summarize(
 ) -> PsSummary:
     """Score all PRs and aggregate to contributor and repository indices.
 
-    Each row of the table's row view, a pull and its CueVector, is scored
-    once by score_pr.  PRs whose author has no label are skipped and
-    reported, like censored and excluded ones.
+    score_prs scores the table's columns once; each PR's score is then gated
+    by its author's sustainedp_or_not_12.  An outcome of 0 or 1 multiplies
+    the score, no outcome skips the PR under the label's status, and a PR
+    whose author has no label is skipped as "unlabeled".
     """
+    scores = score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only).tolist()
     pr_scores: dict[tuple[str, int], int] = {}
     skipped: dict[tuple[str, int], str] = {}
     per_contributor: dict[tuple[str, str], list[int]] = {}
 
-    for pull, vector in table:
+    for pull, score in zip(table.pulls, scores):
         repo = pull.repo_full_name
         key = (repo, pull.pr_number)
         label = labels.get((repo, pull.author))
         if label is None:
             skipped[key] = "unlabeled"
-            continue
-        score = score_pr(vector, label, thresholds.for_repo(repo), merged_only=merged_only)
-        if score is None:
+        elif label.sustainedp_or_not_12 is None:
             skipped[key] = label.status
-            continue
-        pr_scores[key] = score
-        per_contributor.setdefault((repo, pull.author), []).append(score)
+        else:
+            score *= label.sustainedp_or_not_12
+            pr_scores[key] = score
+            per_contributor.setdefault((repo, pull.author), []).append(score)
 
     contributor_index = {
-        key: sum(scores) / len(scores) for key, scores in sorted(per_contributor.items())
+        key: sum(values) / len(values) for key, values in sorted(per_contributor.items())
     }
 
     by_repo: dict[str, list[float]] = {}
@@ -194,12 +183,7 @@ def summarize(
         repo: sum(values) / len(values) for repo, values in sorted(by_repo.items())
     }
 
-    return PsSummary(
-        pr_scores=pr_scores,
-        skipped_prs=skipped,
-        contributor_index=contributor_index,
-        repository_index=repository_index,
-    )
+    return PsSummary(pr_scores, skipped, contributor_index, repository_index)
 
 
 def format_index_value(value: float) -> str:

@@ -129,14 +129,38 @@ def thresholds_rows(rows, cues, scope: str) -> dict:
     }
 
 
-def summarize_rows(rows, labels, medians: dict, scope: str, score) -> tuple[dict, dict, dict, dict]:
+def score_row(vector, label, medians: dict, merged_only: bool = False) -> int | None:
+    """One PR's score: None for a censored or gap-return author, 0 for a
+    not-sustained one, else the count of the ten conditions it meets, each
+    read from the vector by name.  medians maps each count cue to the
+    median its condition must exceed."""
+    if label.status in ("censored", "excluded_gap_return"):
+        return None
+    if label.status == "not_sustained":
+        return 0
+    conditions = (
+        vector.merged_or_not == 1 or not merged_only,
+        vector.pr_comment_num > medians["pr_comment_num"],
+        vector.has_exchange == 1,
+        vector.contrib_comment == 1,
+        vector.num_comments_con > medians["num_comments_con"],
+        vector.inte_comment == 1,
+        vector.reviewer_comment == 1,
+        vector.other_comment == 1,
+        vector.num_participant > medians["num_participant"],
+        vector.at_tag == 1,
+    )
+    return sum(conditions)
+
+
+def summarize_rows(
+    rows, labels, medians: dict, scope: str, merged_only: bool
+) -> tuple[dict, dict, dict, dict]:
     """(pr_scores, skipped_prs, contributor_index, repository_index).
 
-    medians is thresholds_rows' result for the scope.  score(vector, label,
-    medians) is passed in, so the row pairing, the thresholds each row gets
-    and the aggregation are checked, not the ten conditions.  A PR of an
-    unlabeled author is skipped as "unlabeled", one that scores None under
-    its label's status."""
+    medians is thresholds_rows' result for the scope; score_row scores each
+    row.  A PR of an unlabeled author is skipped as "unlabeled", one that
+    scores None under its label's status."""
     pr_scores, skipped = {}, {}
     for pull, vector in rows:
         key = (pull.repo_full_name, pull.pr_number)
@@ -144,7 +168,8 @@ def summarize_rows(rows, labels, medians: dict, scope: str, score) -> tuple[dict
         if label is None:
             skipped[key] = "unlabeled"
             continue
-        value = score(vector, label, medians if scope == "global" else medians[pull.repo_full_name])
+        row_medians = medians if scope == "global" else medians[pull.repo_full_name]
+        value = score_row(vector, label, row_medians, merged_only)
         if value is None:
             skipped[key] = label.status
         else:
@@ -539,8 +564,10 @@ def encode_design_rows(rows, spec) -> tuple[np.ndarray, np.ndarray, tuple[str, .
             unknown = observed - set(levels)
             if unknown:
                 raise ValueError(f"{name!r} has undeclared levels: {sorted(unknown)}")
-            for level in levels[1:]:
-                if level in observed:
+            # The first declared level present is the reference.
+            reference = next(level for level in levels if level in observed)
+            for level in levels:
+                if level in observed and level != reference:
                     columns.append(f"{name} ({level})")
                     data.append(np.array([1.0 if row[name] == level else 0.0 for row in complete]))
             continue

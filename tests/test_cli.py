@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import os
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import synth
 from conftest import CORPUS12_DATA_END
 from prsafety import cli, github_fetch, pipeline
 from prsafety import corpus as corpus_mod
 from prsafety.corpus import DEFAULT_EXCLUDED_LABELS
+from prsafety.cues import COUNT_CUES
 from prsafety.participation import LabelingConfig
 
 
@@ -70,6 +73,25 @@ def test_run_exit_1_when_no_model_fits(corpus12_dir, tmp_path, capsys):
     assert "no requested model has a finite fit" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text("utf-8"))
     assert manifest["failure"]["stage"] == "fit"
+
+
+def test_run_on_two_pulls_stops_at_the_fit_stage(tmp_path, capsys):
+    # Two PRs are too few for any skewness: screening excludes each count
+    # cue and names the count, and the run goes on to fail in the fit stage.
+    corpus = synth.corpus12()
+    corpus_mod.save_corpus(dataclasses.replace(corpus, pulls=corpus.pulls[:2]), tmp_path / "in")
+    out = tmp_path / "out"
+    assert cli.main(["run", *_run_args(tmp_path / "in", out)]) == 1
+    assert "no requested model has a finite fit" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"], "manifest.json"])
+    assert len(manifest["artifacts"]) == 11
+    assert manifest["failure"]["stage"] == "fit"
+    assert manifest["model_failures"]["1"] == "predictor column 'PS_index_repository' is constant"
+    reasons = {
+        v["name"]: v["reason"] for v in manifest["screening"]["variables"] if v["kind"] == "continuous"
+    }
+    assert reasons == dict.fromkeys(COUNT_CUES, "skewness type 3 needs at least 3 observations, got 2")
 
 
 def test_missing_corpus_is_exit_2(tmp_path, capsys):

@@ -1,9 +1,8 @@
 """The column path of the cue stage against row-by-row oracles.
 
 extract_all walks each thread once and keeps the cues as columns;
-compute_thresholds reads those columns and summarize reads the table's row
-view.  Each is compared with a multi-pass, row-based oracle from
-tests/oracles.py.
+compute_thresholds, score_prs and summarize read those columns.  Each is
+compared with a multi-pass, row-based oracle from tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -134,8 +133,27 @@ def test_thresholds_and_summary_match_the_row_oracles(drawn, statuses, scope, me
     assert list(got.items()) == list(medians.items())
 
     summary = psi.summarize(table, labels, thresholds, merged_only=merged_only)
-    score = functools.partial(psi.score_pr, merged_only=merged_only)
-    expected = oracles.summarize_rows(rows, labels, medians, scope, score)
+    expected = oracles.summarize_rows(rows, labels, medians, scope, merged_only)
     got = (summary.pr_scores, summary.skipped_prs, summary.contributor_index,
            summary.repository_index)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in expected]
+
+
+def test_scaled_corpus_scores_match_the_row_scorer(scaled_corpus_dir, emoji_table):
+    # Every PR of the 60,684-PR corpus, scored as if its author sustained.
+    table = cues.extract_all(cm.load_corpus(scaled_corpus_dir).corpus.pulls, emoji_table)
+    sustained = _LABELS["sustained"]
+    for scope in psi.THRESHOLD_SCOPES:
+        thresholds = psi.compute_thresholds(table, scope)
+        medians = [
+            thresholds.global_medians if scope == "global"
+            else thresholds.per_repository[pull.repo_full_name]
+            for pull in table.pulls
+        ]
+        for merged_only in (False, True):
+            got = psi.score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only)
+            expected = [
+                oracles.score_row(vector, sustained, row_medians, merged_only)
+                for (_, vector), row_medians in zip(table, medians)
+            ]
+            assert got.tolist() == expected, (scope, merged_only)

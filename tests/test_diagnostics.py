@@ -150,6 +150,21 @@ def test_zero_variance_continuous_excluded_not_fatal():
     assert "undefined" in decision.reason
 
 
+def test_too_few_values_continuous_excluded_not_fatal():
+    with pytest.raises(dg.UndefinedSkewnessError, match="at least 3 observations, got 2"):
+        dg.skewness([1.0, 2.0])
+    (decision,) = dg.screen_predictors({"v": [1.0, 2.0]}, {"v": "continuous"}).decisions
+    assert (decision.action, decision.reason) == (
+        "excluded", "skewness type 3 needs at least 3 observations, got 2"
+    )
+    type1 = dg.ScreeningConfig(skew_type=1)
+    (decision,) = dg.screen_predictors({"v": [1.0]}, {"v": "continuous"}, type1).decisions
+    assert decision.reason == "skewness type 1 needs at least 2 observations, got 1"
+    # Two equal values are enough for type 1, so the reason is the zero variance.
+    (decision,) = dg.screen_predictors({"v": [4.0, 4.0]}, {"v": "continuous"}, type1).decisions
+    assert decision.reason == "zero variance, skewness undefined"
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         dg.screen_predictors({"v": [1.0, 2.0]}, {"v": "ordinal"})

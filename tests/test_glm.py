@@ -71,6 +71,23 @@ def test_encode_design_skips_absent_levels():
     assert glm.encode_design(_columns(rows), spec).columns == ("Intercept", "a", "b (red)")
 
 
+def test_encode_design_takes_the_first_observed_level_as_reference():
+    # Without "small", "medium" is the reference; a dummy for each of the two
+    # observed levels would sum to the intercept.
+    rows = [{"y": i % 2, "a": float(i), "c": "large" if i % 3 == 0 else "medium"} for i in range(12)]
+    spec = _spec(predictors=("a", "c"), categorical={"c": ("small", "medium", "large")})
+    design = glm.encode_design(_columns(rows), spec)
+    assert design.columns == ("Intercept", "a", "c (large)")
+    np.testing.assert_array_equal(design.X[:, 2], [float(row["c"] == "large") for row in rows])
+    assert glm.fit_logistic(design.X, design.y, design.columns).converged
+
+
+def test_encode_design_adds_no_column_for_a_single_observed_level():
+    rows = [{"y": i % 2, "a": float(i), "c": "large"} for i in range(6)]
+    spec = _spec(predictors=("a", "c"), categorical={"c": ("small", "medium", "large")})
+    assert glm.encode_design(_columns(rows), spec).columns == ("Intercept", "a")
+
+
 def test_encode_design_drops_and_counts_missing():
     rows = [
         {"y": 1, "a": 1.0, "b": 0.0},

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -76,7 +77,12 @@ def test_fixture_per_repository_medians(cue_rows12):
         "acme/rocket": {"pr_comment_num": 1.0, "num_comments_con": 0.0, "num_participant": 1.0},
         "acme/wrench": {"pr_comment_num": 2.0, "num_comments_con": 1.0, "num_participant": 2.0},
     }
-    assert thresholds.for_repo("acme/wrench")["pr_comment_num"] == 2.0
+    row_medians = thresholds.row_medians(cue_rows12.pulls)
+    wrench = [
+        value for pull, value in zip(cue_rows12.pulls, row_medians["pr_comment_num"])
+        if pull.repo_full_name == "acme/wrench"
+    ]
+    assert wrench == [2.0] * 5
 
 
 def test_per_repository_medians_match_oracle_on_many_repositories():
@@ -104,13 +110,29 @@ def test_thresholds_reject_bad_input():
         psi.compute_thresholds(_repo_table([]))
 
 
-# --- single-PR scoring ---------------------------------------------------------------
+# --- scoring ------------------------------------------------------------------------
+
+def _columns(vectors):
+    """The cue columns of a list of vectors."""
+    return {name: [getattr(v, name) for v in vectors] for name in CUE_NAMES}
+
+
+def _summarize_one(vector, label):
+    """summarize on a one-PR table whose author carries the label."""
+    pull = SimpleNamespace(repo_full_name="a/a", pr_number=1, author="ann")
+    thresholds = psi.Thresholds("global", global_medians=FIXTURE_MEDIANS)
+    return psi.summarize(_table([(pull, vector)]), {("a/a", "ann"): label}, thresholds)
+
 
 def test_tie_with_median_earns_no_point():
-    vector = _vector(merged_or_not=1, pr_comment_num=2)
-    at = psi.score_pr(vector, SUSTAINED, {**FIXTURE_MEDIANS, "pr_comment_num": 2.0})
-    above = psi.score_pr(vector, SUSTAINED, {**FIXTURE_MEDIANS, "pr_comment_num": 1.0})
-    assert above == at + 1
+    columns = _columns([_vector(merged_or_not=1, pr_comment_num=2)])
+    at = psi.score_prs(columns, {**FIXTURE_MEDIANS, "pr_comment_num": 2.0})
+    above = psi.score_prs(columns, {**FIXTURE_MEDIANS, "pr_comment_num": 1.0})
+    assert above.tolist() == [at[0] + 1]
+    # Per-row medians, as under the per-repository scope, give the same two scores.
+    twice = _columns([_vector(merged_or_not=1, pr_comment_num=2)] * 2)
+    per_row = psi.score_prs(twice, {**FIXTURE_MEDIANS, "pr_comment_num": np.array([2.0, 1.0])})
+    assert per_row.tolist() == [at[0], above[0]]
 
 
 def test_not_sustained_scores_zero():
@@ -119,43 +141,53 @@ def test_not_sustained_scores_zero():
         num_comments_con=4, inte_comment=1, reviewer_comment=1, other_comment=1,
         num_participant=5, at_tag=1,
     )
-    assert psi.score_pr(rich, NOT_SUSTAINED, FIXTURE_MEDIANS) == 0
+    summary = _summarize_one(rich, NOT_SUSTAINED)
+    assert summary.pr_scores == {("a/a", 1): 0}
+    assert summary.skipped_prs == {}
 
 
 def test_censored_and_excluded_are_skip_markers():
     for status in ("censored", "excluded_gap_return"):
-        label = ParticipationLabel(status, None, None)
-        assert psi.score_pr(_vector(), label, FIXTURE_MEDIANS) is None
+        summary = _summarize_one(_vector(), ParticipationLabel(status, None, None))
+        assert summary.pr_scores == {}
+        assert summary.skipped_prs == {("a/a", 1): status}
+        assert summary.contributor_index == {}
 
 
 def test_sustained_score_bounds():
     rng = random.Random(64)
-    for _ in range(200):
-        vector = _vector(
+    vectors = [
+        _vector(
             merged_or_not=rng.randrange(2), pr_comment_num=rng.randrange(8),
             has_exchange=rng.randrange(2), contrib_comment=rng.randrange(2),
             num_comments_con=rng.randrange(5), inte_comment=rng.randrange(2),
             reviewer_comment=rng.randrange(2), other_comment=rng.randrange(2),
             num_participant=rng.randrange(6), at_tag=rng.randrange(2),
         )
-        score = psi.score_pr(vector, SUSTAINED, FIXTURE_MEDIANS)
-        assert 1 <= score <= 10  # the terminal-state condition is free by default
-        strict = psi.score_pr(vector, SUSTAINED, FIXTURE_MEDIANS, merged_only=True)
-        assert 0 <= strict <= score
+        for _ in range(200)
+    ]
+    columns = _columns(vectors)
+    scores = psi.score_prs(columns, FIXTURE_MEDIANS)
+    strict = psi.score_prs(columns, FIXTURE_MEDIANS, merged_only=True)
+    assert all(1 <= score <= 10 for score in scores)  # the terminal-state condition is free by default
+    assert all(0 <= low <= score for low, score in zip(strict, scores))
 
 
 def test_raising_count_cues_never_lowers_score():
     rng = random.Random(65)
-    for _ in range(100):
-        vector = _vector(
+    vectors = [
+        _vector(
             pr_comment_num=rng.randrange(4),
             num_comments_con=rng.randrange(3),
             num_participant=rng.randrange(4),
         )
-        base = psi.score_pr(vector, SUSTAINED, FIXTURE_MEDIANS)
-        for cue in psi.THRESHOLD_CUES:
-            raised = vector._replace(**{cue: getattr(vector, cue) + 3})
-            assert psi.score_pr(raised, SUSTAINED, FIXTURE_MEDIANS) >= base
+        for _ in range(100)
+    ]
+    columns = _columns(vectors)
+    base = psi.score_prs(columns, FIXTURE_MEDIANS)
+    for cue in psi.THRESHOLD_CUES:
+        raised = {**columns, cue: [value + 3 for value in columns[cue]]}
+        assert all(psi.score_prs(raised, FIXTURE_MEDIANS) >= base)
 
 
 # --- aggregation on the fixture -------------------------------------------------------
