@@ -29,7 +29,6 @@ from .glm import (
     canned_model_specs,
     encode_design,
     fit_logistic,
-    odds_ratios,
     vif,
 )
 from .participation import (
@@ -79,7 +78,6 @@ __all__ = [
     "load_corpus",
     "load_emoji_table",
     "log1p_transform",
-    "odds_ratios",
     "run_pipeline",
     "save_corpus",
     "score_prs",

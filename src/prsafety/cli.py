@@ -25,7 +25,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import cues as cues_mod
-from . import diagnostics, github_fetch, participation, pipeline, ps_index, reporting
+from . import github_fetch, participation, pipeline, ps_index, reporting
 
 STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES) + ("run",)
 
@@ -124,12 +124,11 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _fit_summary(result: pipeline.PipelineResult) -> str:
-    lines = [
-        f"model_{i}: n={fit.n_observations} ll={fit.log_likelihood:.2f} aic={fit.aic:.2f}"
-        for i, fit in sorted(result.fits.items())
-    ]
-    lines += [f"model_{i}: no finite fit ({why})" for i, why in sorted(result.model_failures.items())]
-    return "\n".join(lines)
+    return "\n".join(
+        f"model_{i}: no finite fit ({m.failure})" if m.fit is None
+        else f"model_{i}: n={m.fit.n_observations} ll={m.fit.log_likelihood:.2f} aic={m.fit.aic:.2f}"
+        for i, m in result.models.items()
+    )
 
 
 # What each stage command prints once the table has run through that stage.
@@ -183,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         corpus_mod.CorpusError,
         github_fetch.FetchError,
         cues_mod.EmojiTableError,
-        diagnostics.UndefinedSkewnessError,
         OSError,
         ValueError,
         RuntimeError,

@@ -32,8 +32,6 @@ VariableKind = str  # "continuous" | "binary"
 
 KINDS = ("continuous", "binary")
 
-ACTIONS = ("retained", "transformed", "excluded")
-
 
 class UndefinedSkewnessError(ValueError):
     """Skewness is undefined: zero variance, or too few observations for the type."""
@@ -140,6 +138,8 @@ def _screen_binary(name: str, values: np.ndarray, config: ScreeningConfig) -> Sc
     bad = set(np.unique(values)) - {0.0, 1.0}
     if bad:
         raise ValueError(f"binary variable {name!r} takes values outside {{0, 1}}: {sorted(bad)}")
+    if not values.size:
+        return ScreeningDecision(name, "binary", "excluded", "no observations, minority class undefined")
     minority = float(min(values.mean(), 1.0 - values.mean()))
     if minority < config.minority_threshold:
         return ScreeningDecision(

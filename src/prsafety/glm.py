@@ -27,7 +27,7 @@ rejected up front with the names of the dependent columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +38,14 @@ INTERCEPT_NAME = "Intercept"
 
 # A raw (unstandardized) |beta| beyond this on any coordinate is runaway growth.
 SEPARATION_BOUND = 20.0
+
+# IRLS stops once the log-likelihood moves by less than IRLS_TOL, and a fit
+# still moving after IRLS_MAX_ITER iterations has not converged.
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 100
+
+# Variance inflation factors at or above this flag a collinear design.
+VIF_THRESHOLD = 5.0
 
 
 class DesignError(ValueError):
@@ -202,22 +210,17 @@ class LogisticFit:
     iterations: int
     converged: bool
 
+    @property
+    def odds_ratios(self) -> list[float]:
+        """exp(beta) per column."""
+        return [math.exp(v) for v in self.coefficients]
+
     def to_json(self) -> dict:
+        """Every field, arrays as lists, and the odds ratios."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {
-            "columns": list(self.columns),
-            "coefficients": [float(v) for v in self.coefficients],
-            "standard_errors": [float(v) for v in self.standard_errors],
-            "z_values": [float(v) for v in self.z_values],
-            "p_values": [float(v) for v in self.p_values],
-            "odds_ratios": [float(math.exp(v)) for v in self.coefficients],
-            "covariance": [[float(v) for v in row] for row in self.covariance],
-            "log_likelihood": self.log_likelihood,
-            "deviance": self.deviance,
-            "aic": self.aic,
-            "bic": self.bic,
-            "n_observations": self.n_observations,
-            "iterations": self.iterations,
-            "converged": self.converged,
+            **{name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values},
+            "odds_ratios": self.odds_ratios,
         }
 
 
@@ -226,17 +229,11 @@ def normal_sf_two_sided(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    columns: Sequence[str] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> LogisticFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = None) -> LogisticFit:
     """Maximum-likelihood logistic fit via IRLS.
 
     Convergence is declared when the absolute change in log-likelihood
-    between iterations drops below tol.  Raises RankDeficiencyError for
+    between iterations drops below IRLS_TOL.  Raises RankDeficiencyError for
     dependent columns and SeparationError when coefficients run away or the
     iteration fails to converge, naming the worst column.
     """
@@ -262,7 +259,7 @@ def fit_logistic(
     def worst_column() -> str:
         return names[int(np.argmax(np.abs(beta)))]
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = X @ beta
         prob = _sigmoid(eta)
         weights = np.maximum(prob * (1.0 - prob), 1e-12)
@@ -275,7 +272,7 @@ def fit_logistic(
         if not np.all(np.isfinite(beta)):
             raise SeparationError(worst_column(), "coefficients diverged to non-finite values")
         ll_new = log_likelihood(X, y, beta)
-        if abs(ll_new - ll) < tol:
+        if abs(ll_new - ll) < IRLS_TOL:
             ll = ll_new
             converged = True
             break
@@ -287,7 +284,7 @@ def fit_logistic(
             f"|coefficient| exceeded {SEPARATION_BOUND} (got {float(np.max(np.abs(beta))):.2f})",
         )
     if not converged:
-        raise SeparationError(worst_column(), f"IRLS did not converge in {max_iter} iterations")
+        raise SeparationError(worst_column(), f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
 
     prob = _sigmoid(X @ beta)
     weights = np.maximum(prob * (1.0 - prob), 1e-12)
@@ -325,33 +322,6 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class OddsRatioRow:
-    name: str
-    coefficient: float
-    standard_error: float
-    odds_ratio: float
-    p_value: float
-    stars: str
-
-
-def odds_ratios(fit: LogisticFit) -> list[OddsRatioRow]:
-    rows = []
-    for j, name in enumerate(fit.columns):
-        p_value = float(fit.p_values[j])
-        rows.append(
-            OddsRatioRow(
-                name=name,
-                coefficient=float(fit.coefficients[j]),
-                standard_error=float(fit.standard_errors[j]),
-                odds_ratio=float(math.exp(fit.coefficients[j])),
-                p_value=p_value,
-                stars=significance_stars(p_value),
-            )
-        )
-    return rows
-
-
 def vif(X: np.ndarray, columns: Sequence[str]) -> dict[str, float]:
     """Variance inflation factors, one per non-intercept column.
 
@@ -383,13 +353,9 @@ def vif(X: np.ndarray, columns: Sequence[str]) -> dict[str, float]:
     return out
 
 
-# Variance inflation factors at or above this flag a collinear design.
-VIF_THRESHOLD = 5.0
-
-
-def vif_gate(vifs: Mapping[str, float], threshold: float = VIF_THRESHOLD) -> bool:
-    """True when every factor sits below the threshold."""
-    return all(value < threshold for value in vifs.values())
+def vif_gate(vifs: Mapping[str, float]) -> bool:
+    """True when every factor sits below VIF_THRESHOLD."""
+    return all(value < VIF_THRESHOLD for value in vifs.values())
 
 
 # Canned regression specifications.  All three share the control block

@@ -27,8 +27,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import CommitEvent, write_csv
 
-STATUSES = ("sustained", "not_sustained", "censored", "excluded_gap_return")
-
 # The binary outcomes a label carries, by field name.
 OUTCOMES = ("sustainedp_or_not_12", "recent_sustainedp_or_not")
 

@@ -7,6 +7,8 @@ the whole table and is the only path that writes manifest.json.
 The fit stage builds its variables once as columns (_model_frame); the
 design encoder reads them for each model, and the continuous controls are
 log1p-transformed by the same skew rule as the cues, but never excluded.
+Each requested model leaves one ModelResult in PipelineResult.models, and
+every per-model artifact, report line and manifest entry is read from it.
 
 Every run is deterministic: identical configuration and corpus bytes give
 byte-identical artifacts.  Manifests therefore carry no wall-clock fields,
@@ -231,6 +233,17 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 @dataclass
+class ModelResult:
+    """One requested model: its spec, and its fit (with VIFs and dropped rows) or why it has none."""
+
+    spec: glm.ModelSpec
+    fit: glm.LogisticFit | None = None
+    vif: dict[str, float] | None = None
+    rows_dropped: int | None = None
+    failure: str | None = None
+
+
+@dataclass
 class PipelineResult:
     """What the stages have built so far; fields of stages not yet run stay empty."""
 
@@ -244,29 +257,28 @@ class PipelineResult:
     thresholds: ps_index.Thresholds | None = None
     summary: ps_index.PsSummary | None = None
     control_transforms: dict[str, str] = field(default_factory=dict)
-    specs: dict[int, glm.ModelSpec] = field(default_factory=dict)
-    fits: dict[int, glm.LogisticFit] = field(default_factory=dict)
-    vifs: dict[int, dict[str, float]] = field(default_factory=dict)
-    rows_dropped: dict[int, int] = field(default_factory=dict)
-    model_failures: dict[int, str] = field(default_factory=dict)
+    models: dict[int, ModelResult] = field(default_factory=dict)
     report_text: str = ""
     manifest: dict | None = None
 
     @property
+    def fits(self) -> dict[int, glm.LogisticFit]:
+        """The finite fits by model index, a view of models."""
+        return {i: m.fit for i, m in self.models.items() if m.fit is not None}
+
+    @property
+    def model_failures(self) -> dict[int, str]:
+        """Why each model without a finite fit has none, by model index."""
+        return {i: m.failure for i, m in self.models.items() if m.failure is not None}
+
+    @property
     def fit_failed(self) -> bool:
         """True once the fit stage has run and no requested model has a finite fit."""
-        return bool(self.specs) and not self.fits
-
-    def fit_columns(self) -> tuple[list[glm.LogisticFit], list[str]]:
-        """The finite fits in model order, with their column titles."""
-        order = sorted(self.fits)
-        return [self.fits[i] for i in order], [f"Model {i}" for i in order]
+        return bool(self.models) and not self.fits
 
     def failure_notes(self) -> list[str]:
-        return [
-            f"{self.specs[i].name} has no finite fit: {self.model_failures[i]}"
-            for i in sorted(self.model_failures)
-        ]
+        failed = (m for m in self.models.values() if m.failure is not None)
+        return [f"{m.spec.name} has no finite fit: {m.failure}" for m in failed]
 
 
 def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
@@ -362,37 +374,35 @@ def _fit(config: PipelineConfig, state: PipelineResult) -> None:
     out = config.out_dir
     frame = _model_frame(state)
     for name in CONTINUOUS_CONTROLS:
-        # The cues' skew rule, but never exclusion: fewer than three values,
-        # zero variance or negative values leave a control as it is.
+        # The cues' skew rule, but never exclusion: too few values for the
+        # skewness type, zero variance or negative values leave a control as it is.
         values = frame[name][~np.isnan(frame[name])]
-        if values.size < 3:
-            continue
         with contextlib.suppress(ValueError):
             if diagnostics.log1p_if_skewed(values, config.screening)[1] is not None:
                 state.control_transforms[name] = "log1p"
     all_specs = glm.canned_model_specs(state.control_transforms)
     for index in config.models:
-        spec = state.specs[index] = all_specs[index - 1]
+        model = state.models[index] = ModelResult(all_specs[index - 1])
+        path = out / f"model_{index}.json"
         try:
-            design = glm.encode_design(frame, spec)
-            fit = glm.fit_logistic(design.X, design.y, design.columns)
+            design = glm.encode_design(frame, model.spec)
+            model.fit = glm.fit_logistic(design.X, design.y, design.columns)
         except (glm.DesignError, glm.SeparationError) as exc:
             # A model without a finite fit is a reported outcome, not a crash;
             # the other models still run and the record stays deterministic.
-            state.model_failures[index] = str(exc)
-            reporting.write_model_failure_json(out / f"model_{index}.json", spec, str(exc))
+            model.failure = str(exc)
+            reporting.write_model_failure_json(path, model.spec, model.failure)
             continue
-        state.fits[index] = fit
-        state.vifs[index] = glm.vif(design.X, design.columns)
-        state.rows_dropped[index] = design.n_dropped
-        reporting.write_model_json(out / f"model_{index}.json", fit, spec)
-    reporting.write_models_csv(out / "models_table.csv", *state.fit_columns())
+        model.vif = glm.vif(design.X, design.columns)
+        model.rows_dropped = design.n_dropped
+        reporting.write_model_json(path, model.fit, model.spec)
+    reporting.write_models_csv(out / "models_table.csv", state.fits)
 
 
 def _report(config: PipelineConfig, state: PipelineResult) -> None:
     state.report_text = reporting.render_report(
         state.summary,
-        *state.fit_columns(),
+        state.fits,
         screening_table=state.screening_report.format_table(),
         model_notes=state.failure_notes(),
     )
@@ -441,6 +451,7 @@ def run_stages(config: PipelineConfig, through: str = STAGES[-1].name) -> Pipeli
 
 def _manifest(result: PipelineResult) -> dict:
     config, thresholds = result.config, result.thresholds
+    fitted = {i: m for i, m in result.models.items() if m.fit is not None}
     return {
         "tool": "prsafety",
         "config": config.to_json(),
@@ -461,16 +472,16 @@ def _manifest(result: PipelineResult) -> dict:
             "unlabeled_contributors": len(result.labeling.unlabeled),
             "scored_prs": len(result.summary.pr_scores),
             "skipped_prs": len(result.summary.skipped_prs),
-            "model_rows_dropped": result.rows_dropped,
+            "model_rows_dropped": {i: m.rows_dropped for i, m in fitted.items()},
         },
         "vif": {
             "threshold": glm.VIF_THRESHOLD,
-            "per_model": {str(i): result.vifs[i] for i in sorted(result.vifs)},
-            "all_below_threshold": all(glm.vif_gate(v) for v in result.vifs.values()),
+            "per_model": {str(i): m.vif for i, m in fitted.items()},
+            "all_below_threshold": all(glm.vif_gate(m.vif) for m in fitted.values()),
         },
         "notes": [ps_index.OUTCOME_COUPLING_NOTE] + result.failure_notes(),
-        "model_failures": {str(i): result.model_failures[i] for i in sorted(result.model_failures)},
-        "artifacts": sorted([*ARTIFACT_FILES, *(f"model_{i}.json" for i in result.specs)]),
+        "model_failures": {str(i): why for i, why in result.model_failures.items()},
+        "artifacts": sorted([*ARTIFACT_FILES, *(f"model_{i}.json" for i in result.models)]),
         "failure": {"stage": "fit", "detail": NO_FIT} if result.fit_failed else None,
     }
 

@@ -5,8 +5,9 @@ Odds ratios print with two decimals below ten and three significant digits
 from ten up, so 46.525 renders as "46.5".  Index tables take their three
 decimals and their order, highest repository first, from ps_index.
 
-The text table and models_table.csv show the same cells, built once by
-_model_cells, under one title per fit ("Model i" by default).
+Every table takes the finite fits keyed by model index.  The text table and
+models_table.csv show the same cells, built once by _model_cells, under the
+titles "Model i" in index order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import write_csv, write_json
-from .glm import INTERCEPT_NAME, LogisticFit, ModelSpec, odds_ratios, significance_stars
+from .glm import INTERCEPT_NAME, LogisticFit, ModelSpec, significance_stars
 from .ps_index import OUTCOME_COUPLING_NOTE, PsSummary, format_index_value, ranked
 
 # Each criteria row's label and the LogisticFit field it shows.
@@ -56,47 +57,47 @@ def _term_order(fits: Sequence[LogisticFit]) -> list[str]:
     return sorted(terms, key=lambda name: name != INTERCEPT_NAME)
 
 
-def _titles(fits: Sequence[LogisticFit], titles: Sequence[str] | None) -> list[str]:
-    titles = [f"Model {i}" for i in range(1, len(fits) + 1)] if titles is None else list(titles)
-    if len(titles) != len(fits):
-        raise ValueError("one title per fit required")
-    return titles
-
-
-def _model_cells(fits: Sequence[LogisticFit]) -> tuple[list[str], dict[str, list[tuple[str, str]]]]:
-    """The terms in table order, and per term one (beta(se)stars, OR) pair
-    per fit; a term a fit lacks has two empty cells."""
-    terms = _term_order(fits)
-    cells: dict[str, list[tuple[str, str]]] = {term: [] for term in terms}
-    for fit in fits:
-        rows = {row.name: row for row in odds_ratios(fit)}
-        for term in terms:
-            row = rows.get(term)
-            cells[term].append(("", "") if row is None else (
-                format_coefficient_cell(row.coefficient, row.standard_error, row.p_value),
-                format_odds_ratio(row.odds_ratio),
-            ))
-    return terms, cells
-
-
 def _criteria_value(fit: LogisticFit, row: str) -> str:
     value = getattr(fit, CRITERIA_ROWS[row])
     return str(value) if row == "Num. obs." else f"{value:.2f}"
 
 
-def format_models_table(fits: Sequence[LogisticFit], titles: Sequence[str] | None = None) -> str:
+def _model_cells(fits: Mapping[int, LogisticFit]) -> tuple[list[str], list, list]:
+    """The titles "Model i" in index order, then the term rows and the
+    criteria rows, each a label and one (beta(se)stars, OR) pair per fit.
+    A term a fit lacks has two empty cells; a criteria row shows its value
+    in the OR column."""
+    fits = dict(sorted(fits.items()))
+    terms = _term_order(list(fits.values()))
+    body: dict[str, list[tuple[str, str]]] = {term: [] for term in terms}
+    for fit in fits.values():
+        cells = {
+            name: (format_coefficient_cell(beta, se, p), format_odds_ratio(ratio))
+            for name, beta, se, p, ratio in zip(
+                fit.columns, fit.coefficients, fit.standard_errors, fit.p_values, fit.odds_ratios
+            )
+        }
+        for term in terms:
+            body[term].append(cells.get(term, ("", "")))
+    criteria = [(row, [("", _criteria_value(fit, row)) for fit in fits.values()]) for row in CRITERIA_ROWS]
+    return [f"Model {i}" for i in fits], list(body.items()), criteria
+
+
+def format_models_table(fits: Mapping[int, LogisticFit]) -> str:
     """Side-by-side regression table with beta(se)stars and OR columns."""
     if not fits:
         raise ValueError("no fits to render")
-    titles = _titles(fits, titles)
-    terms, cells = _model_cells(fits)
+    titles, body, criteria = _model_cells(fits)
+    rows = body + criteria
 
-    name_width = max(len(t) for t in terms + list(CRITERIA_ROWS))
-    col_widths = []
-    for i, title in enumerate(titles):
-        beta_w = max([len(f"{title} beta(SE)")] + [len(cells[t][i][0]) for t in terms])
-        or_w = max([len("OR")] + [len(cells[t][i][1]) for t in terms] + [len(_criteria_value(fits[i], r)) for r in CRITERIA_ROWS])
-        col_widths.append((beta_w, or_w))
+    name_width = max(len(label) for label, _ in rows)
+    col_widths = [
+        (
+            max(len(f"{title} beta(SE)"), *(len(pairs[i][0]) for _, pairs in rows)),
+            max(len("OR"), *(len(pairs[i][1]) for _, pairs in rows)),
+        )
+        for i, title in enumerate(titles)
+    ]
 
     def line(term_label: str, pairs: Sequence[tuple[str, str]]) -> str:
         parts = [f"{term_label:<{name_width}}"]
@@ -106,23 +107,18 @@ def format_models_table(fits: Sequence[LogisticFit], titles: Sequence[str] | Non
 
     header = line("", [(f"{t} beta(SE)", "OR") for t in titles])
     rule = "-" * len(header)
-    body = [line(term, cells[term]) for term in terms]
-    criteria = [
-        line(row, [("", _criteria_value(fit, row)) for fit in fits]) for row in CRITERIA_ROWS
-    ]
     footnote = "*** p<0.001, ** p<0.01, * p<0.05"
-    return "\n".join([header, rule] + body + [rule] + criteria + [rule, footnote])
+    return "\n".join(
+        [header, rule, *(line(*row) for row in body), rule, *(line(*row) for row in criteria), rule, footnote]
+    )
 
 
-def write_models_csv(path: str | Path, fits: Sequence[LogisticFit], titles: Sequence[str] | None = None) -> None:
+def write_models_csv(path: str | Path, fits: Mapping[int, LogisticFit]) -> None:
     """The cells of format_models_table as CSV; with no fits, the header and
     the criteria names alone."""
-    titles = _titles(fits, titles)
-    terms, cells = _model_cells(fits)
+    titles, body, criteria = _model_cells(fits)
     header = ["term", *(f"{title} {column}" for title in titles for column in ("beta(SE)", "OR"))]
-    rows = [[term, *chain.from_iterable(cells[term])] for term in terms]
-    rows += [[row, *chain.from_iterable(("", _criteria_value(fit, row)) for fit in fits)] for row in CRITERIA_ROWS]
-    write_csv(path, header, rows)
+    write_csv(path, header, [[label, *chain.from_iterable(pairs)] for label, pairs in body + criteria])
 
 
 def _spec_header(spec: ModelSpec) -> dict:
@@ -145,8 +141,7 @@ def write_model_failure_json(path: str | Path, spec: ModelSpec, message: str) ->
 
 def render_report(
     summary: PsSummary,
-    fits: Sequence[LogisticFit],
-    titles: Sequence[str] | None = None,
+    fits: Mapping[int, LogisticFit],
     screening_table: str | None = None,
     model_notes: Sequence[str] = (),
 ) -> str:
@@ -160,7 +155,7 @@ def render_report(
     if screening_table:
         sections += ["", "Predictor screening", "", screening_table]
     if fits:
-        sections += ["", "Sustained participation models", "", format_models_table(fits, titles)]
+        sections += ["", "Sustained participation models", "", format_models_table(fits)]
     for note in model_notes:
         sections += ["", "Note: " + note]
     return "\n".join(sections) + "\n"

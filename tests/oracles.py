@@ -514,18 +514,16 @@ def model_rows(state) -> list[dict]:
 
 
 def control_transforms_rows(rows, names, skew_threshold, skew_type, skewness) -> dict[str, str]:
-    """log1p for each named control whose non-None values number at least
-    three, have a defined skewness above the threshold in absolute value,
-    and are non-negative.  skewness is passed in, so the rule is checked,
-    not the moment formulas."""
+    """log1p for each named control whose non-None values have a defined
+    skewness (enough values for the type, and nonzero variance) above the
+    threshold in absolute value, and are non-negative.  skewness is passed
+    in, so the rule is checked, not the moment formulas."""
     transforms: dict[str, str] = {}
     for name in names:
         values = [row[name] for row in rows if row.get(name) is not None]
-        if len(values) < 3:
-            continue
         try:
             raw = skewness(values, type=skew_type)
-        except ValueError:  # zero variance: with three values, the only error
+        except ValueError:  # too few values for the type, or zero variance
             continue
         if abs(raw) > skew_threshold and min(values) >= 0:
             transforms[name] = "log1p"

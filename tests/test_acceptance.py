@@ -427,7 +427,7 @@ def test_criterion_8_large_corpus_run_fast_and_deterministic(scaled_corpus_dir, 
 
 @criterion(9)
 def test_criterion_9_report_rendering_matches_goldens():
-    models_text = reporting.format_models_table(_two_fits(), ["Model 1", "Model 2"])
+    models_text = reporting.format_models_table(dict(enumerate(_two_fits(), 1)))
     assert models_text == (GOLDEN / "models_table.txt").read_text("utf-8").rstrip("\n")
     assert "1.03(0.02)***" in models_text
 
@@ -446,8 +446,7 @@ def test_criterion_9_report_rendering_matches_goldens():
 
     report_text = reporting.render_report(
         _summary(),
-        _two_fits(),
-        ["Model 1", "Model 2"],
+        dict(enumerate(_two_fits(), 1)),
         screening_table="variable  kind  decision  reason",
         model_notes=["model_3 has no finite fit: quasi-separation detected"],
     )

@@ -94,6 +94,29 @@ def test_run_on_two_pulls_stops_at_the_fit_stage(tmp_path, capsys):
     assert reasons == dict.fromkeys(COUNT_CUES, "skewness type 3 needs at least 3 observations, got 2")
 
 
+def test_run_without_pulls_writes_a_json_screening_report(tmp_path):
+    # No pulls: every cue is excluded with a reason and no fraction, and the
+    # run stops at the index stage.  A subprocess shows the real stderr.
+    corpus = synth.corpus12()
+    corpus_mod.save_corpus(dataclasses.replace(corpus, pulls=[]), tmp_path / "in")
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "prsafety.cli", "run", *_run_args(tmp_path / "in", out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == "error: cannot compute thresholds from an empty cue table"
+    assert "RuntimeWarning" not in result.stderr
+    report = json.loads(
+        (out / "screening_report.json").read_text("utf-8"),
+        parse_constant=lambda name: pytest.fail(f"{name} is not JSON"),
+    )
+    binary = [v for v in report["variables"] if v["kind"] == "binary"]
+    assert binary and all(v["action"] == "excluded" and v["minority_fraction"] is None for v in binary)
+
+
 def test_missing_corpus_is_exit_2(tmp_path, capsys):
     code = cli.main(["run", *_run_args(tmp_path / "nowhere", tmp_path / "out")])
     assert code == 2

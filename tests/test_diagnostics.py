@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -116,6 +117,23 @@ def test_balanced_binary_retained():
 def test_binary_with_other_values_rejected():
     with pytest.raises(ValueError, match="outside"):
         dg.screen_predictors({"flag": [0.0, 1.0, 2.0]}, {"flag": "binary"})
+
+
+def test_empty_binary_excluded_without_a_fraction(tmp_path):
+    # A corpus without pulls: no mean is taken, so no warning and no NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = dg.screen_predictors({"flag": [], "v": []}, {"flag": "binary", "v": "continuous"})
+    flag, v = report.decisions
+    assert (flag.action, flag.reason, flag.minority_fraction) == (
+        "excluded", "no observations, minority class undefined", None
+    )
+    assert (v.action, v.reason) == ("excluded", "skewness type 3 needs at least 3 observations, got 0")
+    dg.write_screening_report(report, tmp_path / "screening_report.json")
+    json.loads(
+        (tmp_path / "screening_report.json").read_text("utf-8"),
+        parse_constant=lambda name: pytest.fail(f"{name} is not JSON"),
+    )
 
 
 def test_mild_continuous_retained():

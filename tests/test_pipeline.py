@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import random
 import re
+import shutil
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -14,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import synth
 from conftest import CORPUS12_DATA_END
 from prsafety import cues, diagnostics, glm, pipeline, reporting
-from prsafety.corpus import MAX_NESTING, FilterConfig
+from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, load_corpus
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -283,11 +286,10 @@ def test_artifacts_share_one_json_and_one_csv_form(small_corpus_dir, tmp_path):
     assert tables["ps_index_repository.csv"][0] == ["repo_full_name", "ps_index"]
     assert tables["ps_index_contributor.csv"][0] == ["repo_full_name", "author", "ps_index"]
 
-    fits, titles = result.fit_columns()
     models = tables.pop("models_table.csv")
     assert sorted(tables) == ["cues.csv", "labels.csv", "ps_index_contributor.csv", "ps_index_repository.csv"]
-    assert models[0] == ["term", *(f"{t} {c}" for t in titles for c in ("beta(SE)", "OR"))]
-    lines = reporting.format_models_table(fits, titles).splitlines()
+    assert models[0] == ["term", *(f"Model {i} {c}" for i in result.fits for c in ("beta(SE)", "OR"))]
+    lines = reporting.format_models_table(result.fits).splitlines()
     for term, *cells in models[1:]:
         (line,) = [line for line in lines if line.startswith(term + "  ")]
         assert [cell for cell in cells if cell] == line[len(term):].split(), term
@@ -377,6 +379,46 @@ def test_all_models_failing_is_a_stage_error(corpus12_dir, tmp_path):
     assert report.count("has no finite fit") == 3
 
 
+# --- metamorphic properties: what the method ignores moves no byte ----------------------
+# Each pair of runs reads one corpus path and writes one out path, because
+# manifest.json records both; the corpus is rewritten in place between them.
+
+def _filtered_run(corpus_dir: Path, out: Path) -> dict[str, str]:
+    shutil.rmtree(out, ignore_errors=True)
+    pipeline.run_pipeline(_config(corpus_dir, out, filter=FilterConfig()))
+    return _checksums(out)
+
+
+def test_corpus_line_order_moves_no_artifact(tmp_path):
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    synth.build_small_corpus(corpus_dir)
+    before = _filtered_run(corpus_dir, out)
+    rng = random.Random(61)
+    for name in REQUIRED_FILES:
+        lines = (corpus_dir / name).read_text("utf-8").splitlines(keepends=True)
+        shuffled = rng.sample(lines, len(lines))
+        assert shuffled != lines, name
+        (corpus_dir / name).write_text("".join(shuffled), encoding="utf-8")
+    assert _filtered_run(corpus_dir, out) == before
+
+
+def test_a_repository_the_filter_drops_moves_no_artifact(tmp_path):
+    corpus_dir, out, extra = tmp_path / "corpus", tmp_path / "out", tmp_path / "extra"
+    synth.build_small_corpus(corpus_dir)
+    before = _filtered_run(corpus_dir, out)
+    # Its own pulls, commits and contexts, and a label the filter excludes.
+    synth.build_scaled_corpus(extra, counts=(("course/tutorial", 90),), seed=67, prs_per_author=12)
+    for name in REQUIRED_FILES:
+        text = (extra / name).read_text("utf-8")
+        if name == "repos.jsonl":
+            text = text.replace('"category_labels":[]', '"category_labels":["education"]')
+            assert "education" in text
+        with open(corpus_dir / name, "a", encoding="utf-8") as handle:
+            handle.write(text)
+    assert len(load_corpus(corpus_dir).corpus.repos) == len(synth.SMALL_COUNTS) + 1
+    assert _filtered_run(corpus_dir, out) == before
+
+
 # --- the fit stage's model frame --------------------------------------------------------
 
 def _assert_frame_matches_rows(state):
@@ -390,7 +432,7 @@ def _assert_frame_matches_rows(state):
     )
     frame = pipeline._model_frame(state)
     assert {len(column) for column in frame.values()} == {len(rows)}
-    for spec in state.specs.values():
+    for spec in (model.spec for model in state.models.values()):
         X, y, columns, n_dropped = oracles.encode_design_rows(rows, spec)
         design = glm.encode_design(frame, spec)
         assert (design.X.shape, design.X.tobytes()) == (X.shape, X.tobytes()), spec.name
@@ -401,7 +443,7 @@ def _assert_frame_matches_rows(state):
 @pytest.mark.parametrize("unit", ["pr", "contributor"])
 def test_model_frame_matches_the_row_path(small_corpus_dir, tmp_path, unit):
     state = pipeline.run_stages(_config(small_corpus_dir, tmp_path / "out", unit=unit), "fit")
-    assert len(state.specs) == 3
+    assert len(state.models) == 3
     _assert_frame_matches_rows(state)
 
 
@@ -426,14 +468,19 @@ _SAMPLES = st.one_of(
     skew_threshold=0.0,
     skew_type=3,
 )
+@example(  # two values suffice for type 1, and their rounding-level skewness exceeds 0
+    samples={name: [630.1503703287486, 6399.13353091701] for name in pipeline.CONTINUOUS_CONTROLS},
+    skew_threshold=0.0,
+    skew_type=1,
+)
 @given(
     samples=st.fixed_dictionaries({name: _SAMPLES for name in pipeline.CONTINUOUS_CONTROLS}),
     skew_threshold=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
     skew_type=st.sampled_from([1, 2, 3]),
 )
 def test_control_transforms_match_the_row_rule(tmp_path_factory, samples, skew_threshold, skew_type):
-    # Samples with fewer than three values, zero variance, negative values and
-    # skewed non-negative values; None is a missing value.
+    # Samples with too few values, zero variance, negative values and skewed
+    # non-negative values; None is a missing value.
     n = max(map(len, samples.values()))
     columns = {name: values + [None] * (n - len(values)) for name, values in samples.items()}
     rows = [{name: column[i] for name, column in columns.items()} for i in range(n)]

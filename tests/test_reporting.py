@@ -101,12 +101,12 @@ def test_index_table_golden():
 # --- models table ---------------------------------------------------------------------
 
 def test_models_table_golden():
-    text = reporting.format_models_table(_two_fits(), ["Model 1", "Model 2"])
+    text = reporting.format_models_table(dict(enumerate(_two_fits(), 1)))
     assert text == (GOLDEN / "models_table.txt").read_text("utf-8").rstrip("\n")
 
 
 def test_models_table_anchor_cells():
-    text = reporting.format_models_table(_two_fits(), ["Model 1", "Model 2"])
+    text = reporting.format_models_table(dict(enumerate(_two_fits(), 1)))
     assert "1.03(0.02)***" in text
     assert "0.03(0.01)**" in text
     assert "46.5" in text
@@ -122,11 +122,9 @@ def test_models_table_anchor_cells():
     assert len(num_obs) == 1 and "500" in num_obs[0] and "480" in num_obs[0]
 
 
-def test_models_table_requires_matching_titles():
-    with pytest.raises(ValueError, match="title"):
-        reporting.format_models_table(_two_fits(), ["only one"])
+def test_models_table_requires_a_fit():
     with pytest.raises(ValueError, match="no fits"):
-        reporting.format_models_table([])
+        reporting.format_models_table({})
 
 
 def test_term_order_unions_columns_intercept_first():
@@ -141,7 +139,7 @@ def test_term_order_unions_columns_intercept_first():
 
 def test_models_csv(tmp_path):
     path = tmp_path / "models_table.csv"
-    reporting.write_models_csv(path, _two_fits(), ["Model 1", "Model 2"])
+    reporting.write_models_csv(path, dict(enumerate(_two_fits(), 1)))
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["term", "Model 1 beta(SE)", "Model 1 OR", "Model 2 beta(SE)", "Model 2 OR"]
@@ -153,15 +151,10 @@ def test_models_csv(tmp_path):
     assert by_term["Deviance"] == ["", "200.00", "", "180.50"]
 
 
-def test_models_csv_requires_matching_titles(tmp_path):
-    with pytest.raises(ValueError, match="one title per fit required"):
-        reporting.write_models_csv(tmp_path / "models_table.csv", _two_fits(), ["only one"])
-
-
 def test_models_csv_without_fits_keeps_header_and_criteria(tmp_path):
     # Every requested model failing still leaves a models_table.csv.
     path = tmp_path / "models_table.csv"
-    reporting.write_models_csv(path, [])
+    reporting.write_models_csv(path, {})
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows == [["term"]] + [[row] for row in reporting.CRITERIA_ROWS]
@@ -221,8 +214,7 @@ def _summary():
 def test_render_report_sections():
     text = reporting.render_report(
         _summary(),
-        _two_fits(),
-        ["Model 1", "Model 2"],
+        dict(enumerate(_two_fits(), 1)),
         screening_table="variable  kind  decision  reason",
         model_notes=["model_3 has no finite fit: quasi-separation detected"],
     )
@@ -237,7 +229,7 @@ def test_render_report_sections():
 
 
 def test_render_report_without_fits_still_reports_indices():
-    text = reporting.render_report(_summary(), [], model_notes=["nothing fit"])
+    text = reporting.render_report(_summary(), {}, model_notes=["nothing fit"])
     assert "2.052" in text
     assert "Sustained participation models" not in text
     assert "Note: nothing fit" in text

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "prsafety"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "prsafety"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# Every file that may read a package constant.
+READERS = sorted(path for folder in ("src", "tests", "bench") for path in (ROOT / folder).rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -33,6 +36,49 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_module_import_is_used(path):
     assert _unused_imports(path.read_text("utf-8")) == []
+
+
+def _names_read(sources: list[str]) -> set[str]:
+    """Every name the sources read: as a name, an attribute or a from-import."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_constants(source: str, read: set[str]) -> list[str]:
+    """Names the module's top-level assignments bind (dunders aside) that are not in read."""
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not name.id.startswith("__"):
+                    bound.setdefault(name.id, node.lineno)
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_the_check_sees_an_unread_constant():
+    module = "A = 1\nB: int = 2\nC, D = 3, 4\n_E = A\n__all__ = []\nF[0] = 5\n"
+    read = _names_read([module, "import m\nm.B\n", "from m import C\n"])
+    assert _unread_constants(module, read) == ["D (line 3)", "_E (line 4)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_module_constant_is_read(path):
+    read = _names_read([reader.read_text("utf-8") for reader in READERS])
+    assert _unread_constants(path.read_text("utf-8"), read) == []
 
 
 def _callers(source: str, method: str) -> list[str]:
