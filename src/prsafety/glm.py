@@ -19,9 +19,18 @@ encode_design builds the design matrix of a ModelSpec from a frame of
 columns: a mapping from each variable to an equal-length sequence.
 
 Quasi-separation makes the MLE drift to infinity; it is reported as an error
-(a raw, unstandardized coefficient beyond +-20 on any column, or failure to
-converge) rather than returned as a garbage fit.  Rank-deficient designs are
-rejected up front with the names of the dependent columns.
+rather than returned as a garbage fit.  Rank-deficient designs are rejected
+up front with the names of the dependent columns, found from the SVD of the
+p x p factor R of X = QR.  Then, still before IRLS, a cell scan names an
+empty cell of any 0/1 column's 2 x 2 table with the outcome (the structural
+case: every sustained contributor is recent, so model 3 has no MLE).  After
+IRLS, runaway growth is a linear predictor X b whose sd exceeds 20, or a
+failure to converge.  The sd of X b is |b_j| sd(x_j) for a single column
+and puts every column on its own scale at once: the intercept adds nothing
+to it, and neither rescaling a column nor choosing another reference level
+of a factor moves it.  A fit whose last IRLS step still moved X b by more
+than 0.1 is drifting along a separating direction; that catches a separating
+combination the scan cannot see, such as a factor's reference level.
 """
 
 from __future__ import annotations
@@ -36,8 +45,13 @@ from .corpus import REPO_SIZES
 
 INTERCEPT_NAME = "Intercept"
 
-# A raw (unstandardized) |beta| beyond this on any coordinate is runaway growth.
+# A linear predictor X beta whose sd exceeds this is runaway growth.
 SEPARATION_BOUND = 20.0
+
+# Along a separating direction the likelihood flattens while each IRLS step
+# still moves the linear predictor by about 1, so a fit whose last step moved
+# it by more than DRIFT_BOUND is drifting, whatever the columns' coding.
+DRIFT_BOUND = 0.1
 
 # IRLS stops once the log-likelihood moves by less than IRLS_TOL, and a fit
 # still moving after IRLS_MAX_ITER iterations has not converged.
@@ -181,7 +195,9 @@ def log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 def _check_rank(X: np.ndarray, columns: Sequence[str]) -> None:
     n, p = X.shape
-    _, singular, vt = np.linalg.svd(X, full_matrices=False)
+    # X = QR, so the factor R (p x p when n > p) has X's singular values and
+    # right singular vectors, without an n x p SVD workspace.
+    _, singular, vt = np.linalg.svd(np.linalg.qr(X, mode="r"), full_matrices=False)
     tol = singular[0] * max(n, p) * np.finfo(float).eps if singular.size else 0.0
     deficient = singular <= tol
     if not np.any(deficient):
@@ -192,6 +208,38 @@ def _check_rank(X: np.ndarray, columns: Sequence[str]) -> None:
             if abs(weight) > 1e-8 and columns[j] not in involved:
                 involved.append(columns[j])
     raise RankDeficiencyError(involved or list(columns))
+
+
+def _check_cells(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> None:
+    """Raise SeparationError on the first empty cell of a 0/1 column's table with y.
+
+    For each column whose values are all 0 or 1, and each value v it takes,
+    both outcomes must occur on some row with x = v.  An empty cell is a
+    quasi-separating direction (Albert & Anderson 1984): +-e_j for an x = 1
+    cell, +-(ones - e_j) for an x = 0 cell, so x = 0 cells count only when
+    X holds a column of ones.  That column is checked too: a constant
+    outcome leaves one of its cells empty.
+    """
+    n = y.size
+    binary = np.flatnonzero(np.all((X == 0.0) | (X == 1.0), axis=0))
+    indicators = X[:, binary]
+    ones = indicators.sum(axis=0)  # rows with x = 1
+    ones_y = y @ indicators  # rows with x = 1 and outcome 1
+    positives = float(y.sum())
+    cells = {
+        (0, 0): (n - ones) - (positives - ones_y),
+        (0, 1): positives - ones_y,
+        (1, 0): ones - ones_y,
+        (1, 1): ones_y,
+    }
+    values = (0, 1) if np.any(ones == n) else (1,)
+    for k, j in enumerate(binary):
+        for v in values:
+            if ones[k] == (n if v == 0 else 0):
+                continue  # the column never takes v
+            for o in (0, 1):
+                if cells[v, o][k] == 0:
+                    raise SeparationError(columns[j], f"no row has {columns[j]} = {v} and outcome {o}")
 
 
 @dataclass
@@ -234,14 +282,20 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
 
     Convergence is declared when the absolute change in log-likelihood
     between iterations drops below IRLS_TOL.  Raises RankDeficiencyError for
-    dependent columns and SeparationError when coefficients run away or the
-    iteration fails to converge, naming the worst column.
+    dependent columns.  Raises SeparationError before the first iteration
+    on an empty cell of a 0/1 column (_check_cells), and after the last one
+    when the sd of X beta exceeds SEPARATION_BOUND, when the iteration
+    fails to converge, or when the step that converged still moved X beta
+    by more than DRIFT_BOUND, naming the column furthest out on its own
+    scale.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise DesignError("X must be a 2-d array")
     n, p = X.shape
+    if n == 0:
+        raise DesignError("X has no rows")
     if y.shape != (n,):
         raise DesignError(f"y has shape {y.shape}, expected ({n},)")
     if not set(np.unique(y)) <= {0.0, 1.0}:
@@ -250,14 +304,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
     if len(names) != p:
         raise DesignError(f"got {len(names)} column names for {p} columns")
     _check_rank(X, names)
+    _check_cells(X, y, names)
 
     beta = np.zeros(p)
     ll = log_likelihood(X, y, beta)
     converged = False
     iterations = 0
+    sd = X.std(axis=0)
 
     def worst_column() -> str:
-        return names[int(np.argmax(np.abs(beta)))]
+        """The column whose coefficient is furthest out on its own scale."""
+        return names[int(np.argmax(np.abs(beta) * sd))]
 
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = X @ beta
@@ -265,12 +322,15 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
         weights = np.maximum(prob * (1.0 - prob), 1e-12)
         z = eta + (y - prob) / weights
         XtW = X.T * weights
+        previous = beta
         try:
             beta = np.linalg.solve(XtW @ X, XtW @ z)
         except np.linalg.LinAlgError:
             raise SeparationError(worst_column(), "weighted normal equations became singular") from None
         if not np.all(np.isfinite(beta)):
-            raise SeparationError(worst_column(), "coefficients diverged to non-finite values")
+            # Named directly: an infinite coefficient times a zero sd is NaN.
+            column = names[int(np.argmin(np.isfinite(beta)))]
+            raise SeparationError(column, "coefficients diverged to non-finite values")
         ll_new = log_likelihood(X, y, beta)
         if abs(ll_new - ll) < IRLS_TOL:
             ll = ll_new
@@ -278,14 +338,20 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
             break
         ll = ll_new
 
-    if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
+    growth = float(np.std(X @ beta))
+    if growth > SEPARATION_BOUND:
         raise SeparationError(
-            worst_column(),
-            f"|coefficient| exceeded {SEPARATION_BOUND} (got {float(np.max(np.abs(beta))):.2f})",
+            worst_column(), f"sd of the linear predictor exceeded {SEPARATION_BOUND} (got {growth:.2f})"
         )
     if not converged:
         raise SeparationError(worst_column(), f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
-
+    step = beta - previous
+    drift = float(np.max(np.abs(X @ step)))
+    if drift > DRIFT_BOUND:
+        raise SeparationError(
+            names[int(np.argmax(np.abs(step) * sd))],
+            f"the linear predictor still moved by {drift:.2f} in the last IRLS step",
+        )
     prob = _sigmoid(X @ beta)
     weights = np.maximum(prob * (1.0 - prob), 1e-12)
     fisher = (X.T * weights) @ X

@@ -381,6 +381,9 @@ def _fit(config: PipelineConfig, state: PipelineResult) -> None:
             if diagnostics.log1p_if_skewed(values, config.screening)[1] is not None:
                 state.control_transforms[name] = "log1p"
     all_specs = glm.canned_model_specs(state.control_transforms)
+    # Models 1 and 2 share one X; each distinct design gets one VIF loop.  The
+    # key is a digest, so no second design stays alive to compare against.
+    vifs: dict[tuple, dict[str, float]] = {}
     for index in config.models:
         model = state.models[index] = ModelResult(all_specs[index - 1])
         path = out / f"model_{index}.json"
@@ -393,7 +396,10 @@ def _fit(config: PipelineConfig, state: PipelineResult) -> None:
             model.failure = str(exc)
             reporting.write_model_failure_json(path, model.spec, model.failure)
             continue
-        model.vif = glm.vif(design.X, design.columns)
+        key = (design.columns, design.X.shape, hashlib.sha256(design.X.tobytes()).digest())
+        if key not in vifs:
+            vifs[key] = glm.vif(design.X, design.columns)
+        model.vif = vifs[key]
         model.rows_dropped = design.n_dropped
         reporting.write_model_json(path, model.fit, model.spec)
     reporting.write_models_csv(out / "models_table.csv", state.fits)

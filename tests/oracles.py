@@ -448,6 +448,26 @@ def two_by_two_mle(n00: int, n01: int, n10: int, n11: int) -> tuple[float, float
     return beta0, beta1, se0, se1
 
 
+def cell_counts(X, y) -> dict[int, dict[tuple[int, int], int]]:
+    """The 2 x 2 table with the outcome of each column whose values are all 0 or 1.
+
+    Maps the column's index to {(x value, outcome): rows}, with both outcome
+    cells, empty or not, for each value the column takes.  One pass over the
+    rows per column.
+    """
+    n = len(y)
+    tables = {}
+    for j in range(len(X[0]) if n else 0):
+        column = [float(X[i][j]) for i in range(n)]
+        if any(value not in (0.0, 1.0) for value in column):
+            continue
+        table = {(int(value), o): 0 for value in set(column) for o in (0, 1)}
+        for value, outcome in zip(column, y):
+            table[int(value), int(outcome)] += 1
+        tables[j] = table
+    return tables
+
+
 def vif_normal_equations(X: np.ndarray, intercept_col: int = 0) -> list[float]:
     """VIF per non-intercept column via explicit normal equations."""
     n, p = X.shape

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -304,6 +305,54 @@ def test_row_permutation_invariance():
     assert refit.log_likelihood == pytest.approx(fit.log_likelihood, abs=1e-8)
 
 
+@st.composite
+def _sized_frames(draw):
+    """A continuous predictor, repo sizes with at least two levels observed,
+    and a binary outcome."""
+    n = draw(st.integers(8, 40))
+    sizes = draw(st.lists(st.sampled_from(_LEVELS), min_size=n - 2, max_size=n - 2))
+    sizes += draw(st.permutations(_LEVELS))[:2]
+    return {
+        "y": draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
+        "a": draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)),
+        "repo_size": sizes,
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(frame=_sized_frames(), order=st.permutations(_LEVELS))
+@example(  # a finite MLE: two small-level rows overlap at a = -2.41 and pin the
+    # intercept at -29; one level's |b| sd reads 17 under one order, 20.8 under another
+    frame={
+        "y": [1, 0, 0, 1, 0, 0, 0, 0, 1, 0],
+        "a": [0.0, 0.0, 0.0, 0.75, 1.5, -2.421875, 0.0, 0.0, -2.40625, 0.0],
+        "repo_size": ["large", "small", "small", "medium", "medium", "small", "small", "small", "small", "large"],
+    },
+    order=("medium", "small", "large"),
+)
+def test_the_reference_level_moves_no_fitted_probability(frame, order):
+    # Which observed level is the reference reparametrizes the model: the
+    # fitted probabilities, the log-likelihood and the verdict stay put.
+    def fitted(levels):
+        spec = _spec(predictors=("a", "repo_size"), categorical={"repo_size": levels})
+        try:
+            design = glm.encode_design(frame, spec)
+            fit = glm.fit_logistic(design.X, design.y, design.columns)
+        except glm.DesignError as exc:
+            return type(exc).__name__, None, None
+        except glm.SeparationError:
+            return "SeparationError", None, None
+        return "fit", glm._sigmoid(design.X @ fit.coefficients), fit.log_likelihood
+
+    verdict, probabilities, ll = fitted(_LEVELS)
+    event(verdict)
+    permuted = fitted(tuple(order))
+    assert permuted[0] == verdict
+    if verdict == "fit":
+        np.testing.assert_allclose(permuted[1], probabilities, rtol=0, atol=1e-8)
+        assert permuted[2] == pytest.approx(ll, abs=1e-8)
+
+
 def test_odds_ratios_track_coefficient_signs():
     rng = np.random.default_rng(31)
     X, y = _random_dataset(rng, 200, 4)
@@ -352,10 +401,204 @@ def test_shape_and_coding_errors():
         glm.fit_logistic(np.ones(2), y)
     with pytest.raises(glm.DesignError, match="shape"):
         glm.fit_logistic(np.ones((3, 1)), y)
+    with pytest.raises(glm.DesignError, match="no rows"):
+        glm.fit_logistic(np.ones((0, 2)), y[:0])
     with pytest.raises(glm.DesignError, match="0/1"):
         glm.fit_logistic(np.ones((2, 1)), np.array([1.0, 2.0]))
     with pytest.raises(glm.DesignError, match="column names"):
         glm.fit_logistic(np.ones((2, 1)), y, ["a", "b"])
+
+
+def test_rank_check_on_r_names_what_the_svd_of_x_names():
+    # The verdict and the named columns come from the p x p factor R; the
+    # n x p SVD gives the same ones.
+    rng = np.random.default_rng(53)
+    for planted in range(4):
+        X, y = _random_dataset(rng, 120, 4)
+        if planted:
+            X = np.column_stack([X, X[:, 1] - planted * X[:, 3]])
+        names = [f"c{j}" for j in range(X.shape[1])]
+        _, singular, vt = np.linalg.svd(X, full_matrices=False)
+        deficient = singular <= singular[0] * max(X.shape) * np.finfo(float).eps
+        expected = [names[j] for j in range(X.shape[1]) if np.any(np.abs(vt[deficient, j]) > 1e-8)]
+        try:
+            glm._check_rank(X, names)
+        except glm.RankDeficiencyError as exc:
+            assert sorted(exc.columns) == expected
+        else:
+            assert expected == []
+        assert bool(expected) == bool(planted)
+
+
+# --- the cell scan and runaway growth ------------------------------------------------
+
+_SCAN_EMPTY = re.compile(r"no row has (.+) = ([01]) and outcome ([01])$")
+
+
+def _scan(X, y, names):
+    """The scan's verdict: None, or the (column index, v, o) of the cell it names."""
+    try:
+        glm._check_cells(X, y, names)
+    except glm.SeparationError as exc:
+        column, v, o = _SCAN_EMPTY.search(str(exc)).groups()
+        assert column == exc.column
+        return names.index(column), int(v), int(o)
+    return None
+
+
+def _oracle_scan(X, y):
+    """The first empty cell by the row-loop counts, in column, x value, outcome
+    order; x = 0 cells count only beside a column of ones."""
+    tables = oracles.cell_counts(X.tolist(), y.tolist())
+    has_ones = any(set(v for v, _ in table) == {1} for table in tables.values())
+    for j in sorted(tables):
+        for (v, o), rows in sorted(tables[j].items()):
+            if rows == 0 and (v == 1 or has_ones):
+                return j, v, o
+    return None
+
+
+def _assert_certificate(X, y, j, v, o):
+    """+-e_j (x = 1 cell) or +-(ones - e_j) (x = 0 cell) quasi-separates:
+    X d >= 0 on y = 1 rows, <= 0 on y = 0 rows, and X d is not all zero."""
+    d = np.zeros(X.shape[1])
+    d[j] = 1.0
+    if v == 0:
+        (ones,) = [k for k in range(X.shape[1]) if np.all(X[:, k] == 1.0)][:1]
+        d = -d
+        d[ones] += 1.0
+    if o == 1:
+        d = -d
+    assert np.any(d != 0)
+    margin = X @ d
+    assert np.all(margin[y == 1] >= 0) and np.all(margin[y == 0] <= 0)
+    assert np.any(margin != 0)
+
+
+def _design(columns, y):
+    return np.column_stack([np.asarray(c, dtype=float) for c in columns]), np.asarray(y, dtype=float)
+
+
+_ONES, _X = [1] * 6, [0, 0, 0, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "columns,y,expected",
+    [
+        # separated: x = y
+        ([_ONES, _X], [0, 0, 0, 1, 1, 1], (1, 0, 1)),
+        # quasi-separated: every x = 1 row has outcome 1
+        ([_ONES, _X], [0, 1, 0, 1, 1, 1], (1, 1, 0)),
+        # quasi-separated on the x = 0 side, which the ones column certifies
+        ([_ONES, _X], [1, 1, 1, 0, 1, 0], (1, 0, 0)),
+        # the same x = 0 cell without a ones column is no certificate
+        ([_X, [0.5, -1, 2, 0.3, 1, -2]], [1, 1, 1, 0, 1, 0], None),
+        # overlapping
+        ([_ONES, _X], [0, 1, 0, 1, 0, 1], None),
+        # a constant outcome empties a cell of the ones column itself
+        ([_ONES, [0.5, -1, 2, 0.3, 1, -2]], [1] * 6, (0, 1, 0)),
+    ],
+)
+def test_cell_scan_on_constructed_designs(columns, y, expected):
+    X, y = _design(columns, y)
+    assert _scan(X, y, [f"c{j}" for j in range(X.shape[1])]) == expected == _oracle_scan(X, y)
+    if expected is not None:
+        _assert_certificate(X, y, *expected)
+
+
+@st.composite
+def _scan_designs(draw):
+    """Small designs of 0/1 and continuous columns, with or without a ones
+    column, whose outcomes often leave a cell empty."""
+    n = draw(st.integers(1, 12))
+    bits = st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
+    columns = draw(st.lists(bits | st.lists(st.floats(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), [1.0] * n)
+    return _design(columns, draw(bits))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(design=_scan_designs())
+def test_cell_scan_matches_the_count_oracle(design):
+    X, y = design
+    found = _scan(X, y, [f"c{j}" for j in range(X.shape[1])])
+    assert found == _oracle_scan(X, y)
+    if found is not None:
+        _assert_certificate(X, y, *found)
+
+
+def test_a_fit_the_scan_passes_is_bit_identical_without_it(monkeypatch):
+    rng = np.random.default_rng(59)
+    designs = []
+    for _ in range(4):
+        X, y = _random_dataset(rng, 200, 3)
+        flags = (rng.random((200, 2)) < 0.4).astype(float)
+        designs.append((np.column_stack([X, flags]), y))
+    fits = [glm.fit_logistic(X, y) for X, y in designs]
+    monkeypatch.setattr(glm, "_check_cells", lambda X, y, columns: None)
+    for (X, y), fit in zip(designs, fits):
+        bare = glm.fit_logistic(X, y)
+        for name, value in fit.to_json().items():
+            assert repr(bare.to_json()[name]) == repr(value), name
+
+
+def _verdict(design):
+    try:
+        fit = glm.fit_logistic(design.X, design.y, design.columns)
+    except glm.SeparationError as exc:
+        return "separated", exc.column
+    return "fit", fit.converged
+
+
+def test_rescaling_followers_moves_no_verdict():
+    # followers has by far the largest spread of the controls; the bound
+    # reads the linear predictor, so no unit change flips a fit.
+    rng = random.Random(6060)
+    rows = _labelled_rows(400, rng)
+    for row in rows:  # an outcome that leans on followers, nesting kept
+        row["sustainedp_or_not_12"] = int(rng.random() < 1 / (1 + math.exp(-(row["followers"] - 25) / 6)))
+        row["recent_sustainedp_or_not"] = max(row["sustainedp_or_not_12"], row["recent_sustainedp_or_not"])
+    frame = _columns(rows)
+    verdicts = {}
+    for factor in (1.0, 1e3, 1e-3):
+        scaled = {**frame, "followers": [value * factor for value in frame["followers"]]}
+        verdicts[factor] = [
+            _verdict(glm.encode_design(scaled, spec)) for spec in glm.canned_model_specs()
+        ]
+    assert verdicts[1.0] == [("fit", True), ("fit", True), ("separated", "sustainedp_or_not_12")]
+    assert verdicts[1e3] == verdicts[1.0] == verdicts[1e-3]
+
+
+def test_a_separated_reference_level_is_named_after_the_fit():
+    # Every row at the reference level has outcome 1.  The separating
+    # direction is the ones column minus both dummies, which no single
+    # column's table shows, so the scan passes and IRLS drifts.
+    rng = np.random.default_rng(61)
+    level = np.array([0] * 20 + list(rng.integers(1, 3, 280)))
+    y = (rng.random(300) < 0.5).astype(float)
+    y[level == 0] = 1.0
+    X = np.column_stack([np.ones(300), rng.standard_normal(300), level == 1, level == 2]).astype(float)
+    names = ["Intercept", "x", "size (medium)", "size (large)"]
+    assert _scan(X, y, names) is None
+    with pytest.raises(glm.SeparationError, match="still moved") as info:
+        glm.fit_logistic(X, y, names)
+    assert info.value.column in names[2:]
+
+
+def test_an_overlapping_high_leverage_row_still_fits():
+    # The row at x = 40 follows the trend, so the MLE exists; its fitted
+    # p (1 - p) is numerically 0, which is no sign of separation.
+    rng = np.random.default_rng(67)
+    x = rng.standard_normal(200)
+    y = (rng.random(200) < glm._sigmoid(x)).astype(float)
+    X = np.column_stack([np.ones(201), np.append(x, 40.0)])
+    y = np.append(y, 1.0)
+    fit = glm.fit_logistic(X, y, ["Intercept", "x"])
+    prob = glm._sigmoid(X @ fit.coefficients)
+    assert fit.converged and prob[-1] * (1.0 - prob[-1]) < 1e-12
+    assert 0.5 < fit.coefficients[1] < 2.0
+    np.testing.assert_allclose(X.T @ (y - prob), 0.0, atol=1e-8)
 
 
 # --- variance inflation --------------------------------------------------------------
@@ -452,8 +695,10 @@ def test_nested_outcome_model_is_structurally_separated():
     )
     spec = glm.canned_model_specs()[2]
     design = glm.encode_design(_columns(rows), spec)
-    with pytest.raises(glm.SeparationError):
+    with pytest.raises(glm.SeparationError) as info:
         glm.fit_logistic(design.X, design.y, design.columns)
+    assert str(info.value).endswith("no row has sustainedp_or_not_12 = 1 and outcome 0")
+    assert info.value.column == "sustainedp_or_not_12"
 
 
 def test_first_two_canned_models_fit_nested_rows():

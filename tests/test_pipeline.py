@@ -19,7 +19,7 @@ import oracles
 import synth
 from conftest import CORPUS12_DATA_END
 from prsafety import cues, diagnostics, glm, pipeline, reporting
-from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, load_corpus
+from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, load_corpus, save_corpus
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -402,6 +402,60 @@ def test_corpus_line_order_moves_no_artifact(tmp_path):
     assert _filtered_run(corpus_dir, out) == before
 
 
+def test_comment_placement_moves_no_artifact(tmp_path):
+    # The same comments embedded in pulls.jsonl, then on their own lines in a
+    # shuffled comments.jsonl keyed by the pull.
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    synth.build_small_corpus(corpus_dir)
+    before = _filtered_run(corpus_dir, out)
+    pulls, separate = [], []
+    for line in (corpus_dir / "pulls.jsonl").read_text("utf-8").splitlines():
+        pull = json.loads(line)
+        key = {"repo_full_name": pull["repo_full_name"], "pr_number": pull["pr_number"]}
+        separate += [json.dumps({**key, **comment}) for comment in pull["comments"]]
+        pulls.append(json.dumps({**pull, "comments": []}))
+    assert len(separate) > 100
+    random.Random(67).shuffle(separate)
+    (corpus_dir / "pulls.jsonl").write_text("\n".join(pulls) + "\n", encoding="utf-8")
+    (corpus_dir / "comments.jsonl").write_text("\n".join(separate) + "\n", encoding="utf-8")
+    assert _filtered_run(corpus_dir, out) == before
+
+
+def test_a_saved_corpus_runs_to_the_same_artifacts(tmp_path):
+    # save_corpus(load_corpus(d)) rewrites a corpus in canonical form: here
+    # from shuffled lines with a separate comments.jsonl and a bad line.
+    corpus_dir, out, saved = tmp_path / "corpus", tmp_path / "out", tmp_path / "saved"
+    synth.build_small_corpus(corpus_dir)
+    rng = random.Random(71)
+    for name in REQUIRED_FILES:
+        lines = (corpus_dir / name).read_text("utf-8").splitlines(keepends=True)
+        (corpus_dir / name).write_text("".join(rng.sample(lines, len(lines))), encoding="utf-8")
+    first = load_corpus(corpus_dir).corpus.pulls[0]
+    separate = [
+        json.dumps({"repo_full_name": first.repo_full_name, "pr_number": first.pr_number,
+                    "role": "other", "author": "visitor", "body": "late note",
+                    "created_at": "2019-12-01T00:00:00Z"}),
+        "{not json",
+    ]
+    (corpus_dir / "comments.jsonl").write_text("\n".join(separate) + "\n", encoding="utf-8")
+    before = _filtered_run(corpus_dir, out)
+    assert (out / "ingest_errors.jsonl").read_text("utf-8")
+    save_corpus(load_corpus(corpus_dir).corpus, saved)
+    shutil.rmtree(corpus_dir)
+    saved.rename(corpus_dir)
+    manifest_before = json.loads((out / "manifest.json").read_text("utf-8"))
+    after = _filtered_run(corpus_dir, out)
+    moved = {name for name in before if after.get(name) != before[name]}
+    assert sorted(after) == sorted(before)
+    # The bad line is gone from the saved corpus, so the manifest's count of
+    # ingest errors moves with the error report, and nothing else does.
+    assert moved == {"ingest_errors.jsonl", "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["row_counts"].pop("ingest_errors") == 0
+    assert manifest_before["row_counts"].pop("ingest_errors") == 1
+    assert manifest == manifest_before
+
+
 def test_a_repository_the_filter_drops_moves_no_artifact(tmp_path):
     corpus_dir, out, extra = tmp_path / "corpus", tmp_path / "out", tmp_path / "extra"
     synth.build_small_corpus(corpus_dir)
@@ -451,6 +505,20 @@ def test_model_frame_matches_the_row_path_on_the_scaled_corpus(scaled_corpus_dir
     # The corpus and filter of acceptance criterion 8.
     config = _config(scaled_corpus_dir, tmp_path / "out", filter=FilterConfig())
     _assert_frame_matches_rows(pipeline.run_stages(config, "fit"))
+
+
+def test_models_that_share_a_design_share_one_vif_loop(small_corpus_dir, tmp_path, monkeypatch):
+    calls = []
+    vif = glm.vif
+    monkeypatch.setattr(glm, "vif", lambda X, columns: calls.append(X.shape) or vif(X, columns))
+    state = pipeline.run_stages(_config(small_corpus_dir, tmp_path / "out"), "fit")
+    first, second = state.models[1], state.models[2]
+    assert len(calls) == 1 and first.fit is not None and second.fit is not None
+    assert first.vif == second.vif
+    frame = pipeline._model_frame(state)
+    for model in (first, second):
+        design = glm.encode_design(frame, model.spec)
+        assert model.vif == vif(design.X, design.columns)
 
 
 _SAMPLES = st.one_of(
