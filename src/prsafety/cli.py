@@ -56,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="credit the merge condition only for merged PRs")
     parser.add_argument("--global-activity", action="store_true", default=None,
                         help="build timelines across all repositories")
-    parser.add_argument("--unit", choices=("pr", "contributor"), help="regression unit")
+    parser.add_argument("--unit", choices=pipeline.UNITS, help="regression unit")
     parser.add_argument("--models", help="comma-separated model indices, e.g. 1,2,3")
     parser.add_argument("--emoji-table", dest="emoji_table_path", help="alternate emoji table")
     parser.add_argument("--no-filter", action="store_true", default=None,

@@ -2,12 +2,12 @@
 
 The log-likelihood for outcomes y in {0, 1} with linear predictor eta = X b is
 
-    ll(b) = sum_i [ y_i eta_i - log(1 + exp(eta_i)) ]
+    ll(b) = sum_i w_i [ y_i eta_i - log(1 + exp(eta_i)) ]
 
-IRLS solves the score equations X' (y - p) = 0 by repeated weighted least
-squares: with p = sigmoid(eta) and W = diag(p (1 - p)), each step solves
+IRLS solves the score equations X' w (y - p) = 0 by repeated weighted least
+squares: with p = sigmoid(eta) and W = diag(w p (1 - p)), each step solves
 
-    (X' W X) b_new = X' W z,     z = eta + (y - p) / W
+    (X' W X) b_new = X' W z,     z = eta + (y - p) / (p (1 - p))
 
 which is the Newton-Raphson step expressed as a regression on the working
 response z.  Iteration stops when the absolute log-likelihood change falls
@@ -16,21 +16,23 @@ information (X' W X)^-1 at the optimum, Wald z statistics are b / se with
 two-sided normal p-values, and odds ratios are exp(b).
 
 encode_design builds the design matrix of a ModelSpec from a frame of
-columns: a mapping from each variable to an equal-length sequence.
+columns: a mapping from each variable to an equal-length sequence.  Rows may
+carry frequency weights w (McCullagh & Nelder 1989, section 4.2): every sum
+and check is weighted, so a fit is that of the rows repeated w times.
 
 Quasi-separation makes the MLE drift to infinity; it is reported as an error
 rather than returned as a garbage fit.  Rank-deficient designs are rejected
 up front with the names of the dependent columns, found from the SVD of the
-p x p factor R of X = QR.  Then, still before IRLS, a cell scan names an
-empty cell of any 0/1 column's 2 x 2 table with the outcome (the structural
-case: every sustained contributor is recent, so model 3 has no MLE).  After
-IRLS, runaway growth is a linear predictor X b whose sd exceeds 20, or a
-failure to converge.  The sd of X b is |b_j| sd(x_j) for a single column
-and puts every column on its own scale at once: the intercept adds nothing
-to it, and neither rescaling a column nor choosing another reference level
-of a factor moves it.  A fit whose last IRLS step still moved X b by more
-than 0.1 is drifting along a separating direction; that catches a separating
-combination the scan cannot see, such as a factor's reference level.
+p x p factor R of sqrt(w) X = QR.  Then, still before IRLS, a cell scan
+names an empty cell of any 0/1 column's 2 x 2 table with the outcome (the
+structural case: every sustained contributor is recent, so model 3 has no
+MLE).  After IRLS, runaway growth is a linear predictor X b whose sd exceeds
+20, or a failure to converge.  The sd of X b is |b_j| sd(x_j) for a single
+column and puts every column on its own scale at once: the intercept adds
+nothing to it, and neither rescaling a column nor choosing another reference
+level of a factor moves it.  A fit whose last IRLS step still moved X b by
+more than 0.1 is drifting along a separating direction; that catches a
+separating combination the scan cannot see, such as a reference level.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ IRLS_MAX_ITER = 100
 
 # Variance inflation factors at or above this flag a collinear design.
 VIF_THRESHOLD = 5.0
+
+# exp of a larger number overflows a float; such an odds ratio is inf.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class DesignError(ValueError):
@@ -107,16 +112,27 @@ class DesignMatrix:
     y: np.ndarray
     columns: tuple[str, ...]
     n_dropped: int
+    weights: np.ndarray
 
 
-def encode_design(frame: Mapping[str, Sequence], spec: ModelSpec) -> DesignMatrix:
+def _frequency_weights(weights: Sequence[int] | None, n: int) -> np.ndarray:
+    """weights as int64 (ones when None); DesignError unless n positive integers."""
+    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights)
+    if w.shape != (n,) or w.dtype.kind not in "iu" or not np.all(w >= 1):
+        raise DesignError(f"weights must be {n} positive integers, one per row")
+    return w.astype(np.int64)
+
+
+def encode_design(
+    frame: Mapping[str, Sequence], spec: ModelSpec, weights: Sequence[int] | None = None
+) -> DesignMatrix:
     """Build the design matrix for a model spec from a frame of columns.
 
-    frame maps each variable to a column, all of one length.  Adds an
-    intercept column of ones, expands categoricals into dummy columns named
-    "var (level)", applies declared transforms, drops rows where the outcome
-    or a predictor is None or NaN or has no column (counted), and validates
-    that the outcome is binary and that no predictor column is constant.
+    frame maps each variable to a column, all of one length; weights gives
+    each row's frequency (ones when None).  Adds an intercept column, dummy
+    columns "var (level)" for categoricals and declared transforms; drops rows
+    where the outcome or a predictor is None, NaN or absent (n_dropped sums
+    their weights); rejects a non-binary outcome or a constant predictor.
     """
     names = (spec.outcome, *spec.predictors)
     given = {
@@ -129,7 +145,8 @@ def encode_design(frame: Mapping[str, Sequence], spec: ModelSpec) -> DesignMatri
     keep = np.full(len(next(iter(given.values()), ())), len(given) == len(names))
     for column in given.values():
         keep &= (column != None) & (column == column)
-    n_dropped = len(keep) - int(keep.sum())
+    w = _frequency_weights(weights, len(keep))
+    n_dropped = int(w[~keep].sum())
     if not keep.any():
         raise DesignError("no complete rows left after dropping missing values")
     complete = {name: column[keep] for name, column in given.items()}
@@ -175,7 +192,7 @@ def encode_design(frame: Mapping[str, Sequence], spec: ModelSpec) -> DesignMatri
     for j, name in enumerate(columns):
         if name != INTERCEPT_NAME and np.all(X[:, j] == X[0, j]):
             raise DesignError(f"predictor column {name!r} is constant")
-    return DesignMatrix(X=X, y=y, columns=tuple(columns), n_dropped=n_dropped)
+    return DesignMatrix(X=X, y=y, columns=tuple(columns), n_dropped=n_dropped, weights=w[keep])
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -187,45 +204,48 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+def log_likelihood(
+    X: np.ndarray, y: np.ndarray, beta: np.ndarray, weights: Sequence[int] | None = None
+) -> float:
     """Bernoulli log-likelihood at beta, computed without overflow."""
     eta = X @ beta
-    return float(np.sum(y * eta) - np.sum(np.logaddexp(0.0, eta)))
+    return float(_frequency_weights(weights, len(y)) @ (y * eta - np.logaddexp(0.0, eta)))
 
 
-def _check_rank(X: np.ndarray, columns: Sequence[str]) -> None:
-    n, p = X.shape
-    # X = QR, so the factor R (p x p when n > p) has X's singular values and
-    # right singular vectors, without an n x p SVD workspace.
-    _, singular, vt = np.linalg.svd(np.linalg.qr(X, mode="r"), full_matrices=False)
-    tol = singular[0] * max(n, p) * np.finfo(float).eps if singular.size else 0.0
+def _weighted_sd(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The population sd (per column) of the rows of values repeated by w."""
+    return np.sqrt(w @ (values - w @ values / w.sum()) ** 2 / w.sum())
+
+
+def _check_rank(X: np.ndarray, w: np.ndarray, columns: Sequence[str]) -> None:
+    p = X.shape[1]
+    # sqrt(w) X = QR: R has the repeated rows' singular values and right singular
+    # vectors.  With fewer rows than columns, pad R with the zero rows it lacks.
+    r = np.linalg.qr(X * np.sqrt(w)[:, None], mode="r")
+    r = np.vstack([r, np.zeros((p - r.shape[0], p))])
+    _, singular, vt = np.linalg.svd(r, full_matrices=False)
+    tol = singular[0] * max(w.sum(), p) * np.finfo(float).eps if singular.size else 0.0
     deficient = singular <= tol
-    if not np.any(deficient):
-        return
-    involved: list[str] = []
-    for row in vt[deficient]:
-        for j, weight in enumerate(row):
-            if abs(weight) > 1e-8 and columns[j] not in involved:
-                involved.append(columns[j])
-    raise RankDeficiencyError(involved or list(columns))
+    if np.any(deficient):  # each such unit vector names at least one column
+        raise RankDeficiencyError([columns[j] for j in range(p) if np.any(np.abs(vt[deficient, j]) > 1e-8)])
 
 
-def _check_cells(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> None:
+def _check_cells(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns: Sequence[str]) -> None:
     """Raise SeparationError on the first empty cell of a 0/1 column's table with y.
 
     For each column whose values are all 0 or 1, and each value v it takes,
-    both outcomes must occur on some row with x = v.  An empty cell is a
-    quasi-separating direction (Albert & Anderson 1984): +-e_j for an x = 1
-    cell, +-(ones - e_j) for an x = 0 cell, so x = 0 cells count only when
-    X holds a column of ones.  That column is checked too: a constant
-    outcome leaves one of its cells empty.
+    both outcomes must occur on some row with x = v; the cells count the
+    rows' weights.  An empty cell is a quasi-separating direction (Albert &
+    Anderson 1984): +-e_j for an x = 1 cell, +-(ones - e_j) for an x = 0
+    cell, so x = 0 cells count only when X holds a column of ones.  That
+    column is checked too: a constant outcome leaves one of its cells empty.
     """
-    n = y.size
+    n = w.sum()
     binary = np.flatnonzero(np.all((X == 0.0) | (X == 1.0), axis=0))
     indicators = X[:, binary]
-    ones = indicators.sum(axis=0)  # rows with x = 1
-    ones_y = y @ indicators  # rows with x = 1 and outcome 1
-    positives = float(y.sum())
+    ones = w @ indicators  # rows with x = 1
+    ones_y = (w * y) @ indicators  # rows with x = 1 and outcome 1
+    positives = float(w @ y)
     cells = {
         (0, 0): (n - ones) - (positives - ones_y),
         (0, 1): positives - ones_y,
@@ -260,15 +280,15 @@ class LogisticFit:
 
     @property
     def odds_ratios(self) -> list[float]:
-        """exp(beta) per column."""
-        return [math.exp(v) for v in self.coefficients]
+        """exp(beta) per column; inf past the float range."""
+        return [math.exp(v) if v <= _LOG_FLOAT_MAX else math.inf for v in self.coefficients]
 
     def to_json(self) -> dict:
-        """Every field, arrays as lists, and the odds ratios."""
+        """Every field, arrays as lists, and the odds ratios (an infinite one as None)."""
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {
             **{name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values},
-            "odds_ratios": self.odds_ratios,
+            "odds_ratios": [v if math.isfinite(v) else None for v in self.odds_ratios],
         }
 
 
@@ -277,8 +297,10 @@ def normal_sf_two_sided(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = None) -> LogisticFit:
-    """Maximum-likelihood logistic fit via IRLS.
+def fit_logistic(
+    X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = None, weights: Sequence[int] | None = None
+) -> LogisticFit:
+    """Maximum-likelihood logistic fit via IRLS, each row counted weights times.
 
     Convergence is declared when the absolute change in log-likelihood
     between iterations drops below IRLS_TOL.  Raises RankDeficiencyError for
@@ -287,7 +309,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
     when the sd of X beta exceeds SEPARATION_BOUND, when the iteration
     fails to converge, or when the step that converged still moved X beta
     by more than DRIFT_BOUND, naming the column furthest out on its own
-    scale.
+    scale.  Sums, sds, n_observations and BIC's log n count the weights.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -303,58 +325,59 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
     names = tuple(columns) if columns is not None else tuple(f"x{j}" for j in range(p))
     if len(names) != p:
         raise DesignError(f"got {len(names)} column names for {p} columns")
-    _check_rank(X, names)
-    _check_cells(X, y, names)
+    w = _frequency_weights(weights, n)
+    _check_rank(X, w, names)
+    _check_cells(X, y, w, names)
 
     beta = np.zeros(p)
-    ll = log_likelihood(X, y, beta)
+    ll = log_likelihood(X, y, beta, w)
     converged = False
     iterations = 0
-    sd = X.std(axis=0)
+    sd = _weighted_sd(X, w)
 
-    def worst_column() -> str:
-        """The column whose coefficient is furthest out on its own scale."""
-        return names[int(np.argmax(np.abs(beta) * sd))]
+    def furthest(change: np.ndarray) -> str:
+        """The column change moves furthest on its own scale; the first of those tied to rounding."""
+        scaled = np.abs(change) * sd
+        return names[int(np.argmax(scaled >= scaled.max() * (1.0 - 1e-9)))]
 
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = X @ beta
         prob = _sigmoid(eta)
-        weights = np.maximum(prob * (1.0 - prob), 1e-12)
-        z = eta + (y - prob) / weights
-        XtW = X.T * weights
+        curvature = np.maximum(prob * (1.0 - prob), 1e-12)
+        z = eta + (y - prob) / curvature
+        XtW = X.T * (w * curvature)
         previous = beta
         try:
             beta = np.linalg.solve(XtW @ X, XtW @ z)
         except np.linalg.LinAlgError:
-            raise SeparationError(worst_column(), "weighted normal equations became singular") from None
+            raise SeparationError(furthest(beta), "weighted normal equations became singular") from None
         if not np.all(np.isfinite(beta)):
             # Named directly: an infinite coefficient times a zero sd is NaN.
             column = names[int(np.argmin(np.isfinite(beta)))]
             raise SeparationError(column, "coefficients diverged to non-finite values")
-        ll_new = log_likelihood(X, y, beta)
+        ll_new = log_likelihood(X, y, beta, w)
         if abs(ll_new - ll) < IRLS_TOL:
             ll = ll_new
             converged = True
             break
         ll = ll_new
 
-    growth = float(np.std(X @ beta))
+    growth = float(_weighted_sd(X @ beta, w))
     if growth > SEPARATION_BOUND:
         raise SeparationError(
-            worst_column(), f"sd of the linear predictor exceeded {SEPARATION_BOUND} (got {growth:.2f})"
+            furthest(beta), f"sd of the linear predictor exceeded {SEPARATION_BOUND} (got {growth:.4g})"
         )
     if not converged:
-        raise SeparationError(worst_column(), f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
+        raise SeparationError(furthest(beta), f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     step = beta - previous
     drift = float(np.max(np.abs(X @ step)))
     if drift > DRIFT_BOUND:
         raise SeparationError(
-            names[int(np.argmax(np.abs(step) * sd))],
+            furthest(step),
             f"the linear predictor still moved by {drift:.2f} in the last IRLS step",
         )
     prob = _sigmoid(X @ beta)
-    weights = np.maximum(prob * (1.0 - prob), 1e-12)
-    fisher = (X.T * weights) @ X
+    fisher = (X.T * (w * np.maximum(prob * (1.0 - prob), 1e-12))) @ X
     covariance = np.linalg.inv(fisher)
     se = np.sqrt(np.diag(covariance))
     z_values = beta / se
@@ -370,8 +393,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None = N
         log_likelihood=ll,
         deviance=-2.0 * ll,
         aic=2.0 * p - 2.0 * ll,
-        bic=p * math.log(n) - 2.0 * ll,
-        n_observations=n,
+        bic=p * math.log(w.sum()) - 2.0 * ll,
+        n_observations=int(w.sum()),
         iterations=iterations,
         converged=converged,
     )
@@ -388,34 +411,32 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-def vif(X: np.ndarray, columns: Sequence[str]) -> dict[str, float]:
+def vif(X: np.ndarray, columns: Sequence[str], weights: Sequence[int] | None = None) -> dict[str, float]:
     """Variance inflation factors, one per non-intercept column.
 
-    Each column is regressed on all the others (intercept included) and
-    VIF_j = 1 / (1 - R^2_j).  Exact collinearity yields float inf.
+    Each column is regressed on all the others (intercept included) by weighted
+    least squares and VIF_j = 1 / (1 - R^2_j).  Exact collinearity yields float inf.
     """
     X = np.asarray(X, dtype=float)
     names = tuple(columns)
     if X.shape[1] != len(names):
         raise DesignError(f"got {len(names)} column names for {X.shape[1]} columns")
+    w = _frequency_weights(weights, X.shape[0])
+    scaled = X * np.sqrt(w)[:, None]
     out: dict[str, float] = {}
     for j, name in enumerate(names):
         if name == INTERCEPT_NAME:
             continue
-        target = X[:, j]
-        others = np.delete(X, j, axis=1)
+        target = scaled[:, j]
+        others = np.delete(scaled, j, axis=1)
         if INTERCEPT_NAME not in names:
-            others = np.column_stack([np.ones(X.shape[0]), others])
+            others = np.column_stack([np.sqrt(w), others])
         coef, *_ = np.linalg.lstsq(others, target, rcond=None)
         residual = target - others @ coef
         ss_res = float(residual @ residual)
-        centered = target - target.mean()
-        ss_tot = float(centered @ centered)
-        if ss_tot == 0.0:
-            out[name] = math.inf
-            continue
-        r_squared = 1.0 - ss_res / ss_tot
-        out[name] = math.inf if r_squared >= 1.0 - 1e-12 else 1.0 / (1.0 - r_squared)
+        ss_tot = float(w @ (X[:, j] - w @ X[:, j] / w.sum()) ** 2)
+        # 1 / (1 - R^2) is ss_tot / ss_res; R^2 within 1e-12 of 1 is collinear.
+        out[name] = math.inf if ss_tot == 0.0 or ss_res <= 1e-12 * ss_tot else ss_tot / ss_res
     return out
 
 

@@ -4,9 +4,10 @@ The stages form one ordered table, STAGES.  run_stages executes a prefix of
 it, and each stage that runs writes its own artifacts; run_pipeline executes
 the whole table and is the only path that writes manifest.json.
 
-The fit stage builds its variables once as columns (_model_frame); the
-design encoder reads them for each model, and the continuous controls are
-log1p-transformed by the same skew rule as the cues, but never excluded.
+The fit stage builds its variables once as columns (_model_frame), one row
+per distinct (repository, author) weighted by its PR count, so n_observations
+and model_rows_dropped count PRs (or contributors, each weighing 1); the
+continuous controls are log1p-transformed by the cues' skew rule, never excluded.
 Each requested model leaves one ModelResult in PipelineResult.models, and
 every per-model artifact, report line and manifest entry is read from it.
 
@@ -38,6 +39,7 @@ import json
 import re
 import types
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -60,6 +62,9 @@ class StageError(RuntimeError):
 
 CONTINUOUS_CONTROLS = ("contrib_rate_author", "followers", "num_languages", "social_strength")
 
+# The regression units: each PR counts once, or each contributor once.
+UNITS = ("pr", "contributor")
+
 @dataclass
 class PipelineConfig:
     """The run's settings, each declared once: config_from_dict reads a JSON
@@ -80,8 +85,8 @@ class PipelineConfig:
     emoji_table_path: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.unit not in ("pr", "contributor"):
-            raise ConfigError(f"unit must be 'pr' or 'contributor', got {self.unit!r}")
+        if self.unit not in UNITS:
+            raise ConfigError(f"unit must be {' or '.join(map(repr, UNITS))}, got {self.unit!r}")
         if self.threshold_scope not in ps_index.THRESHOLD_SCOPES:
             raise ConfigError(f"threshold_scope must be one of {ps_index.THRESHOLD_SCOPES}")
         if not isinstance(self.models, (list, tuple)) or not self.models:
@@ -303,32 +308,25 @@ def screen_cues(
     return diagnostics.screen_predictors(table.columns, kinds, config)
 
 
-def _model_frame(state: PipelineResult) -> dict[str, np.ndarray]:
-    """The fit stage's variables as columns, one entry per PR, or per
-    contributor (their first PR in the repository) when collapsed.  A
-    missing label, context or index reads NaN, a missing repo_size None;
-    the design encoder drops and counts those rows.
-
-    Every variable depends only on the row's (repo, author), so each is
-    looked up once per distinct key and then spread over the rows."""
-    keys = [(pull.repo_full_name, pull.author) for pull in state.cue_table.pulls]
-    distinct = list(dict.fromkeys(keys))
+def _model_frame(state: PipelineResult) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The fit stage's variables as columns, one row per distinct (repo, author)
+    in first-PR order, and each row's weight: its PR count, or 1 when the unit
+    is the contributor.  A missing label, context or index reads NaN, a
+    missing repo_size None; the design encoder drops and counts those rows."""
+    counts = Counter((pull.repo_full_name, pull.author) for pull in state.cue_table.pulls)
     contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
     sources = dict.fromkeys(participation.OUTCOMES, state.labeling.labels)
     sources.update((name, contexts) for name in glm.CONTROL_PREDICTORS if name != "repo_size")
     frame = {
-        name: np.array([getattr(records.get(key), name, None) for key in distinct], dtype=float)
+        name: np.array([getattr(records.get(key), name, None) for key in counts], dtype=float)
         for name, records in sources.items()
     }
     index = state.summary.repository_index
-    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in distinct], dtype=float)
+    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in counts], dtype=float)
     sizes = {m.repo_full_name: m.repo_size for m in state.corpus.repos}
-    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in distinct], dtype=object)
-    if state.config.unit == "contributor":
-        return frame
-    position = {key: i for i, key in enumerate(distinct)}
-    rows = np.fromiter(map(position.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return {name: column[rows] for name, column in frame.items()}
+    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in counts], dtype=object)
+    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    return frame, weights if state.config.unit == "pr" else np.ones_like(weights)
 
 
 # Stage functions look every module function up at call time, so a caller
@@ -372,34 +370,29 @@ def _index(config: PipelineConfig, state: PipelineResult) -> None:
 
 def _fit(config: PipelineConfig, state: PipelineResult) -> None:
     out = config.out_dir
-    frame = _model_frame(state)
+    frame, weights = _model_frame(state)
     for name in CONTINUOUS_CONTROLS:
-        # The cues' skew rule, but never exclusion: too few values for the
-        # skewness type, zero variance or negative values leave a control as it is.
-        values = frame[name][~np.isnan(frame[name])]
+        # The cues' skew rule over the unit's rows, never exclusion: too few values
+        # for the skewness type, zero variance or negative values leave a control as is.
+        present = ~np.isnan(frame[name])
+        values = np.repeat(frame[name][present], weights[present])
         with contextlib.suppress(ValueError):
             if diagnostics.log1p_if_skewed(values, config.screening)[1] is not None:
                 state.control_transforms[name] = "log1p"
     all_specs = glm.canned_model_specs(state.control_transforms)
-    # Models 1 and 2 share one X; each distinct design gets one VIF loop.  The
-    # key is a digest, so no second design stays alive to compare against.
-    vifs: dict[tuple, dict[str, float]] = {}
     for index in config.models:
         model = state.models[index] = ModelResult(all_specs[index - 1])
         path = out / f"model_{index}.json"
         try:
-            design = glm.encode_design(frame, model.spec)
-            model.fit = glm.fit_logistic(design.X, design.y, design.columns)
+            design = glm.encode_design(frame, model.spec, weights)
+            model.fit = glm.fit_logistic(design.X, design.y, design.columns, design.weights)
         except (glm.DesignError, glm.SeparationError) as exc:
             # A model without a finite fit is a reported outcome, not a crash;
             # the other models still run and the record stays deterministic.
             model.failure = str(exc)
             reporting.write_model_failure_json(path, model.spec, model.failure)
             continue
-        key = (design.columns, design.X.shape, hashlib.sha256(design.X.tobytes()).digest())
-        if key not in vifs:
-            vifs[key] = glm.vif(design.X, design.columns)
-        model.vif = vifs[key]
+        model.vif = glm.vif(design.X, design.columns, design.weights)
         model.rows_dropped = design.n_dropped
         reporting.write_model_json(path, model.fit, model.spec)
     reporting.write_models_csv(out / "models_table.csv", state.fits)

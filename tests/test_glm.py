@@ -422,7 +422,7 @@ def test_rank_check_on_r_names_what_the_svd_of_x_names():
         deficient = singular <= singular[0] * max(X.shape) * np.finfo(float).eps
         expected = [names[j] for j in range(X.shape[1]) if np.any(np.abs(vt[deficient, j]) > 1e-8)]
         try:
-            glm._check_rank(X, names)
+            glm._check_rank(X, np.ones(len(X), dtype=np.int64), names)
         except glm.RankDeficiencyError as exc:
             assert sorted(exc.columns) == expected
         else:
@@ -438,7 +438,7 @@ _SCAN_EMPTY = re.compile(r"no row has (.+) = ([01]) and outcome ([01])$")
 def _scan(X, y, names):
     """The scan's verdict: None, or the (column index, v, o) of the cell it names."""
     try:
-        glm._check_cells(X, y, names)
+        glm._check_cells(X, y, np.ones(len(y), dtype=np.int64), names)
     except glm.SeparationError as exc:
         column, v, o = _SCAN_EMPTY.search(str(exc)).groups()
         assert column == exc.column
@@ -536,7 +536,7 @@ def test_a_fit_the_scan_passes_is_bit_identical_without_it(monkeypatch):
         flags = (rng.random((200, 2)) < 0.4).astype(float)
         designs.append((np.column_stack([X, flags]), y))
     fits = [glm.fit_logistic(X, y) for X, y in designs]
-    monkeypatch.setattr(glm, "_check_cells", lambda X, y, columns: None)
+    monkeypatch.setattr(glm, "_check_cells", lambda X, y, w, columns: None)
     for (X, y), fit in zip(designs, fits):
         bare = glm.fit_logistic(X, y)
         for name, value in fit.to_json().items():
@@ -599,6 +599,144 @@ def test_an_overlapping_high_leverage_row_still_fits():
     assert fit.converged and prob[-1] * (1.0 - prob[-1]) < 1e-12
     assert 0.5 < fit.coefficients[1] < 2.0
     np.testing.assert_allclose(X.T @ (y - prob), 0.0, atol=1e-8)
+
+
+# --- frequency weights ---------------------------------------------------------------
+
+_WEIGHTED_KINDS = ("random", "binary", "reference", "collinear", "few_rows")
+
+
+def _weighted_design(kind, seed):
+    """A design with one row per distinct observation and integer weights 1 to 5.
+
+    random: continuous columns; binary: sparse 0/1 columns whose cells often
+    empty out; reference: a factor whose reference level often has one
+    outcome only; collinear: a planted dependency; few_rows: fewer distinct
+    rows than columns, but more weight than columns.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 4 if kind == "few_rows" else 40))
+    columns = [np.ones(n)] + [rng.standard_normal(n) for _ in range(int(rng.integers(1, 4)))]
+    if kind == "binary":
+        columns += [(rng.random(n) < 0.2).astype(float) for _ in range(2)]
+    if kind == "reference":
+        level = rng.integers(0, 3, n)
+        columns += [(level == 1).astype(float), (level == 2).astype(float)]
+    if kind == "collinear":
+        columns.append(columns[1] - 2.0 * columns[-1])
+    if kind == "few_rows":
+        columns += [rng.standard_normal(n) for _ in range(4 - n + len(columns))]
+    X = np.column_stack(columns)
+    y = (rng.random(n) < glm._sigmoid(X @ rng.uniform(-1.5, 1.5, X.shape[1]))).astype(float)
+    if kind == "reference" and rng.random() < 0.5:
+        y[level == 0] = 1.0
+    return X, y, rng.integers(1, 6, n)
+
+
+def _fit_or_failure(X, y, names, weights=None):
+    try:
+        return glm.fit_logistic(X, y, names, weights)
+    except (glm.DesignError, glm.SeparationError) as exc:
+        return type(exc).__name__, getattr(exc, "column", None), str(exc)
+
+
+def _assert_close(actual, expected, rtol):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(kind="random", seed=0)  # a finite fit
+@example(kind="random", seed=14)  # sd(X b) past the bound
+@example(kind="binary", seed=0)  # the cell scan names a column
+@example(kind="reference", seed=0)  # IRLS drifts along the reference level
+@example(kind="reference", seed=184)  # two dummies tie on the drifting step
+@example(kind="reference", seed=384)  # sd(X b) of a diverged fit, known to a few digits
+@example(kind="collinear", seed=0)
+@example(kind="few_rows", seed=0)
+@given(kind=st.sampled_from(_WEIGHTED_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_a_weighted_fit_is_the_fit_of_the_repeated_rows(kind, seed):
+    X, y, w = _weighted_design(kind, seed)
+    names = [glm.INTERCEPT_NAME] + [f"x{j}" for j in range(1, X.shape[1])]
+    repeated = np.repeat(X, w, axis=0), np.repeat(y, w)
+    weighted, plain = _fit_or_failure(X, y, names, w), _fit_or_failure(*repeated, names)
+    event(f"{kind}: {weighted[0] if isinstance(weighted, tuple) else 'fit'}")
+    if isinstance(plain, tuple):
+        assert weighted == plain
+    else:
+        assert isinstance(weighted, glm.LogisticFit), weighted
+        _assert_close(weighted.coefficients, plain.coefficients, 1e-9)
+        _assert_close(weighted.standard_errors, plain.standard_errors, 1e-9)
+        for name in ("log_likelihood", "aic", "bic"):
+            assert getattr(weighted, name) == pytest.approx(getattr(plain, name), rel=1e-12, abs=0)
+        assert weighted.n_observations == plain.n_observations == int(w.sum())
+    beta = np.linspace(-1.0, 1.0, X.shape[1])
+    assert glm.log_likelihood(X, y, beta, w) == pytest.approx(glm.log_likelihood(*repeated, beta), rel=1e-12)
+    got, expected = glm.vif(X, names, w), glm.vif(repeated[0], names)
+    assert [math.isinf(v) for v in got.values()] == [math.isinf(v) for v in expected.values()]
+    for name, value in expected.items():
+        if not math.isinf(value):
+            assert got[name] == pytest.approx(value, rel=1e-9), name
+
+
+def test_the_rank_tolerance_reads_the_repeated_rows():
+    # b leaves a on one light row by delta; the verdict flips where delta's
+    # singular value meets the tolerance, which the weights move.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(6)
+    w = np.array([1, 1000, 1000, 1000, 1000, 1000])
+    names = ["Intercept", "a", "b"]
+
+    def verdict(X, weights):
+        try:
+            glm._check_rank(X, weights, names)
+        except glm.RankDeficiencyError as exc:
+            return exc.columns
+        return None
+
+    flips = set()
+    for k in range(6, 17):
+        X = np.column_stack([np.ones(6), a, a + np.eye(6)[0] * 10.0**-k])
+        weighted = verdict(X, w)
+        assert weighted == verdict(np.repeat(X, w, axis=0), np.ones(w.sum(), dtype=np.int64)), k
+        assert weighted in (None, ("a", "b"))
+        flips.add((weighted is None, verdict(X, np.ones(6, dtype=np.int64)) is None))
+    assert flips == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1, 2],
+        [1, 0, 2],
+        [1, -1, 2],
+        [1, 1.5, 2],
+        [1.0, 2.0, 3.0],
+        [1, float("nan"), 2],
+        [True, True, True],
+        ["1", "2", "3"],
+    ],
+)
+def test_weights_must_be_one_positive_integer_per_row(weights):
+    X = np.column_stack([np.ones(3), [0.5, -1.0, 2.0]])
+    y = np.array([0.0, 1.0, 1.0])
+    frame = {"y": y.tolist(), "a": X[:, 1].tolist(), "b": [1.0, 2.0, 4.0]}
+    for call in (
+        lambda: glm.encode_design(frame, _spec(), weights),
+        lambda: glm.fit_logistic(X, y, None, weights),
+        lambda: glm.vif(X, ["Intercept", "a"], weights),
+        lambda: glm.log_likelihood(X, y, np.zeros(2), weights),
+    ):
+        with pytest.raises(glm.DesignError, match="weights must be 3 positive integers, one per row"):
+            call()
+
+
+def test_encoding_carries_the_weights_of_the_kept_rows():
+    frame = {"y": [1, 0, None, 1, 0], "a": [0.5, 1.0, 2.0, None, 3.0], "b": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    design = glm.encode_design(frame, _spec(), np.array([2, 1, 3, 4, 1]))
+    np.testing.assert_array_equal(design.weights, [2, 1, 1])
+    assert design.n_dropped == 7
+    assert glm.encode_design(frame, _spec()).n_dropped == 2
 
 
 # --- variance inflation --------------------------------------------------------------

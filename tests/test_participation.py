@@ -119,6 +119,50 @@ def test_recent_outcome_respects_horizon():
     assert inside == pp.ParticipationLabel("sustained", 1, 1)
 
 
+# The window's edges, from the rules: the snapshot day belongs to the history
+# before the snapshot, and the follow-up window and the recent horizon run from
+# the day after it through their end days, inclusive.
+
+def test_a_commit_on_the_snapshot_day_is_before_the_snapshot():
+    snapshot = _config().snapshot_date
+    assert pp.label_participation((snapshot,), _config()) == pp.ParticipationLabel("not_sustained", 0, 0)
+    # It ends a gap of more than 12 months before the snapshot: a gap-return.
+    returned = (snapshot - timedelta(days=366), snapshot)
+    assert pp.label_participation(returned, _config()).status == "excluded_gap_return"
+    assert pp.label_participation(returned[:1] + (snapshot + timedelta(days=1),), _config()).status == "sustained"
+
+
+def test_the_window_ends_on_window_end_inclusive():
+    config = _config()
+    on_end = pp.label_participation((config.window_end,), config)
+    after_end = pp.label_participation((config.window_end + timedelta(days=1),), config)
+    assert on_end == pp.ParticipationLabel("sustained", 1, 1)
+    assert after_end == pp.ParticipationLabel("not_sustained", 0, 1)
+
+
+def test_the_recent_horizon_ends_on_recent_horizon_end_inclusive():
+    # A data_end two years past the horizon keeps both commits uncensored.
+    config = _config(data_end=date(2027, 1, 1))
+    on_end = pp.label_participation((config.recent_horizon_end,), config)
+    after_end = pp.label_participation((config.recent_horizon_end + timedelta(days=1),), config)
+    assert on_end == pp.ParticipationLabel("not_sustained", 0, 1)
+    assert after_end == pp.ParticipationLabel("not_sustained", 0, 0)
+    # A horizon inside the window: a sustained contributor's recent outcome
+    # reads the horizon's end day too.
+    early = _config(recent_horizon_end=date(2019, 12, 31))
+    on_early_end = pp.label_participation((early.recent_horizon_end,), early)
+    after_early_end = pp.label_participation((early.recent_horizon_end + timedelta(days=1),), early)
+    assert on_early_end == pp.ParticipationLabel("sustained", 1, 1)
+    assert after_early_end == pp.ParticipationLabel("sustained", 1, 0)
+
+
+def test_a_one_month_window_and_margins_are_accepted():
+    config = _config(window_months=1, censor_margin_months=1, gap_months=1)
+    assert config.window_end == config.snapshot_date + timedelta(days=30)
+    assert pp.label_participation((config.window_end,), config).status == "sustained"
+    assert pp.label_participation((config.window_end + timedelta(days=1),), config).status == "not_sustained"
+
+
 def test_empty_timeline_rejected():
     with pytest.raises(pp.EmptyTimelineError):
         pp.label_participation((), _config())

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import shutil
+from collections import Counter
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -475,23 +476,33 @@ def test_a_repository_the_filter_drops_moves_no_artifact(tmp_path):
 
 # --- the fit stage's model frame --------------------------------------------------------
 
+def _row_multiset(X, y) -> Counter:
+    return Counter(row.tobytes() for row in np.column_stack([X, y]))
+
+
 def _assert_frame_matches_rows(state):
     """The column path gives the row path's control transforms and, for every
-    model, a bit-identical design."""
+    model, a design whose rows repeated by their weights are the row path's
+    rows, bit for bit, and whose VIFs are a direct vif call's."""
     rows = oracles.model_rows(state)
     screening = state.config.screening
     assert state.control_transforms == oracles.control_transforms_rows(
         rows, pipeline.CONTINUOUS_CONTROLS, screening.skew_threshold, screening.skew_type,
         diagnostics.skewness,
     )
-    frame = pipeline._model_frame(state)
-    assert {len(column) for column in frame.values()} == {len(rows)}
-    for spec in (model.spec for model in state.models.values()):
+    frame, weights = pipeline._model_frame(state)
+    assert {len(column) for column in frame.values()} == {len(weights)}
+    assert int(weights.sum()) == len(rows)
+    for model in state.models.values():
+        spec = model.spec
         X, y, columns, n_dropped = oracles.encode_design_rows(rows, spec)
-        design = glm.encode_design(frame, spec)
-        assert (design.X.shape, design.X.tobytes()) == (X.shape, X.tobytes()), spec.name
-        assert design.y.tobytes() == y.tobytes(), spec.name
+        design = glm.encode_design(frame, spec, weights)
+        repeated = np.repeat(design.X, design.weights, axis=0), np.repeat(design.y, design.weights)
+        assert _row_multiset(*repeated) == _row_multiset(X, y), spec.name
         assert (design.columns, design.n_dropped) == (columns, n_dropped), spec.name
+        if model.fit is not None:
+            assert model.fit.n_observations == len(y), spec.name
+            assert model.vif == glm.vif(design.X, design.columns, design.weights), spec.name
 
 
 @pytest.mark.parametrize("unit", ["pr", "contributor"])
@@ -507,20 +518,6 @@ def test_model_frame_matches_the_row_path_on_the_scaled_corpus(scaled_corpus_dir
     _assert_frame_matches_rows(pipeline.run_stages(config, "fit"))
 
 
-def test_models_that_share_a_design_share_one_vif_loop(small_corpus_dir, tmp_path, monkeypatch):
-    calls = []
-    vif = glm.vif
-    monkeypatch.setattr(glm, "vif", lambda X, columns: calls.append(X.shape) or vif(X, columns))
-    state = pipeline.run_stages(_config(small_corpus_dir, tmp_path / "out"), "fit")
-    first, second = state.models[1], state.models[2]
-    assert len(calls) == 1 and first.fit is not None and second.fit is not None
-    assert first.vif == second.vif
-    frame = pipeline._model_frame(state)
-    for model in (first, second):
-        design = glm.encode_design(frame, model.spec)
-        assert model.vif == vif(design.X, design.columns)
-
-
 _SAMPLES = st.one_of(
     st.lists(st.none() | st.floats(-5.0, 1e4, allow_nan=False), max_size=12),
     st.lists(st.none() | st.integers(0, 1000), max_size=12),
@@ -533,30 +530,34 @@ _SAMPLES = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @example(  # skewness exactly at the threshold is not above it
     samples={name: [0.0, 1.0, 2.0] for name in pipeline.CONTINUOUS_CONTROLS},
+    repeats=[1] * 42,
     skew_threshold=0.0,
     skew_type=3,
 )
 @example(  # two values suffice for type 1, and their rounding-level skewness exceeds 0
     samples={name: [630.1503703287486, 6399.13353091701] for name in pipeline.CONTINUOUS_CONTROLS},
+    repeats=[1] * 42,
     skew_threshold=0.0,
     skew_type=1,
 )
 @given(
     samples=st.fixed_dictionaries({name: _SAMPLES for name in pipeline.CONTINUOUS_CONTROLS}),
+    repeats=st.lists(st.integers(1, 3), min_size=42, max_size=42),
     skew_threshold=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
     skew_type=st.sampled_from([1, 2, 3]),
 )
-def test_control_transforms_match_the_row_rule(tmp_path_factory, samples, skew_threshold, skew_type):
+def test_control_transforms_match_the_row_rule(tmp_path_factory, samples, repeats, skew_threshold, skew_type):
     # Samples with too few values, zero variance, negative values and skewed
-    # non-negative values; None is a missing value.
+    # non-negative values; None is a missing value.  Frame row i stands for
+    # repeats[i] rows of the unit, and the rule sees every one of them.
     n = max(map(len, samples.values()))
     columns = {name: values + [None] * (n - len(values)) for name, values in samples.items()}
-    rows = [{name: column[i] for name, column in columns.items()} for i in range(n)]
+    rows = [{name: column[i] for name, column in columns.items()} for i in range(n) for _ in range(repeats[i])]
     screening = diagnostics.ScreeningConfig(skew_threshold, 0.05, skew_type)
     config = _config("c", tmp_path_factory.mktemp("fit"), screening=screening, models=(1,))
     state = pipeline.PipelineResult(config)
     frame = {name: np.array(column, dtype=float) for name, column in columns.items()}
-    with mock.patch.object(pipeline, "_model_frame", return_value=frame):
+    with mock.patch.object(pipeline, "_model_frame", return_value=(frame, np.array(repeats[:n], dtype=np.int64))):
         pipeline._fit(config, state)
     assert state.control_transforms == oracles.control_transforms_rows(
         rows, pipeline.CONTINUOUS_CONTROLS, skew_threshold, skew_type, diagnostics.skewness

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,25 @@ def test_model_json_round_trip(tmp_path):
     assert payload["odds_ratios"][1] == pytest.approx(math.exp(1.03))
     assert payload["converged"] is True
     assert "error" not in payload
+
+
+def test_an_odds_ratio_past_the_float_range_is_inf_and_null_in_json(tmp_path):
+    # A finite, converged fit whose coefficient exceeds log(max float), about
+    # 709.78: the steep slope of x on a scale of 1e-4.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(400) * 1e-4
+    y = (rng.random(400) < glm._sigmoid(3e4 * x)).astype(float)
+    fit = glm.fit_logistic(np.column_stack([np.ones(400), x]), y, ["Intercept", "x"])
+    assert fit.converged and math.isfinite(fit.coefficients[1]) and fit.coefficients[1] > 709.79
+    assert fit.odds_ratios == [pytest.approx(math.exp(fit.coefficients[0])), math.inf]
+    spec = glm.ModelSpec(name="model_1", outcome="y", predictors=("x",))
+    reporting.write_model_json(tmp_path / "model_1.json", fit, spec)
+    text = (tmp_path / "model_1.json").read_text("utf-8")
+    assert "Infinity" not in text and json.loads(text)["odds_ratios"][1] is None
+    reporting.write_models_csv(tmp_path / "models_table.csv", {1: fit})
+    with open(tmp_path / "models_table.csv", encoding="utf-8", newline="") as handle:
+        assert dict((row[0], row[2]) for row in csv.reader(handle))["x"] == "inf"
+    assert re.search(r"^x +\S+ +inf$", reporting.format_models_table({1: fit}), re.MULTILINE)
 
 
 def test_model_failure_json(tmp_path):
