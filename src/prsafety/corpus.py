@@ -307,6 +307,11 @@ def _text(obj: dict, name: str) -> str:
 _text.accepts = "type(v) is str"
 
 
+# The largest integer field: a count past int64 has no place in the numpy
+# columns built from it, and one past the float range cannot be converted.
+INTEGER_MAX = 2**63 - 1
+
+
 def _integer(minimum: int):
     def check(obj: dict, name: str) -> int:
         value = obj.get(name)
@@ -314,9 +319,11 @@ def _integer(minimum: int):
             raise _fault(value, name, "must be an integer")
         if value < minimum:
             raise _LineError(f"field {name!r} must be >= {minimum}, got {value}")
+        if value > INTEGER_MAX:
+            raise _LineError(f"field {name!r} must be <= {INTEGER_MAX}, got {value}")
         return value
 
-    check.accepts = f"type(v) is int and v >= {minimum!r}"
+    check.accepts = f"type(v) is int and {minimum!r} <= v <= {INTEGER_MAX!r}"
     return check
 
 
@@ -724,16 +731,15 @@ def write_error_report(errors: Iterable[IngestError], path: str | Path) -> None:
     _write_jsonl(Path(path), errors)
 
 
-def filter_repositories(corpus: Corpus, config: FilterConfig | None = None) -> Corpus:
+def filter_repositories(corpus: Corpus, config: FilterConfig) -> Corpus:
     """Apply star-ranked selection followed by category exclusion.
 
     Keeps the top N repositories by stars with boundary ties included, then
     drops any repository carrying an excluded category label.  Pulls, commits
     and contexts of dropped repositories are removed as well.  Applying the
-    same filter twice is a no-op.
+    same filter twice is a no-op.  There is no default filter: a run whose
+    PipelineConfig.filter is None does not filter and does not call this.
     """
-    config = config or FilterConfig()
-
     ranked = sorted(corpus.repos, key=lambda r: (-r.stars, r.repo_full_name))
     if len(ranked) > config.top_n_by_stars:
         cutoff = ranked[config.top_n_by_stars - 1].stars

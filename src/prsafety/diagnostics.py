@@ -47,6 +47,8 @@ def skewness(values: Sequence[float], type: int = 3) -> float:
     Types 2 and 3 rescale the moment coefficient g1 and need at least three
     observations; type 1 needs two.  Fewer observations, or zero variance
     (the coefficient divides by m2^(3/2)), raise UndefinedSkewnessError.
+    Zero variance is a constant sample, decided on the values themselves,
+    so a mean that rounds gives a constant sample no skewness.
     """
     if type not in _MIN_OBSERVATIONS:
         raise ValueError(f"skewness type must be 1, 2 or 3, got {type}")
@@ -57,11 +59,15 @@ def skewness(values: Sequence[float], type: int = 3) -> float:
     min_n = _MIN_OBSERVATIONS[type]
     if n < min_n:
         raise UndefinedSkewnessError(f"skewness type {type} needs at least {min_n} observations, got {n}")
+    if x.min() == x.max():
+        raise UndefinedSkewnessError("skewness undefined: sample variance is zero")
+    # g1 does not change with scale, and scaling by a power of two is exact:
+    # centred values near 1 keep m2^(3/2) from underflowing to 0 and m3 from
+    # overflowing.
     centered = x - x.mean()
+    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
-    if m2 <= 0.0:
-        raise UndefinedSkewnessError("skewness undefined: sample variance is zero")
     g1 = m3 / m2**1.5
     if type == 1:
         return g1

@@ -10,10 +10,14 @@ squares: with p = sigmoid(eta) and W = diag(w p (1 - p)), each step solves
     (X' W X) b_new = X' W z,     z = eta + (y - p) / (p (1 - p))
 
 which is the Newton-Raphson step expressed as a regression on the working
-response z.  Iteration stops when the absolute log-likelihood change falls
-below the tolerance.  Standard errors come from the inverse Fisher
-information (X' W X)^-1 at the optimum, Wald z statistics are b / se with
-two-sided normal p-values, and odds ratios are exp(b).
+response z.  It is solved as R b_new = Q' W^(1/2) z from W^(1/2) X = QR,
+never forming X' W X, whose condition number is the square of R's: near
+separation the separated rows' curvature shrinks like exp(-|eta|), and the
+normal equations would lose the separating direction to rounding.
+Iteration stops when the absolute log-likelihood change falls below the
+tolerance.  Standard errors come from the inverse Fisher information
+(X' W X)^-1 at the optimum, Wald z statistics are b / se with two-sided
+normal p-values, and odds ratios are exp(b).
 
 encode_design builds the design matrix of a ModelSpec from a frame of
 columns: a mapping from each variable to an equal-length sequence.  Rows may
@@ -21,18 +25,24 @@ carry frequency weights w (McCullagh & Nelder 1989, section 4.2): every sum
 and check is weighted, so a fit is that of the rows repeated w times.
 
 Quasi-separation makes the MLE drift to infinity; it is reported as an error
-rather than returned as a garbage fit.  Rank-deficient designs are rejected
-up front with the names of the dependent columns, found from the SVD of the
-p x p factor R of sqrt(w) X = QR.  Then, still before IRLS, a cell scan
-names an empty cell of any 0/1 column's 2 x 2 table with the outcome (the
-structural case: every sustained contributor is recent, so model 3 has no
-MLE).  After IRLS, runaway growth is a linear predictor X b whose sd exceeds
-20, or a failure to converge.  The sd of X b is |b_j| sd(x_j) for a single
-column and puts every column on its own scale at once: the intercept adds
-nothing to it, and neither rescaling a column nor choosing another reference
-level of a factor moves it.  A fit whose last IRLS step still moved X b by
-more than 0.1 is drifting along a separating direction; that catches a
-separating combination the scan cannot see, such as a reference level.
+rather than returned as a garbage fit.  The MLE exists exactly when no
+direction d has X d >= 0 on the y = 1 rows, X d <= 0 on the y = 0 rows and
+X d != 0 (Albert & Anderson 1984): a condition on signs, so no bound on the
+size of X b takes part.  Rank-deficient designs are rejected up front with
+the names of the dependent columns, found from the SVD of the p x p factor
+R of sqrt(w) X = QR.  Then, still before IRLS, a cell scan names an empty
+cell of any 0/1 column's 2 x 2 table with the outcome (the structural case:
+every sustained contributor is recent, so model 3 has no MLE).  During IRLS
+a singular or non-finite step is separation, and after it a failure to
+converge, or a last step that still moved X b by more than 0.1: along a
+separating direction the likelihood flattens while each Newton step keeps
+moving X b by about 1.  For that, the floor IRLS puts under a row's
+curvature p (1 - p) applies only where the outcome disagrees with the sign
+of X b; where it agrees, the floor would shrink the step.  The drift test
+catches a separating combination the scan cannot see, such as a reference
+level.  The column named is the one furthest out on its own scale
+(|b_j| sd(x_j), or the same for the last step), which no rescaling of a
+column moves.
 """
 
 from __future__ import annotations
@@ -46,9 +56,6 @@ import numpy as np
 from .corpus import REPO_SIZES
 
 INTERCEPT_NAME = "Intercept"
-
-# A linear predictor X beta whose sd exceeds this is runaway growth.
-SEPARATION_BOUND = 20.0
 
 # Along a separating direction the likelihood flattens while each IRLS step
 # still moves the linear predictor by about 1, so a fit whose last step moved
@@ -305,11 +312,13 @@ def fit_logistic(
     Convergence is declared when the absolute change in log-likelihood
     between iterations drops below IRLS_TOL.  Raises RankDeficiencyError for
     dependent columns.  Raises SeparationError before the first iteration
-    on an empty cell of a 0/1 column (_check_cells), and after the last one
-    when the sd of X beta exceeds SEPARATION_BOUND, when the iteration
-    fails to converge, or when the step that converged still moved X beta
-    by more than DRIFT_BOUND, naming the column furthest out on its own
-    scale.  Sums, sds, n_observations and BIC's log n count the weights.
+    on an empty cell of a 0/1 column (_check_cells); during it when the
+    weighted normal equations are singular or the step is not finite; and
+    after the last one when the iteration fails to converge within
+    IRLS_MAX_ITER, or when the step that converged still moved X beta by
+    more than DRIFT_BOUND, naming the column furthest out on its own scale.
+    A finite MLE fits however large X beta is.  Sums, sds, n_observations
+    and BIC's log n count the weights.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -345,10 +354,18 @@ def fit_logistic(
         prob = _sigmoid(eta)
         curvature = np.maximum(prob * (1.0 - prob), 1e-12)
         z = eta + (y - prob) / curvature
-        XtW = X.T * (w * curvature)
+        # The floor keeps z finite on a row whose outcome disagrees with a
+        # large |eta|.  A row that agrees takes its exact curvature
+        # t / (1 + t)^2 and response eta +- (1 + t), t = exp(-|eta|).
+        agree = (curvature == 1e-12) & ((eta > 0) == (y == 1.0))
+        tail = np.exp(-np.abs(eta[agree]))
+        curvature[agree] = tail / (1.0 + tail) ** 2
+        z[agree] = eta[agree] + np.sign(eta[agree]) * (1.0 + tail)
         previous = beta
         try:
-            beta = np.linalg.solve(XtW @ X, XtW @ z)
+            # R of [W^(1/2) X, W^(1/2) z] holds R of W^(1/2) X and Q' W^(1/2) z.
+            r = np.linalg.qr(np.column_stack([X, z]) * np.sqrt(w * curvature)[:, None], mode="r")
+            beta = np.linalg.solve(r[:p, :p], r[:p, p])
         except np.linalg.LinAlgError:
             raise SeparationError(furthest(beta), "weighted normal equations became singular") from None
         if not np.all(np.isfinite(beta)):
@@ -362,11 +379,6 @@ def fit_logistic(
             break
         ll = ll_new
 
-    growth = float(_weighted_sd(X @ beta, w))
-    if growth > SEPARATION_BOUND:
-        raise SeparationError(
-            furthest(beta), f"sd of the linear predictor exceeded {SEPARATION_BOUND} (got {growth:.4g})"
-        )
     if not converged:
         raise SeparationError(furthest(beta), f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
     step = beta - previous

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date
@@ -94,18 +95,23 @@ def test_run_on_two_pulls_stops_at_the_fit_stage(tmp_path, capsys):
     assert reasons == dict.fromkeys(COUNT_CUES, "skewness type 3 needs at least 3 observations, got 2")
 
 
+def _run_subprocess(corpus_dir, out_dir):
+    """`prsafety run` in a child process, which shows the real stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "prsafety.cli", "run", *_run_args(corpus_dir, out_dir)],
+        env=env, capture_output=True, text=True,
+    )
+
+
 def test_run_without_pulls_writes_a_json_screening_report(tmp_path):
     # No pulls: every cue is excluded with a reason and no fraction, and the
-    # run stops at the index stage.  A subprocess shows the real stderr.
+    # run stops at the index stage.
     corpus = synth.corpus12()
     corpus_mod.save_corpus(dataclasses.replace(corpus, pulls=[]), tmp_path / "in")
     out = tmp_path / "out"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-m", "prsafety.cli", "run", *_run_args(tmp_path / "in", out)],
-        env=env, capture_output=True, text=True,
-    )
+    result = _run_subprocess(tmp_path / "in", out)
     assert result.returncode == 1
     assert result.stderr.splitlines()[-1] == "error: cannot compute thresholds from an empty cue table"
     assert "RuntimeWarning" not in result.stderr
@@ -115,6 +121,49 @@ def test_run_without_pulls_writes_a_json_screening_report(tmp_path):
     )
     binary = [v for v in report["variables"] if v["kind"] == "binary"]
     assert binary and all(v["action"] == "excluded" and v["minority_fraction"] is None for v in binary)
+
+
+def _edit_lines(corpus_dir, name, edit):
+    """Rewrite each line of one corpus file as edit(index, object) returns it."""
+    path = corpus_dir / name
+    objects = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    path.write_text("".join(json.dumps(edit(i, obj)) + "\n" for i, obj in enumerate(objects)), "utf-8")
+
+
+def test_tiny_controls_end_in_a_fit_failure_not_a_traceback(small_corpus_dir, tmp_path):
+    # Rates near 1e-160: screening's skewness must not divide by an
+    # underflowed m2^(3/2), and beside the intercept the column is rank
+    # deficient in every model.
+    corpus = tmp_path / "in"
+    shutil.copytree(small_corpus_dir, corpus)
+    _edit_lines(corpus, "contributor_context.jsonl",
+                lambda i, obj: {**obj, "contrib_rate_author": (i % 7 + 1) * 1e-160})
+    result = _run_subprocess(corpus, tmp_path / "out")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: fit stage failed: no requested model has a finite fit")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
+    assert manifest["model_failures"] == dict.fromkeys(
+        ("1", "2", "3"), "design matrix is rank deficient; dependent columns: contrib_rate_author"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,field", [("pulls.jsonl", "reopen_count"), ("contributor_context.jsonl", "followers")]
+)
+def test_an_integer_past_the_int64_range_is_one_ingest_error(small_corpus_dir, tmp_path, name, field):
+    corpus = tmp_path / "in"
+    shutil.copytree(small_corpus_dir, corpus)
+    _edit_lines(corpus, name, lambda i, obj: {**obj, field: 10**400} if i == 0 else obj)
+    result = _run_subprocess(corpus, tmp_path / "out")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    lines = (tmp_path / "out" / "ingest_errors.jsonl").read_text("utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [{
+        "file": name,
+        "line": 1,
+        "message": f"field {field!r} must be <= {2**63 - 1}, got {10**400}",
+    }]
 
 
 def test_missing_corpus_is_exit_2(tmp_path, capsys):

@@ -530,6 +530,14 @@ def test_filter_replays_curation_to_26_of_200():
     assert all(not (r.category_labels & frozenset(excluded_cycle)) for r in kept.repos)
 
 
+def test_the_filter_has_no_default():
+    # PipelineConfig.filter = None means no filter, so None here must not
+    # quietly mean the default one.
+    corpus = _repo_corpus([_meta("r/a", 10)])
+    with pytest.raises(TypeError):
+        cm.filter_repositories(corpus)
+
+
 # --- the line decoder against json.loads alone ----------------------------------
 
 _ANY_JSON = st.recursive(
@@ -829,6 +837,12 @@ _DRAWN_FIELDS = st.dictionaries(st.sampled_from(_FIELDS), _JSON_VALUES | st.just
 @example(filename="repos.jsonl", drawn={"repo_size": "", "pr_count": -1}, from_valid=True)
 @example(filename="commits.jsonl", drawn={"author": ""}, from_valid=True)
 @example(filename="pulls.jsonl", drawn={"merged": 1}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"pr_number": 2**63 - 1}, from_valid=True)
+@example(filename="pulls.jsonl", drawn={"reopen_count": 2**63}, from_valid=True)
+@example(filename="contributor_context.jsonl", drawn={"followers": 10**400}, from_valid=True)
+@example(filename="contributor_context.jsonl", drawn={"num_languages": 2**63 - 1}, from_valid=True)
+@example(filename="repos.jsonl", drawn={"stars": 2**63}, from_valid=True)
+@example(filename="repos.jsonl", drawn={"pr_count": 2**63 - 1, "repo_size": "large"}, from_valid=True)
 def test_compiled_parsers_match_the_interpreted_walk(filename, drawn, from_valid):
     obj = _override(_VALID[filename] if from_valid else {}, drawn)
     compiled, interpreted = _PARSERS[filename]

@@ -70,6 +70,30 @@ def test_constant_sample_is_undefined():
         dg.skewness([4.0, 4.0, 4.0])
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [
+        [5.017304323128728e-98] * 5,  # its spread cubed would underflow
+        [0.1] * 3,  # the mean rounds off 0.1, leaving spread that is not there
+        [0.7] * 7,
+    ],
+)
+def test_a_constant_sample_is_undefined_whatever_its_mean_rounds_to(sample):
+    for type in (1, 2, 3):
+        with pytest.raises(dg.UndefinedSkewnessError, match="variance is zero"):
+            dg.skewness(sample, type=type)
+
+
+def test_skewness_survives_values_near_the_ends_of_the_float_range():
+    assert dg.skewness([1e-160, 2e-160, 3e-160]) == 0.0
+    sample = [1.0, 2.0, 10.0]
+    for factor in (1e-160, 1e-300, 1e200):
+        for type in (1, 2, 3):
+            assert dg.skewness([v * factor for v in sample], type=type) == pytest.approx(
+                dg.skewness(sample, type=type), rel=1e-14
+            )
+
+
 def test_bad_type_rejected():
     with pytest.raises(ValueError, match="type"):
         dg.skewness([1.0, 2.0, 3.0], type=4)

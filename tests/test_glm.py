@@ -430,7 +430,7 @@ def test_rank_check_on_r_names_what_the_svd_of_x_names():
         assert bool(expected) == bool(planted)
 
 
-# --- the cell scan and runaway growth ------------------------------------------------
+# --- the cell scan and the verdicts after IRLS --------------------------------------
 
 _SCAN_EMPTY = re.compile(r"no row has (.+) = ([01]) and outcome ([01])$")
 
@@ -552,8 +552,9 @@ def _verdict(design):
 
 
 def test_rescaling_followers_moves_no_verdict():
-    # followers has by far the largest spread of the controls; the bound
-    # reads the linear predictor, so no unit change flips a fit.
+    # followers has by far the largest spread of the controls; the verdicts
+    # read signs and the steps of the linear predictor, never a column's
+    # units, so no unit change flips a fit.
     rng = random.Random(6060)
     rows = _labelled_rows(400, rng)
     for row in rows:  # an outcome that leans on followers, nesting kept
@@ -599,6 +600,121 @@ def test_an_overlapping_high_leverage_row_still_fits():
     assert fit.converged and prob[-1] * (1.0 - prob[-1]) < 1e-12
     assert 0.5 < fit.coefficients[1] < 2.0
     np.testing.assert_allclose(X.T @ (y - prob), 0.0, atol=1e-8)
+
+
+def test_a_finite_fit_with_a_strong_effect_fits():
+    # The outcomes overlap along x (35 rows lie on the wrong side of 0), so
+    # no direction separates them and the MLE is finite; sd(X b) is above 20.
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-10, 10, 2000)
+    y = (rng.random(2000) < glm._sigmoid(4 * x)).astype(float)
+    X = np.column_stack([np.ones(2000), x])
+    assert x[y == 0].max() > x[y == 1].min() and np.sum((x > 0) != (y == 1.0)) == 35
+    fit = glm.fit_logistic(X, y, ["Intercept", "x"])
+    assert fit.converged and fit.iterations == 12
+    assert np.std(X @ fit.coefficients) > 20
+    beta, _ = oracles.fit_newton_oracle(X, y)
+    _assert_close(fit.coefficients, beta, 1e-8)
+
+
+def _exact_separation(kind, rng):
+    """Integer columns and an integer direction d, so the margins X d are exact.
+
+    complete: the rows with X d = 0 are dropped, and y = 1 exactly where
+    X d > 0.  quasi: rows on the hyperplane X d = 0 stay with random
+    outcomes, and one of them is repeated with the other outcome.  Total
+    weights run from 1e2 to 1e8.
+    """
+    k = int(rng.integers(1, 4))
+    n = int(rng.integers(8, 60))
+    X = np.column_stack([np.ones(n), rng.integers(-10, 11, (n, k))]).astype(float)
+    d = rng.integers(-3, 4, k + 1).astype(float)
+    j = 1 + int(rng.integers(0, k))
+    d[j] = rng.choice([-1.0, 1.0])
+    if kind == "quasi":  # a row on the hyperplane, solved for column j
+        row = np.append(1.0, rng.integers(-10, 11, k)).astype(float)
+        row[j] = 0.0
+        row[j] = -(row @ d) / d[j]
+        X = np.vstack([X, row])
+    margin = X @ d
+    if kind == "complete":
+        X, margin = X[margin != 0], margin[margin != 0]
+    y = (margin > 0).astype(float)
+    if kind == "quasi":  # both outcomes on the hyperplane
+        on = np.flatnonzero(margin == 0)
+        y[on] = rng.integers(0, 2, on.size)
+        X, y = np.vstack([X, X[on[0]]]), np.append(y, 1.0 - y[on[0]])
+    total = 10 ** rng.uniform(2, 8)
+    return X, y, np.maximum(1, rng.dirichlet(np.ones(len(y))) * total).astype(np.int64)
+
+
+def _mirrored_fit(rng):
+    """Finite by construction: outcomes drawn from strong effects, then the
+    p + 1 rows nearest the true boundary repeated with the opposite outcome.
+
+    Columns are N(0, 1) scaled by 1 to 10 with coefficients up to 5 per unit,
+    and the weights run 1 to 50.  The repeated rows span the columns, and any
+    separating d would have X d = 0 on each of them, so no d separates.
+    """
+    k = int(rng.integers(1, 4))
+    n = int(rng.integers(10, 60))
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, k)) * rng.uniform(1, 10, k)])
+    eta = X @ np.append(rng.uniform(-2, 2), rng.uniform(-5, 5, k))
+    y = (rng.random(n) < glm._sigmoid(eta)).astype(float)
+    rows = np.argsort(np.abs(eta))[: k + 2]
+    assert np.linalg.matrix_rank(X[rows]) == k + 1
+    X, y = np.vstack([X, X[rows]]), np.append(y, 1.0 - y[rows])
+    return X, y, rng.integers(1, 51, len(y))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(kind="finite", seed=0)  # sd(X b) is 30.7
+@example(kind="complete", seed=53)  # a floor on every row's curvature stalls IRLS here
+@example(kind="quasi", seed=149)  # and here
+@given(kind=st.sampled_from(("finite", "complete", "quasi")), seed=st.integers(0, 2**32 - 1))
+def test_separation_is_a_matter_of_signs_not_of_size(kind, seed):
+    # A finite MLE fits and meets the weighted score equations however large
+    # X b grows; a separated design raises whatever its total weight.
+    rng = np.random.default_rng(seed)
+    if kind == "finite":
+        X, y, w = _mirrored_fit(rng)
+        fit = glm.fit_logistic(X, y, None, w)
+        event(f"finite: sd(X b) {'above' if np.std(X @ fit.coefficients) > 20 else 'at most'} 20")
+        assert fit.converged
+        score = X.T @ (w * (y - glm._sigmoid(X @ fit.coefficients)))
+        assert np.max(np.abs(score)) <= 1e-6 * w.sum()
+    else:
+        X, y, w = _exact_separation(kind, rng)
+        with pytest.raises(glm.SeparationError) as info:
+            glm.fit_logistic(X, y, None, w)
+        event(f"{kind}: {str(info.value).split(': ', 1)[1][:24]}")
+
+
+def test_a_singular_step_is_separation(monkeypatch):
+    X, y = _random_dataset(np.random.default_rng(71), 100, 3)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(glm.SeparationError, match="weighted normal equations became singular$"):
+        glm.fit_logistic(X, y, ["Intercept", "a", "b"])
+
+
+def test_a_non_finite_step_names_its_column(monkeypatch):
+    X, y = _random_dataset(np.random.default_rng(73), 100, 3)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0.5, np.inf, -np.inf]))
+    with pytest.raises(glm.SeparationError, match="coefficients diverged to non-finite values$") as info:
+        glm.fit_logistic(X, y, ["Intercept", "a", "b"])
+    assert info.value.column == "a"
+
+
+def test_a_fit_still_moving_after_the_last_iteration_is_separation(monkeypatch):
+    X, y = _random_dataset(np.random.default_rng(79), 100, 3)
+    assert glm.fit_logistic(X, y).iterations > 1
+    monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+    with pytest.raises(glm.SeparationError, match="IRLS did not converge in 1 iterations$"):
+        glm.fit_logistic(X, y, ["Intercept", "a", "b"])
 
 
 # --- frequency weights ---------------------------------------------------------------
@@ -647,11 +763,11 @@ def _assert_close(actual, expected, rtol):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @example(kind="random", seed=0)  # a finite fit
-@example(kind="random", seed=14)  # sd(X b) past the bound
+@example(kind="random", seed=14)  # separated: the last IRLS step still moves X b by 9.93
 @example(kind="binary", seed=0)  # the cell scan names a column
 @example(kind="reference", seed=0)  # IRLS drifts along the reference level
 @example(kind="reference", seed=184)  # two dummies tie on the drifting step
-@example(kind="reference", seed=384)  # sd(X b) of a diverged fit, known to a few digits
+@example(kind="reference", seed=384)  # the weighted normal equations turn singular
 @example(kind="collinear", seed=0)
 @example(kind="few_rows", seed=0)
 @given(kind=st.sampled_from(_WEIGHTED_KINDS), seed=st.integers(0, 2**32 - 1))
@@ -776,6 +892,17 @@ def test_vif_matches_normal_equations_oracle():
     expected = oracles.vif_normal_equations(X)
     assert [out[n] for n in names[1:]] == pytest.approx(expected, abs=1e-8)
     assert all(v >= 1.0 - 1e-10 for v in out.values())
+
+
+def test_vif_without_an_intercept_column_regresses_on_a_constant_anyway():
+    rng = np.random.default_rng(83)
+    base = rng.standard_normal((40, 3)) + [2.0, -1.0, 0.5]
+    X = np.column_stack([base, base[:, 0] * 0.7 + rng.standard_normal(40) * 0.5])
+    w = rng.integers(1, 6, 40)
+    names = ["a", "b", "c", "d"]
+    out = glm.vif(X, names, w)
+    expected = oracles.vif_normal_equations(np.repeat(np.column_stack([np.ones(40), X]), w, axis=0))
+    assert [out[n] for n in names] == pytest.approx(expected, rel=1e-12)
 
 
 def test_vif_name_mismatch():
