@@ -43,6 +43,15 @@ any other value, or one that fromisoformat rejects (February 30, second
 pass; a list with an item that fails is walked again item by item, so that
 the message names the item's position.
 
+Within one load, each distinct repository name, author, role and size is
+one string object, shared by every record that holds it: json builds a new
+string for each value, and a corpus repeats a few thousand names across
+all its records.  The table behind it (_SHARED) lives only while
+load_corpus runs.  sys.intern would keep every name a long-lived process
+ever loaded, since from Python 3.12 a string interned at runtime is
+immortal.  Bodies and timestamps are nearly all distinct and are not
+shared.
+
 A line is "nested too deeply" once reading it opens a level of arrays and
 objects past MAX_NESTING, on every Python version and at every call depth.
 A line that decodes is at least twice as long as it is deep, so most lines
@@ -287,6 +296,13 @@ def _fault(value, name: str, wanted: str) -> _LineError:
     return _LineError(f"field {name!r} {wanted}")
 
 
+# The first object of each name and choice value seen in the current load,
+# which a passing name or choice is read as; load_corpus empties it when it
+# returns.  Loads that overlap in threads share it, and the first to return
+# empties it: the other's records stay equal, but share fewer names.
+_SHARED: dict[str, str] = {}
+
+
 def _name(obj: dict, name: str) -> str:
     value = obj.get(name)
     if type(value) is str and value:
@@ -295,6 +311,7 @@ def _name(obj: dict, name: str) -> str:
 
 
 _name.accepts = "type(v) is str and v"
+_name.reads = "share(v, v)"
 
 
 def _text(obj: dict, name: str) -> str:
@@ -364,7 +381,12 @@ def _optional_timestamp(obj: dict, name: str) -> datetime | None:
 # raises ValueError, and parse_timestamp then words the message.
 _timestamp.accepts = _optional_timestamp.accepts = "type(v) is str and utc_seconds(v)"
 _timestamp.reads = _optional_timestamp.reads = "from_iso(v[:19] + '+00:00')"
-_INLINE_NAMES = {"utc_seconds": _UTC_SECONDS.fullmatch, "from_iso": datetime.fromisoformat}
+
+_INLINE_NAMES = {
+    "utc_seconds": _UTC_SECONDS.fullmatch,
+    "from_iso": datetime.fromisoformat,
+    "share": _SHARED.setdefault,
+}
 
 
 def _choice(choices: tuple[str, ...]):
@@ -376,6 +398,7 @@ def _choice(choices: tuple[str, ...]):
         raise _ChoiceError(f"{name} {value!r} not one of {choices}")
 
     check.accepts = f"v in {choices!r}"
+    check.reads = "share(v, v)"
     return check
 
 
@@ -403,7 +426,7 @@ def _size_matches_count(obj: dict, name: str) -> str:
     size, pr_count = obj[name], obj["pr_count"]
     if repo_size_for(pr_count) != size:
         raise _LineError(f"repo_size {size!r} inconsistent with pr_count {pr_count}")
-    return size
+    return _SHARED.setdefault(size, size)
 
 
 # Record tables, one row per check in order: a line's error is its first failing row.
@@ -606,9 +629,16 @@ def load_corpus(directory: str | Path) -> LoadResult:
 
     Returns the corpus together with the per-line error report.  Invalid
     lines are skipped, never repaired.  A missing required file raises
-    CorpusError.
+    CorpusError.  Equal names and roles in the corpus are one object each;
+    the table that shares them is emptied on return, also after a raise.
     """
-    directory = Path(directory)
+    try:
+        return _load(Path(directory))
+    finally:
+        _SHARED.clear()
+
+
+def _load(directory: Path) -> LoadResult:
     if not directory.is_dir():
         raise CorpusError(f"corpus directory not found: {directory}")
     for name in REQUIRED_FILES:

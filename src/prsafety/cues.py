@@ -24,10 +24,13 @@ are reproducible when the table evolves.
 The scan is one regex alternation of the table's entries, longest first.  A
 lookahead over a few codepoint ranges that cover every entry's first
 codepoint comes before it, so most positions of a body are rejected by one
-range test instead of by trying the alternation.  A pure-ASCII body is not
-scanned at all when no entry of the table is pure ASCII, as in the packaged
-table: such a body cannot contain any entry.  A custom table with a
-pure-ASCII entry is always scanned.
+range test instead of by trying the alternation.  The ranges admit ASCII
+exactly (the packaged table's "#", "*" and "0"-"9"), so ASCII punctuation
+in a non-ASCII body is rejected there too; above ASCII, neighbouring first
+codepoints share a range.  A pure-ASCII body is not scanned at all when no
+entry of the table is pure ASCII, as in the packaged table: such a body
+cannot contain any entry.  A custom table with a pure-ASCII entry is always
+scanned.
 
 extract_all builds the cues of a whole corpus as a CueTable in one walk over
 each thread: every comment updates all thirteen counters at once.  A body is
@@ -94,17 +97,22 @@ class EmojiTableError(Exception):
     """Malformed emoji reference table."""
 
 
-# Neighbouring first codepoints at most this far apart share one range of the
-# prefilter.  The packaged table's 261 first codepoints become 6 ranges.  The
-# regex engine tests a class member by member, so a class that lists the 261
-# codepoints one by one is about ten times slower to scan than the 6 ranges.
+# Neighbouring first codepoints above ASCII at most this far apart share one
+# range of the prefilter; ASCII first codepoints are admitted exactly, since
+# ASCII punctuation is common in text and a range over it would send each
+# such character to the alternation.  The packaged table's 261 first
+# codepoints become 8 ranges: "#", "*", "0"-"9" and 5 above ASCII.  The regex
+# engine tests a class member by member, so a class that lists the 261
+# codepoints one by one is about ten times slower to scan than the ranges.
 _PREFILTER_GAP = 256
+_ASCII_MAX = 0x7F
 
 
 def _first_codepoint_ranges(sequences: frozenset[str]) -> list[list[int]]:
     ranges: list[list[int]] = []
     for code in sorted({ord(s[0]) for s in sequences}):
-        if ranges and code - ranges[-1][1] <= _PREFILTER_GAP:
+        gap = _PREFILTER_GAP if ranges and ranges[-1][1] >= _ASCII_MAX else 1
+        if ranges and code - ranges[-1][1] <= gap:
             ranges[-1][1] = code
         else:
             ranges.append([code, code])

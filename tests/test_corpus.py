@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import synth
 from prsafety import corpus as cm
 
 
@@ -422,6 +423,47 @@ def test_unsorted_embedded_comments_are_sorted_on_load(tmp_path):
     directory = _minimal_dir(tmp_path, pulls=[pull], repos=[_repo_obj()])
     result = cm.load_corpus(directory)
     assert [c.body for c in result.corpus.pulls[0].comments] == ["a", "b"]
+
+
+def _shared_fields(corpus: cm.Corpus) -> list[str]:
+    """Every repository name, author, role and size the corpus holds."""
+    comments = [c for p in corpus.pulls for c in p.comments]
+    values = [v for p in corpus.pulls for v in (p.repo_full_name, p.author)]
+    values += [v for c in comments for v in (c.author, c.role)]
+    values += [v for r in corpus.commits + corpus.contexts for v in (r.repo_full_name, r.author)]
+    return values + [v for r in corpus.repos for v in (r.repo_full_name, r.repo_size)]
+
+
+def test_a_load_holds_each_name_once_and_forgets_it(tmp_path, monkeypatch):
+    synth.build_small_corpus(tmp_path)
+    pulls, separate = [], []
+    for i, line in enumerate((tmp_path / "pulls.jsonl").read_text("utf-8").splitlines()):
+        pull = json.loads(line)
+        if i % 2:  # every other pull's comments on their own lines
+            key = {"repo_full_name": pull["repo_full_name"], "pr_number": pull["pr_number"]}
+            separate += [json.dumps({**key, **comment}) for comment in pull.pop("comments")]
+        pulls.append(json.dumps(pull))
+    (tmp_path / "pulls.jsonl").write_text("\n".join(pulls) + "\n", encoding="utf-8")
+    (tmp_path / "comments.jsonl").write_text("\n".join(separate) + "\n", encoding="utf-8")
+
+    result = cm.load_corpus(tmp_path)
+    assert not result.errors
+    embedded, placed = (sum(len(p.comments) for p in result.corpus.pulls[k::2]) for k in (0, 1))
+    assert embedded > 100 and placed == len(separate)
+    values = _shared_fields(result.corpus)
+    assert len(values) > 10 * len(set(values))
+    assert len({id(v) for v in values}) == len(set(values))
+    assert not cm._SHARED
+
+    # A load that raises part way empties the table as well.
+    def fail(obj):
+        assert cm._SHARED  # the pulls' and comments' names
+        raise RuntimeError("commit parser failed")
+
+    monkeypatch.setattr(cm, "_parse_commit", fail)
+    with pytest.raises(RuntimeError, match="commit parser failed"):
+        cm.load_corpus(tmp_path)
+    assert not cm._SHARED
 
 
 # --- fixture corpus -----------------------------------------------------------

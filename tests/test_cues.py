@@ -68,10 +68,12 @@ def test_longest_match_first(emoji_table):
 
 
 # Text between table entries: the ASCII keycap heads (#, *, 0-9), other
-# ASCII, a lone ZWJ, VS16 and keycap mark, and accented, CJK and symbol text
+# ASCII, among it punctuation between "#" and "9" that the prefilter must
+# reject, a lone ZWJ, VS16 and keycap mark, and accented, CJK and symbol text
 # whose codepoints fall inside or near the scan's prefilter ranges.
 _FILLERS = (
-    "#", "*", "0", "5", "9", "x", " ", "@", "abc", "\u200d", "\ufe0f", "\u20e3",
+    "#", "*", "0", "5", "9", "$", "(", "-", ".", "/", "x", " ", "@", "abc",
+    "\u200d", "\ufe0f", "\u20e3",
     "é", "ça marche", "日本語", "漢字", "\u00a9", "\u2122", "\u2600", "\U0001F300",
 )
 
@@ -90,6 +92,16 @@ def test_emoji_counts_match_window_scan_oracle(emoji_table, data):
     pool = sorted(emoji_table.sequences) + list(_FILLERS)
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=30))
     _assert_matches_oracle("".join(parts), emoji_table)
+
+
+def test_the_prefilter_admits_exactly_the_ascii_first_codepoints(emoji_table):
+    admitted = {
+        chr(code)
+        for low, high in cues._first_codepoint_ranges(emoji_table.sequences)
+        for code in range(low, min(high, 0x7F) + 1)
+    }
+    assert admitted == set("#*0123456789")
+    assert admitted == {s[0] for s in emoji_table.sequences if s[0].isascii()}
 
 
 @pytest.fixture(scope="module")

@@ -474,6 +474,49 @@ def test_a_repository_the_filter_drops_moves_no_artifact(tmp_path):
     assert _filtered_run(corpus_dir, out) == before
 
 
+# A prefix every name shares keeps the names' order, so it may move no number.
+_PREFIX = "mirror-of-the-upstream-"
+
+
+def _renamed(value):
+    """A decoded corpus line with _PREFIX on every author and repository name."""
+    if isinstance(value, list):
+        return [_renamed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _PREFIX + item if key in ("author", "repo_full_name") else _renamed(item)
+                for key, item in value.items()}
+    return value
+
+
+def _report_cells(text: str) -> list[list[str]]:
+    """report.txt without _PREFIX, its lines split on runs of spaces and rules shortened."""
+    return [re.sub("-{2,}", "-", line).split() for line in text.replace(_PREFIX, "").splitlines()]
+
+
+def test_a_prefix_on_every_name_moves_no_number(tmp_path):
+    corpus_dir, out = tmp_path / "corpus", tmp_path / "out"
+    synth.build_small_corpus(corpus_dir)
+    _filtered_run(corpus_dir, out)
+    before = {p.name: p.read_text("utf-8") for p in out.iterdir()}
+    for name in REQUIRED_FILES:
+        lines = (corpus_dir / name).read_text("utf-8").splitlines()
+        renamed = [json.dumps(_renamed(json.loads(line)), separators=(",", ":")) for line in lines]
+        (corpus_dir / name).write_text("\n".join(renamed) + "\n", encoding="utf-8")
+    _filtered_run(corpus_dir, out)
+    after = {p.name: p.read_text("utf-8") for p in out.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert not any(_PREFIX in text for text in before.values())
+    for name in ("model_1.json", "model_2.json", "model_3.json", "models_table.csv",
+                 "screening_report.json", "ingest_errors.jsonl"):
+        assert after[name] == before[name], name
+    for name in ("cues.csv", "labels.csv", "ps_index_contributor.csv", "ps_index_repository.csv"):
+        assert _PREFIX in after[name], name
+        assert after[name].replace(_PREFIX, "") == before[name], name
+    # The repository column of the index table widens to the longer names.
+    assert after["report.txt"].replace(_PREFIX, "") != before["report.txt"]
+    assert _report_cells(after["report.txt"]) == _report_cells(before["report.txt"])
+
+
 # --- the fit stage's model frame --------------------------------------------------------
 
 def _row_multiset(X, y) -> Counter:
