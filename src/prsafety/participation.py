@@ -151,13 +151,17 @@ def label_contributors(
 
     labels: dict[tuple[str, str], ParticipationLabel] = {}
     unlabeled: list[tuple[str, str]] = []
+    # Equal labels are one object: a corpus has thousands of contributors
+    # and a handful of distinct labels.
+    shared: dict[ParticipationLabel, ParticipationLabel] = {}
     for repo, author in sorted(set(contributors)):
         scope = author if global_activity else (repo, author)
         days = by_scope.get(scope)
         if not days:
             unlabeled.append((repo, author))
             continue
-        labels[(repo, author)] = label_participation(tuple(days), config)
+        label = label_participation(tuple(days), config)
+        labels[(repo, author)] = shared.setdefault(label, label)
     return LabelingOutcome(labels=labels, unlabeled=unlabeled)
 
 

@@ -14,7 +14,12 @@ every per-model artifact, report line and manifest entry is read from it.
 Every run is deterministic: identical configuration and corpus bytes give
 byte-identical artifacts.  Manifests therefore carry no wall-clock fields,
 only the configuration hash, the emoji table version, thresholds, screening
-decisions and row counts.
+decisions and row counts.  The configuration hash is the SHA-256 of the
+config's canonical JSON, taken with the interpreter's own SHA-256 module
+(_sha2 from Python 3.12, _sha256 before): hashlib would load OpenSSL's
+libcrypto, about 3 MB resident, for this one digest, so it is used only on
+a build that has neither module.  The manifest's scored_prs and skipped_prs
+count the index's per-row score array.
 
 Artifacts written under the output directory:
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
+import importlib
 import json
 import re
 import types
@@ -232,9 +237,23 @@ def read_config_file(path: str | Path) -> dict:
     return dict(raw)
 
 
+def _builtin_sha256():
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
+
+
+_SHA256 = _builtin_sha256()
+
+
 def config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _SHA256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -469,8 +488,8 @@ def _manifest(result: PipelineResult) -> dict:
             "ingest_errors": len(result.ingest_errors),
             "labeled_contributors": len(result.labeling.labels),
             "unlabeled_contributors": len(result.labeling.unlabeled),
-            "scored_prs": len(result.summary.pr_scores),
-            "skipped_prs": len(result.summary.skipped_prs),
+            "scored_prs": int(np.count_nonzero(result.summary.scores >= 0)),
+            "skipped_prs": int(np.count_nonzero(result.summary.scores < 0)),
             "model_rows_dropped": {i: m.rows_dropped for i, m in fitted.items()},
         },
         "vif": {

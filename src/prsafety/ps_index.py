@@ -35,7 +35,13 @@ The inputs come from the cue table:
 Both read the table's columns.  score_prs sums the ten conditions over the
 columns, one vectorised pass per cue, and summarize multiplies each PR's sum
 by its author's sustainedp_or_not_12: 1 keeps the sum, 0 makes it 0, and a
-label without that outcome skips the PR.
+label without that outcome skips the PR (skip_reason).  Labels are looked up
+once per distinct (repository, author).
+
+A PsSummary keeps one int8 score per row of the table, -1 where the PR is
+skipped, in place of dicts keyed by (repository, number) tuples; pr_scores
+and skipped_prs are dicts built from that array on request.  Medians and
+contributor totals are taken over Python ints, never over a narrow dtype.
 
 The CSVs and the report print an index with format_index_value (three
 decimals) and rank repositories with ranked (highest first, ties by name).
@@ -99,7 +105,8 @@ def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
         raise ValueError(f"threshold scope must be one of {THRESHOLD_SCOPES}, got {scope!r}")
     if not len(table):
         raise ValueError("cannot compute thresholds from an empty cue table")
-    columns = [(cue, table.columns[cue]) for cue in THRESHOLD_CUES]
+    # Python ints: median's (a + b) / 2 of two counts cannot wrap.
+    columns = [(cue, table.columns[cue].tolist()) for cue in THRESHOLD_CUES]
     if scope == "global":
         medians = {cue: float(median(values)) for cue, values in columns}
         return Thresholds(scope="global", global_medians=medians)
@@ -133,12 +140,43 @@ def score_prs(
     return score
 
 
+def skip_reason(label: ParticipationLabel | None) -> str | None:
+    """Why the PRs of an author with this label are not scored, or None when
+    they are: "unlabeled" without a label, the label's status without an
+    outcome."""
+    if label is None:
+        return "unlabeled"
+    return label.status if label.sustainedp_or_not_12 is None else None
+
+
 @dataclass
 class PsSummary:
-    pr_scores: dict[tuple[str, int], int]
-    skipped_prs: dict[tuple[str, int], str]
+    """The index of a cue table: scores[i] is the score of pulls[i], or -1
+    when that PR is skipped for the reason skip_reason gives its author's
+    label in labels."""
+
+    pulls: Sequence[PullRequestRecord]
+    scores: np.ndarray
+    labels: Mapping[tuple[str, str], ParticipationLabel]
     contributor_index: dict[tuple[str, str], float]
     repository_index: dict[str, float]
+
+    @property
+    def pr_scores(self) -> dict[tuple[str, int], int]:
+        """Each scored PR's score by (repository, number), in table order."""
+        return {
+            (pull.repo_full_name, pull.pr_number): score
+            for pull, score in zip(self.pulls, self.scores.tolist()) if score >= 0
+        }
+
+    @property
+    def skipped_prs(self) -> dict[tuple[str, int], str]:
+        """Why each skipped PR is skipped, by (repository, number), in table order."""
+        return {
+            (pull.repo_full_name, pull.pr_number):
+                skip_reason(self.labels.get((pull.repo_full_name, pull.author)))
+            for pull, score in zip(self.pulls, self.scores.tolist()) if score < 0
+        }
 
 
 def summarize(
@@ -151,29 +189,30 @@ def summarize(
 
     score_prs scores the table's columns once; each PR's score is then gated
     by its author's sustainedp_or_not_12.  An outcome of 0 or 1 multiplies
-    the score, no outcome skips the PR under the label's status, and a PR
-    whose author has no label is skipped as "unlabeled".
+    the score, and a PR whose author's label has a skip_reason is skipped.
     """
-    scores = score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only).tolist()
-    pr_scores: dict[tuple[str, int], int] = {}
-    skipped: dict[tuple[str, int], str] = {}
-    per_contributor: dict[tuple[str, str], list[int]] = {}
+    raw = score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only)
+    # Each row's contributor, numbered in first-PR order.
+    contributors: dict[tuple[str, str], int] = {}
+    rows = np.fromiter(
+        (contributors.setdefault((pull.repo_full_name, pull.author), len(contributors))
+         for pull in table.pulls),
+        dtype=np.intp, count=len(table),
+    )
+    gates = np.array([
+        -1 if skip_reason(label) is not None else label.sustainedp_or_not_12
+        for label in map(labels.get, contributors)
+    ], dtype=np.int8)[rows]
+    scored = gates >= 0
+    scores = np.where(scored, raw * gates, -1).astype(np.int8)
 
-    for pull, score in zip(table.pulls, scores):
-        repo = pull.repo_full_name
-        key = (repo, pull.pr_number)
-        label = labels.get((repo, pull.author))
-        if label is None:
-            skipped[key] = "unlabeled"
-        elif label.sustainedp_or_not_12 is None:
-            skipped[key] = label.status
-        else:
-            score *= label.sustainedp_or_not_12
-            pr_scores[key] = score
-            per_contributor.setdefault((repo, pull.author), []).append(score)
-
+    # Each contributor's (total, count) over its scored PRs, in Python ints.
+    owners = rows[scored]
+    totals = np.bincount(owners, weights=scores[scored], minlength=len(contributors))
+    counts = np.bincount(owners, minlength=len(contributors))
+    sums = zip(totals.astype(np.int64).tolist(), counts.tolist())
     contributor_index = {
-        key: sum(values) / len(values) for key, values in sorted(per_contributor.items())
+        key: total / count for key, (total, count) in sorted(zip(contributors, sums)) if count
     }
 
     by_repo: dict[str, list[float]] = {}
@@ -183,7 +222,7 @@ def summarize(
         repo: sum(values) / len(values) for repo, values in sorted(by_repo.items())
     }
 
-    return PsSummary(pr_scores, skipped, contributor_index, repository_index)
+    return PsSummary(table.pulls, scores, labels, contributor_index, repository_index)
 
 
 def format_index_value(value: float) -> str:

@@ -220,6 +220,30 @@ def test_importing_the_cli_leaves_requests_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_a_run_loads_no_openssl(small_corpus_dir, tmp_path):
+    # The config hash takes the interpreter's own SHA-256, so neither the
+    # import nor a whole run loads hashlib's OpenSSL binding, _hashlib.  An
+    # old numpy imports it itself (numpy.random, through secrets); the run
+    # then adds nothing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["run", *_run_args(small_corpus_dir, tmp_path / "out")]
+    probe = (
+        "import sys, numpy\n"
+        "by_numpy = '_hashlib' in sys.modules\n"
+        "from prsafety import cli\n"
+        "imported = '_hashlib' in sys.modules\n"
+        f"code = cli.main({argv!r})\n"
+        "print(by_numpy, imported, '_hashlib' in sys.modules, code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    by_numpy, imported, after_run, code = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert imported == after_run == by_numpy
+
+
 # --- config files ------------------------------------------------------------------
 
 def test_config_file_with_out_override(small_corpus_dir, tmp_path):

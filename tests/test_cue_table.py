@@ -8,11 +8,13 @@ compared with a multi-pass, row-based oracle from tests/oracles.py.
 from __future__ import annotations
 
 import functools
+import statistics
 from datetime import datetime, timezone
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 import oracles
 from prsafety import corpus as cm
 from prsafety import cues
@@ -66,10 +68,14 @@ def test_table_rows_match_the_multi_pass_oracle(emoji_table, threads):
     count = functools.partial(cues.count_emojis, table=emoji_table)
     assert len(table) == len(pulls)
     assert list(table.columns) == list(cues.CUE_NAMES)
-    assert all(type(value) is int for column in table.columns.values() for value in column)
-    assert [pull for pull, _ in table] == pulls
     expected = [oracles.extract_cues_rows(pull, count) for pull in pulls]
+    for i, (name, column) in enumerate(table.columns.items()):
+        assert column.dtype == (np.int64 if name in cues.COUNT_CUES else np.uint8), name
+        assert column.tolist() == [row[i] for row in expected], name
+    assert [pull for pull, _ in table] == pulls
     assert [vector for _, vector in table] == expected
+    # The row view yields Python ints, whatever the columns' dtypes.
+    assert all(type(value) is int for _, vector in table for value in vector)
 
 
 def test_scaled_corpus_columns_match_the_oracle(scaled_corpus_dir, emoji_table):
@@ -80,7 +86,7 @@ def test_scaled_corpus_columns_match_the_oracle(scaled_corpus_dir, emoji_table):
     rows = [oracles.extract_cues_rows(pull, count) for pull in pulls]
     assert len(table) == len(rows) == 60_684
     for name, column in zip(cues.CUE_NAMES, zip(*rows)):
-        assert table.columns[name] == list(column), name
+        assert table.columns[name].tolist() == list(column), name
     for scope in psi.THRESHOLD_SCOPES:
         thresholds = psi.compute_thresholds(table, scope)
         medians = thresholds.global_medians if scope == "global" else thresholds.per_repository
@@ -157,3 +163,48 @@ def test_scaled_corpus_scores_match_the_row_scorer(scaled_corpus_dir, emoji_tabl
                 for (_, vector), row_medians in zip(table, medians)
             ]
             assert got.tolist() == expected, (scope, merged_only)
+
+
+def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
+    # Count cues above 255 and 65,535, and an even row count in each
+    # repository and overall: a count column narrower than int64 would wrap
+    # a value, or the (a + b) / 2 of a median.
+    counts = {
+        "acme/a": [(300, 7, 70_000), (70_000, 65_536, 2), (5, 300, 65_535), (65_535, 0, 300)],
+        "acme/b": [(70_000, 70_000, 65_536), (65_536, 1, 256)],
+    }
+    pulls, vectors = [], []
+    for repo, rows in counts.items():
+        for comments, own, participants in rows:
+            pulls.append(cm.PullRequestRecord(repo, len(pulls) + 1, "ann", T0, True, None, comments))
+            vectors.append(cues.CueVector(
+                merged_or_not=1, pr_comment_num=comments, reopen_num=comments, has_exchange=1,
+                comment_conflict=0, contrib_comment=1, num_comments_con=own, inte_comment=1,
+                reviewer_comment=0, other_comment=1, num_participant=participants, at_tag=0,
+                emoji_count=own,
+            ))
+    table = cues.CueTable(pulls, dict(zip(cues.CUE_NAMES, map(list, zip(*vectors)))))
+    sustained = _LABELS["sustained"]
+    for scope in psi.THRESHOLD_SCOPES:
+        thresholds = psi.compute_thresholds(table, scope)
+        groups = {"": vectors} if scope == "global" else {
+            repo: [v for pull, v in zip(pulls, vectors) if pull.repo_full_name == repo]
+            for repo in counts
+        }
+        expected = {
+            repo: {cue: float(statistics.median([getattr(v, cue) for v in rows]))
+                   for cue in psi.THRESHOLD_CUES}
+            for repo, rows in groups.items()
+        }
+        got = {"": thresholds.global_medians} if scope == "global" else thresholds.per_repository
+        assert got == expected, scope
+        for merged_only in (False, True):
+            scores = psi.score_prs(table.columns, thresholds.row_medians(pulls), merged_only)
+            assert scores.tolist() == [
+                oracles.score_row(v, sustained, expected["" if scope == "global" else p.repo_full_name],
+                                  merged_only)
+                for p, v in zip(pulls, vectors)
+            ], (scope, merged_only)
+    assert [vector for _, vector in table] == vectors
+    extracted = cues.extract_all(pulls, emoji_table).columns["reopen_num"]
+    assert extracted.tolist() == [vector.reopen_num for vector in vectors]

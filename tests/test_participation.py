@@ -247,6 +247,18 @@ def test_label_contributors_scoping():
     assert merged.labels[("b/b", "lee")].status == "sustained"
 
 
+def test_equal_labels_are_one_object():
+    # Three authors with the same sustained timeline, one not sustained.
+    commits = [
+        _commit("a/a", author, date(2019, 9, 1)) for author in ("kim", "lee", "max")
+    ] + [_commit("a/a", "ned", date(2018, 1, 1))]
+    pairs = [("a/a", author) for author in ("kim", "lee", "max", "ned")]
+    labels = pp.label_contributors(commits, pairs, _config()).labels
+    assert len({id(label) for label in labels.values()}) == 2
+    assert labels[("a/a", "kim")] is labels[("a/a", "max")]
+    assert labels[("a/a", "ned")] == pp.label_participation((date(2018, 1, 1),), _config())
+
+
 def test_label_contributors_reports_missing_timelines():
     outcome = pp.label_contributors([], [("a/a", "kim")], _config())
     assert outcome.labels == {}

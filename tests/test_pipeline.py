@@ -6,6 +6,7 @@ import json
 import random
 import re
 import shutil
+import sys
 from collections import Counter
 from datetime import date
 from pathlib import Path
@@ -219,6 +220,22 @@ def test_config_hash_tracks_content(tmp_path):
     assert unordered.to_json()["models"] == [1, 3]
 
 
+def test_config_hash_is_the_sha256_of_the_canonical_json(tmp_path):
+    configs = [
+        _config(tmp_path, tmp_path / "o"),
+        _config(tmp_path, tmp_path / "o", merged_only=True, unit="contributor", models=(2,)),
+        _config(tmp_path / "\u00e9\u65e5", tmp_path / "o", threshold_scope="per_repository",
+                filter=FilterConfig(), screening=diagnostics.ScreeningConfig(skew_threshold=2.5)),
+    ]
+    for config in configs:
+        canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
+        assert pipeline.config_hash(config) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # The interpreter's own module, not hashlib's OpenSSL binding: _sha2 from
+    # Python 3.12 on, _sha256 before (the CI matrix runs both).
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert pipeline._SHA256.__module__ == builtin
+
+
 def test_missing_corpus_dir_is_config_error(tmp_path):
     config = _config(tmp_path / "nowhere", tmp_path / "out")
     with pytest.raises(pipeline.ConfigError, match="nowhere"):
@@ -251,6 +268,9 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     assert manifest["role_provenance"] == "stored"
     assert manifest["row_counts"]["pulls"] == 610
     assert manifest["row_counts"]["labeled_contributors"] == 50
+    assert manifest["row_counts"]["scored_prs"] == len(result.summary.pr_scores)
+    assert manifest["row_counts"]["skipped_prs"] == len(result.summary.skipped_prs)
+    assert len(result.summary.pr_scores) + len(result.summary.skipped_prs) == 610
     assert manifest["vif"]["threshold"] == 5.0
     assert set(manifest["vif"]["per_model"]) == {"1", "2"}
     assert isinstance(manifest["vif"]["all_below_threshold"], bool)

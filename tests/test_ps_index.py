@@ -31,7 +31,7 @@ FIXTURE_SCORES = {
 
 
 def _table(rows):
-    """A CueTable of (pull, vector) rows."""
+    """A CueTable of (pull, vector) rows; it casts the lists to its column dtypes."""
     return CueTable(
         [pull for pull, _ in rows], {name: [getattr(v, name) for _, v in rows] for name in CUE_NAMES}
     )
@@ -113,8 +113,8 @@ def test_thresholds_reject_bad_input():
 # --- scoring ------------------------------------------------------------------------
 
 def _columns(vectors):
-    """The cue columns of a list of vectors."""
-    return {name: [getattr(v, name) for v in vectors] for name in CUE_NAMES}
+    """The cue columns of a list of vectors, in the table's dtypes."""
+    return _table([(None, vector) for vector in vectors]).columns
 
 
 def _summarize_one(vector, label):
@@ -200,6 +200,14 @@ def test_fixture_pr_scores_exact(cue_rows12, labels12):
         ("acme/wrench", 4): "excluded_gap_return",
         ("acme/wrench", 5): "excluded_gap_return",
     }
+
+
+def test_summary_keeps_one_int8_score_per_row(cue_rows12, labels12):
+    summary = psi.summarize(cue_rows12, labels12.labels, psi.compute_thresholds(cue_rows12))
+    assert summary.scores.dtype == np.int8
+    keys = [(pull.repo_full_name, pull.pr_number) for pull in cue_rows12.pulls]
+    assert summary.scores.tolist() == [FIXTURE_SCORES.get(key, -1) for key in keys]
+    assert list(summary.pr_scores) == [key for key in keys if key in FIXTURE_SCORES]
 
 
 def test_fixture_indices_exact(cue_rows12, labels12):
