@@ -59,12 +59,15 @@ cost one len() call and the longer ones two str.count() calls; only a line
 with more than MAX_NESTING "[" and "{" is walked, without recursion.
 
 write_json and write_csv give every artifact its form: indented JSON with
-sorted keys, and CSV under a header row.
+sorted keys, and CSV under a header row.  write_csv_text writes text that
+csv_row_text formatted under the same header row, for a writer that formats
+each distinct row once; csv.writer formats every field either way.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
@@ -72,7 +75,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 ROLES = ("contributor", "integrator", "reviewer", "other")
 REPO_SIZES = ("small", "medium", "large")
@@ -741,10 +744,36 @@ def write_json(path: str | Path, payload) -> None:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A CSV artifact: the header row, then one row per item of rows."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with _open_csv(path, header) as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def write_csv_text(path: str | Path, header: Sequence[str], text: Iterable[str]) -> None:
+    """A CSV artifact: the header row, then the pieces of text in turn.  The
+    text is whole rows whose fields csv_row_text formatted."""
+    with _open_csv(path, header) as handle:
+        handle.writelines(text)
+
+
+def csv_row_text(row: Sequence, *, terminated: bool = True) -> str:
+    """row as write_csv writes it: csv.writer's fields, then its line end,
+    or no line end when not terminated.  The writer keeps its line end either
+    way, since a field that holds one of its characters is quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(row)
+    text = buffer.getvalue()
+    return text if terminated else text.removesuffix(writer.dialect.lineterminator)
+
+
+def _open_csv(path: str | Path, header: Sequence[str]) -> TextIO:
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        csv.writer(handle).writerow(header)
+    except BaseException:
+        handle.close()
+        raise
+    return handle
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:

@@ -35,10 +35,19 @@ scanned.
 extract_all builds the cues of a whole corpus as a CueTable in one walk over
 each thread: every comment updates all thirteen counters at once.  A body is
 searched for a mention only when it contains "@", which every mention needs,
-and a PR's conflict or mention search stops at its first hit; the emoji sum
-reads every body.  The table keeps the pulls in corpus order as row keys and
-the cues as columns in CUE_NAMES order, which screening, thresholds, the
-index's scoring, cues.csv and the model frame read directly.  Each column is
+and for "conflict" only when its lowercased text contains "confl"; a PR's
+conflict or mention search stops at its first hit, and the emoji sum reads
+every body.  The conflict regex's leading \b under IGNORECASE gives the
+regex engine no literal prefix to skip ahead by, so without the test it
+tries every position of every body.  The test rejects no match: under
+IGNORECASE, c, o, n, f and l each match only their ASCII pair (a test
+checks every code point), so the five characters a match starts with
+lowercase to "confl".  The "i" after them also matches U+0130, which
+lowercases to two code points, so the test stops before it.
+
+The table keeps the pulls in corpus order as row keys and the cues as
+columns in CUE_NAMES order, which screening, thresholds, the index's
+scoring, cues.csv and the model frame read directly.  Each column is
 a numpy array of the dtype COLUMN_DTYPES declares: uint8 for the eight 0/1
 cues, int64 for the five COUNT_CUES, so that a sum of counts, or the
 (a + b) / 2 of a median, cannot wrap.  A column takes 1 or 8 bytes a row,
@@ -49,6 +58,13 @@ Iterating the table gives the row view, (pull, CueVector) pairs of Python
 ints, for library callers and the benchmark's tracer; CueVector is a
 NamedTuple, so a row compares equal to the plain tuple of its values, and
 CUE_NAMES is its field tuple.
+
+write_cues_csv formats each distinct row of thirteen cues once, and each
+repository name once per chunk of rows, with csv.writer, and joins a line
+from those two pieces around the PR number.  A corpus repeats few cue
+rows: the reference corpus has 1,470 distinct rows in 60,684 pulls.  The
+lines go to the file a chunk of rows at a time, so the writer holds neither
+the whole text nor the columns as Python ints.
 """
 
 from __future__ import annotations
@@ -63,7 +79,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import PullRequestRecord, write_csv
+from .corpus import PullRequestRecord, csv_row_text, write_csv_text
 
 
 class CueVector(NamedTuple):
@@ -103,6 +119,11 @@ _MENTION_RE = re.compile(r"(?<![\w@])@[A-Za-z0-9][A-Za-z0-9-]{0,38}")
 # Word-boundary anchored token: "conflict" and suffixed forms such as
 # "conflicts'"/"conflicted" match, "deconflict" does not.
 _CONFLICT_RE = re.compile(r"\bconflict", re.IGNORECASE)
+
+# What every match of _CONFLICT_RE holds once lowercased: the match's first
+# five letters each match only their ASCII pair under IGNORECASE.  The "i"
+# that follows also matches U+0130 and U+0131, so the prefix stops before it.
+_CONFLICT_PREFIX = "confl"
 
 _FENCE_SPLIT_RE = re.compile(r"```")
 
@@ -212,7 +233,7 @@ def has_mention(text: str) -> bool:
 
 
 def mentions_conflict(text: str) -> bool:
-    return _CONFLICT_RE.search(text) is not None
+    return _CONFLICT_PREFIX in text.lower() and _CONFLICT_RE.search(text) is not None
 
 
 @dataclass(frozen=True)
@@ -304,10 +325,37 @@ def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTab
     return CueTable(list(pulls), columns)
 
 
+# Rows per piece of cues.csv text.  The write runs near the run's peak
+# memory, so all a chunk holds (its rows as tuples of Python ints, its
+# repositories' heads, its text) adds to that peak; at 256 rows that is
+# about 0.1 MB.
+_WRITE_CHUNK = 256
+
+_REPO = attrgetter("repo_full_name")
+_NUMBER = attrgetter("pr_number")
+
+
 def write_cues_csv(path: str | Path, table: CueTable) -> None:
     """Dump one row per PR: identifying keys followed by the 13 cue columns."""
-    write_csv(path, ("repo_full_name", "pr_number") + CUE_NAMES, zip(
-        map(attrgetter("repo_full_name"), table.pulls),
-        map(attrgetter("pr_number"), table.pulls),
-        *_int_columns(table),
-    ))
+    write_csv_text(path, ("repo_full_name", "pr_number") + CUE_NAMES, _cue_rows_text(table))
+
+
+def _cue_rows_text(table: CueTable) -> Iterator[str]:
+    # csv.writer formats each field on its own and joins the fields with
+    # commas, so a row is the text of (repo, "") unterminated, then the
+    # number, then the text of ("", *cues): an empty field adds nothing to a
+    # row of two fields or more.  Each distinct tail is formatted once, and
+    # each chunk's distinct heads once for the chunk: a repository's pulls
+    # are adjacent, so few heads are formatted twice.
+    tails: dict[tuple[int, ...], str] = {}
+    for start in range(0, len(table), _WRITE_CHUNK):
+        stop = start + _WRITE_CHUNK
+        pulls = table.pulls[start:stop]
+        repos = list(map(_REPO, pulls))
+        rows = list(zip(*(table.columns[name][start:stop].tolist() for name in CUE_NAMES)))
+        heads = {repo: csv_row_text((repo, ""), terminated=False) for repo in set(repos)}
+        for row in set(rows).difference(tails):
+            tails[row] = csv_row_text(("", *row))
+        yield "".join(map(
+            "{}{}{}".format, map(heads.__getitem__, repos), map(_NUMBER, pulls), map(tails.__getitem__, rows),
+        ))

@@ -9,6 +9,7 @@ than tautology.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from datetime import date, datetime, timedelta, timezone
@@ -109,6 +110,19 @@ def extract_cues_rows(pull, count_emojis) -> tuple[int, ...]:
         int(any(mention_scan(b) for b in bodies)),
         sum(count_emojis(b) for b in bodies),
     )
+
+
+def write_cues_csv_rows(path, table) -> None:
+    """cues.csv row by row through one csv.writer: the repository, the
+    number and the cues of each pull, the columns in the table's order."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("repo_full_name", "pr_number", *table.columns))
+        writer.writerows(zip(
+            [pull.repo_full_name for pull in table.pulls],
+            [pull.pr_number for pull in table.pulls],
+            *(column.tolist() for column in table.columns.values()),
+        ))
 
 
 # --- ps index ---------------------------------------------------------------

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,10 +179,48 @@ def test_mention_rules(body, expected):
         ("deconflict the schedule", False),
         ("no issues", False),
         ("```merge conflict in lockfile```", True),
+        ("CONFL\u0130CT", True),
+        ("confl\u0131cting", True),
+        ("con\ufb02ict", False),
+        ("\u00e9conflict", False),
+        ("_conflict", False),
     ],
 )
 def test_conflict_rules(body, expected):
     assert cues.mentions_conflict(body) is expected
+
+
+def test_each_prefix_letter_matches_only_its_ascii_pair():
+    # The prefilter's premise, over every code point: a character that a
+    # case-insensitive prefix letter matches lowercases to that letter, so
+    # the lowercased text of every match of _CONFLICT_RE holds the prefix.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in cues._CONFLICT_PREFIX:
+        assert {ch.lower() for ch in re.findall(letter, everything, re.IGNORECASE)} == {letter}
+
+
+def test_the_conflict_pattern_starts_with_the_prefix():
+    literal = cues._CONFLICT_RE.pattern.removeprefix(r"\b")
+    assert literal.startswith(cues._CONFLICT_PREFIX)
+    assert cues._CONFLICT_RE.flags & re.IGNORECASE
+
+
+# Pieces around "conflict": mixed case, U+0130 and U+0131 for its "i", the
+# ligature U+FB02 for "fl", the Kelvin sign, word characters before a match,
+# fences and whitespace.
+_CONFLICT_PIECES = (
+    "conflict", "CONFLICT", "Confl", "cOnFl", "confl", "ict", "ICT", "ct", "i",
+    "\u0130", "\u0131", "\ufb02", "\u212a", "con", "f", "l",
+    "CONFL\u0130CT", "confl\u0131ct", "con\ufb02ict",
+    "a", "_", "7", "é", "de", " ", "\n", "```", "-", "'",
+)
+
+
+@_EXAMPLES
+@given(parts=st.lists(st.sampled_from(_CONFLICT_PIECES), max_size=12))
+def test_conflict_search_matches_the_scan_oracle(parts):
+    text = "".join(parts)
+    assert cues.mentions_conflict(text) == oracles.conflict_scan(text), repr(text)
 
 
 def test_strip_code_fences():
@@ -259,3 +301,73 @@ def test_cues_csv_layout(tmp_path, cue_rows12):
     assert lines[0] == "repo_full_name,pr_number," + ",".join(cues.CUE_NAMES)
     assert len(lines) == 13
     assert lines[1] == "acme/rocket,1,1,2,0,1,0,1,1,1,0,0,2,1,2"
+
+
+def _table(repos, numbers, rows):
+    pulls = [
+        cm.PullRequestRecord(repo, number, "ann", datetime(2019, 1, 1, tzinfo=timezone.utc), True, None, 0)
+        for repo, number in zip(repos, numbers)
+    ]
+    columns = dict(zip(cues.CUE_NAMES, np.array(rows, dtype=np.int64).reshape(-1, 13).T))
+    return cues.CueTable(pulls, columns)
+
+
+def _assert_written_as_rows(tmp_path, table):
+    cues.write_cues_csv(tmp_path / "cues.csv", table)
+    oracles.write_cues_csv_rows(tmp_path / "oracle.csv", table)
+    assert (tmp_path / "cues.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+_ODD_NAMES = (
+    "acme/rocket", "a,b/c", 'say "hi"/x', "cr\rlf/x", "new\nline/x", " lead/x", "trail /x",
+    "", "日本/語", "caf\u00e9/\U0001F680", '"', ",", "\r\n",
+)
+
+
+def test_cue_rows_are_written_as_csv_writer_writes_them(tmp_path):
+    big = cm.INTEGER_MAX
+    counts = (0, 255, 256, big)
+    rows = [
+        (k % 2, counts[k % 4], counts[(k + 1) % 4], 1, 0, 1, counts[(k + 2) % 4], 0, 1, 0, k % 4, 1, counts[(k + 3) % 4])
+        for k in range(len(_ODD_NAMES) * 4)
+    ]
+    repos = [_ODD_NAMES[k % len(_ODD_NAMES)] for k in range(len(rows))]
+    numbers = [(0, 1, 256, big)[k % 4] for k in range(len(rows))]
+    _assert_written_as_rows(tmp_path, _table(repos, numbers, rows))
+    assert str(big) in (tmp_path / "cues.csv").read_text("utf-8")
+
+
+def test_all_distinct_cue_rows_across_chunks(tmp_path):
+    n = 3 * cues._WRITE_CHUNK + 5
+    rows = [(k % 2, k, k // 3, 0, 1, 0, k * 7, 1, 0, 1, k % 11, 0, k * 13) for k in range(n)]
+    assert len(set(rows)) == n
+    _assert_written_as_rows(tmp_path, _table([f"r/{k % 17}" for k in range(n)], range(n), rows))
+
+
+def test_an_empty_table_writes_the_header_alone(tmp_path):
+    _assert_written_as_rows(tmp_path, _table([], [], []))
+    assert (tmp_path / "cues.csv").read_text("utf-8").count("\n") == 1
+
+
+def test_synthetic_corpora_cue_rows_are_written_as_rows(tmp_path, cue_rows12, small_corpus_dir, scaled_corpus_dir, emoji_table):
+    _assert_written_as_rows(tmp_path, cue_rows12)
+    for directory in (small_corpus_dir, scaled_corpus_dir):
+        pulls = cm.load_corpus(directory).corpus.pulls
+        _assert_written_as_rows(tmp_path, cues.extract_all(pulls, emoji_table))
+
+
+def test_cues_csv_is_written_in_pieces(tmp_path):
+    # 60,000 rows make a file of about 3 MB; the writer holds a chunk of it.
+    n = 60_000
+    rows = np.zeros((n, 13), dtype=np.int64)
+    rows[:, 1] = np.arange(n) % 5
+    rows[:, 12] = np.arange(n) % 3
+    table = _table([f"owner/repo{k % 26}" for k in range(n)], range(1, n + 1), rows)
+    tracemalloc.start()
+    try:
+        cues.write_cues_csv(tmp_path / "cues.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "cues.csv").stat().st_size > 2_500_000
+    assert peak < 2_000_000, peak

@@ -38,6 +38,23 @@ def test_every_module_import_is_used(path):
     assert _unused_imports(path.read_text("utf-8")) == []
 
 
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_corpus_formats_csv():
+    # One CSV form: corpus opens every CSV artifact and formats every field
+    # through csv.writer; other modules hand it rows.
+    assert [path.name for path in SOURCES if "csv" in _imported_modules(path.read_text("utf-8"))] == ["corpus.py"]
+
+
 def _names_read(sources: list[str]) -> set[str]:
     """Every name the sources read: as a name, an attribute or a from-import."""
     read = set()
