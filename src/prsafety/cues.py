@@ -21,16 +21,22 @@ sequences shipped with the package.  Counting is non-overlapping, longest
 match first, scanning left to right; the table version is recorded so runs
 are reproducible when the table evolves.
 
-The scan is one regex alternation of the table's entries, longest first.  A
-lookahead over a few codepoint ranges that cover every entry's first
-codepoint comes before it, so most positions of a body are rejected by one
-range test instead of by trying the alternation.  The ranges admit ASCII
-exactly (the packaged table's "#", "*" and "0"-"9"), so ASCII punctuation
-in a non-ASCII body is rejected there too; above ASCII, neighbouring first
-codepoints share a range.  A pure-ASCII body is not scanned at all when no
-entry of the table is pure ASCII, as in the packaged table: such a body
-cannot contain any entry.  A custom table with a pure-ASCII entry is always
-scanned.
+The scan runs over the UTF-8 bytes of a body, with one bytes pattern built
+from the table: the entries, encoded as UTF-8, are grouped by their first
+byte, and the pattern is an alternation over the distinct first bytes, each
+followed by the rest of its group's entries, longest first.  An entry's
+first byte is ASCII or a UTF-8 lead byte, never a continuation byte
+(0x80-0xBF), so every match starts and ends on a character boundary and is
+one of the entries' matches over the text, in the same leftmost-longest
+order.  Bytes, because the regex engine turns the packaged table's 14
+distinct first bytes into a 256-bit set that skips every other byte in C,
+and factors out each group's shared continuation bytes; over str, the
+emoji's first code points lie above U+FFFF, where the engine tests a set
+member by member.  Lone surrogates, which a JSON escape can put in a body,
+are encoded with "surrogatepass" on both sides.  A pure-ASCII body is not
+scanned at all when no entry of the table is pure ASCII, as in the packaged
+table: such a body cannot contain any entry.  A custom table with a
+pure-ASCII entry is always scanned.
 
 extract_all builds the cues of a whole corpus as a CueTable in one walk over
 each thread: every comment updates all thirteen counters at once.  A body is
@@ -134,28 +140,6 @@ class EmojiTableError(Exception):
     """Malformed emoji reference table."""
 
 
-# Neighbouring first codepoints above ASCII at most this far apart share one
-# range of the prefilter; ASCII first codepoints are admitted exactly, since
-# ASCII punctuation is common in text and a range over it would send each
-# such character to the alternation.  The packaged table's 261 first
-# codepoints become 8 ranges: "#", "*", "0"-"9" and 5 above ASCII.  The regex
-# engine tests a class member by member, so a class that lists the 261
-# codepoints one by one is about ten times slower to scan than the ranges.
-_PREFILTER_GAP = 256
-_ASCII_MAX = 0x7F
-
-
-def _first_codepoint_ranges(sequences: frozenset[str]) -> list[list[int]]:
-    ranges: list[list[int]] = []
-    for code in sorted({ord(s[0]) for s in sequences}):
-        gap = _PREFILTER_GAP if ranges and ranges[-1][1] >= _ASCII_MAX else 1
-        if ranges and code - ranges[-1][1] <= gap:
-            ranges[-1][1] = code
-        else:
-            ranges.append([code, code])
-    return ranges
-
-
 @dataclass(frozen=True)
 class EmojiTable:
     version: str
@@ -165,18 +149,20 @@ class EmojiTable:
     # comment body.
     @cached_property
     def pattern(self) -> re.Pattern:
-        # Alternation ordered longest first: the regex engine takes the first
-        # alternative that matches at a position, which yields
-        # longest-match-first semantics for the whole scan.  The lookahead in
-        # front admits a superset of the entries' first codepoints, so it
-        # skips positions where nothing can start and never decides a match.
-        ordered = sorted(self.sequences, key=lambda s: (-len(s), s))
-        prefilter = "".join(
-            f"{re.escape(chr(low))}-{re.escape(chr(high))}"
-            for low, high in _first_codepoint_ranges(self.sequences)
-        )
-        alternation = "|".join(re.escape(s) for s in ordered)
-        return re.compile(f"(?=[{prefilter}])(?:{alternation})")
+        # One branch per distinct first byte of the entries' UTF-8, each
+        # followed by the rest of its group's entries, longest first: the
+        # regex engine takes the first alternative that matches at a
+        # position, which yields longest-match-first semantics for the whole
+        # scan.
+        groups: dict[bytes, list[bytes]] = {}
+        for entry in self.sequences:
+            encoded = entry.encode("utf-8", "surrogatepass")
+            groups.setdefault(encoded[:1], []).append(encoded[1:])
+        branches = []
+        for lead, rests in sorted(groups.items()):
+            rests.sort(key=lambda rest: (-len(rest), rest))
+            branches.append(re.escape(lead) + b"(?:" + b"|".join(map(re.escape, rests)) + b")")
+        return re.compile(b"|".join(branches))
 
     @cached_property
     def has_ascii_entry(self) -> bool:
@@ -216,10 +202,16 @@ def load_emoji_table(path: str | Path | None = None) -> EmojiTable:
 
 
 def count_emojis(text: str, table: EmojiTable) -> int:
-    """Count non-overlapping emoji occurrences, longest match first."""
+    """Count non-overlapping emoji occurrences, longest match first.
+
+    The table's pattern scans the text's UTF-8; a lone surrogate, which a
+    JSON escape can put in a body, is encoded with "surrogatepass", as the
+    table's entries are.  A pure-ASCII text is not scanned when no entry is
+    pure ASCII.
+    """
     if text.isascii() and not table.has_ascii_entry:
         return 0
-    return len(table.pattern.findall(text))
+    return len(table.pattern.findall(text.encode("utf-8", "surrogatepass")))
 
 
 def strip_code_fences(text: str) -> str:

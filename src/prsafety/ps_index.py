@@ -39,9 +39,9 @@ label without that outcome skips the PR (skip_reason).  Labels are looked up
 once per distinct (repository, author).
 
 A PsSummary keeps one int8 score per row of the table, -1 where the PR is
-skipped, in place of dicts keyed by (repository, number) tuples; pr_scores
-and skipped_prs are dicts built from that array on request.  Medians and
-contributor totals are taken over Python ints, never over a narrow dtype.
+skipped, beside the table's pulls; skip_reason of the author's label says
+why a PR is skipped.  Medians and contributor totals are taken over Python
+ints, never over a narrow dtype.
 
 The CSVs and the report print an index with format_index_value (three
 decimals) and rank repositories with ranked (highest first, ties by name).
@@ -160,23 +160,6 @@ class PsSummary:
     labels: Mapping[tuple[str, str], ParticipationLabel]
     contributor_index: dict[tuple[str, str], float]
     repository_index: dict[str, float]
-
-    @property
-    def pr_scores(self) -> dict[tuple[str, int], int]:
-        """Each scored PR's score by (repository, number), in table order."""
-        return {
-            (pull.repo_full_name, pull.pr_number): score
-            for pull, score in zip(self.pulls, self.scores.tolist()) if score >= 0
-        }
-
-    @property
-    def skipped_prs(self) -> dict[tuple[str, int], str]:
-        """Why each skipped PR is skipped, by (repository, number), in table order."""
-        return {
-            (pull.repo_full_name, pull.pr_number):
-                skip_reason(self.labels.get((pull.repo_full_name, pull.author)))
-            for pull, score in zip(self.pulls, self.scores.tolist()) if score < 0
-        }
 
 
 def summarize(

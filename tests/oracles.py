@@ -208,6 +208,22 @@ def summarize_rows(
     return pr_scores, skipped, contributor_index, repository_index
 
 
+def keyed_scores(summary) -> tuple[dict, dict]:
+    """(pr_scores, skipped_prs) of a PsSummary, read from its scores beside
+    its pulls in summarize_rows' form: each scored PR's score and each
+    skipped PR's reason by (repository, number), in table order.  A skipped
+    PR's reason is "unlabeled" without a label, else the label's status."""
+    pr_scores, skipped = {}, {}
+    for pull, score in zip(summary.pulls, summary.scores.tolist()):
+        key = (pull.repo_full_name, pull.pr_number)
+        if score >= 0:
+            pr_scores[key] = score
+        else:
+            label = summary.labels.get((pull.repo_full_name, pull.author))
+            skipped[key] = "unlabeled" if label is None else label.status
+    return pr_scores, skipped
+
+
 # --- ingest -----------------------------------------------------------------
 
 _COMMENT_FIELDS = ("repo_full_name", "pr_number", "author", "role", "body", "created_at")

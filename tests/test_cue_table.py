@@ -140,8 +140,7 @@ def test_thresholds_and_summary_match_the_row_oracles(drawn, statuses, scope, me
 
     summary = psi.summarize(table, labels, thresholds, merged_only=merged_only)
     expected = oracles.summarize_rows(rows, labels, medians, scope, merged_only)
-    got = (summary.pr_scores, summary.skipped_prs, summary.contributor_index,
-           summary.repository_index)
+    got = (*oracles.keyed_scores(summary), summary.contributor_index, summary.repository_index)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in expected]
 
 

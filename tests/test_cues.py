@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 import re
+import shutil
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -13,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from prsafety import cli, cues
 from prsafety import corpus as cm
-from prsafety import cues
 
 # Hand-enumerated before extraction ran, in CUE_NAMES order.
 HAND_MATRIX = {
@@ -72,13 +74,15 @@ def test_longest_match_first(emoji_table):
 
 
 # Text between table entries: the ASCII keycap heads (#, *, 0-9), other
-# ASCII, among it punctuation between "#" and "9" that the prefilter must
-# reject, a lone ZWJ, VS16 and keycap mark, and accented, CJK and symbol text
-# whose codepoints fall inside or near the scan's prefilter ranges.
+# ASCII, among it punctuation between "#" and "9", a lone ZWJ, VS16 and
+# keycap mark, accented, CJK and symbol text whose UTF-8 starts with the
+# entries' lead bytes, lone surrogates, and two non-entries that share all
+# but their last byte with an entry: U+203D with U+203C, U+1F354 with U+1F355.
 _FILLERS = (
     "#", "*", "0", "5", "9", "$", "(", "-", ".", "/", "x", " ", "@", "abc",
     "\u200d", "\ufe0f", "\u20e3",
     "é", "ça marche", "日本語", "漢字", "\u00a9", "\u2122", "\u2600", "\U0001F300",
+    "\ud83d", "\ude00", "\udc80", "\u203d", "\U0001F354",
 )
 
 _EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -98,14 +102,14 @@ def test_emoji_counts_match_window_scan_oracle(emoji_table, data):
     _assert_matches_oracle("".join(parts), emoji_table)
 
 
-def test_the_prefilter_admits_exactly_the_ascii_first_codepoints(emoji_table):
-    admitted = {
-        chr(code)
-        for low, high in cues._first_codepoint_ranges(emoji_table.sequences)
-        for code in range(low, min(high, 0x7F) + 1)
-    }
-    assert admitted == set("#*0123456789")
-    assert admitted == {s[0] for s in emoji_table.sequences if s[0].isascii()}
+def test_each_code_point_alone_counts_as_its_table_entry(emoji_table):
+    # Surrogates included: the scan encodes them as the table does.
+    assert "\u203c" in emoji_table.sequences and "\U0001F355" in emoji_table.sequences
+    miscounted = [
+        code for code in range(sys.maxunicode + 1)
+        if cues.count_emojis(chr(code), emoji_table) != (chr(code) in emoji_table.sequences)
+    ]
+    assert miscounted == []
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,60 @@ def test_custom_table_counts_match_window_scan_oracle(ascii_entry_table, data):
     pool = sorted(ascii_entry_table.sequences) + list(_FILLERS) + ["b", ":", ")"]
     parts = data.draw(st.lists(st.sampled_from(pool), max_size=30))
     _assert_matches_oracle("".join(parts), ascii_entry_table)
+
+
+@pytest.fixture(scope="module")
+def metachar_table(tmp_path_factory):
+    # Regex metacharacters, a newline, é and è under one lead byte, and é.è,
+    # whose prefix é. is no entry: a partial match falls back to é.
+    path = tmp_path_factory.mktemp("table") / "table.txt"
+    path.write_text("# version: metachar-test\n2E\n5C\n7C\n28\n3F\n5B\n0A\nE9\nE8\nE9-2E-E8\n", "utf-8")
+    return cues.load_emoji_table(path)
+
+
+def test_metacharacter_entries_count_as_literals(metachar_table):
+    assert cues.count_emojis(".\\|(?[\n", metachar_table) == 7
+    assert cues.count_emojis("a)]*+^$ {}", metachar_table) == 0
+    assert cues.count_emojis("é.è", metachar_table) == 1
+    assert cues.count_emojis("é.e", metachar_table) == 2
+    assert cues.count_emojis("èé", metachar_table) == 2
+
+
+@_EXAMPLES
+@given(data=st.data())
+def test_metacharacter_table_counts_match_window_scan_oracle(metachar_table, data):
+    pool = sorted(metachar_table.sequences) + list(_FILLERS) + ["é.", "e", ")", "]", "*", "\r"]
+    parts = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    _assert_matches_oracle("".join(parts), metachar_table)
+
+
+def test_a_table_of_nested_prefixes_matches_the_oracle(tmp_path):
+    # 1,000 entries "a", "aa", ...: the pattern's nesting does not grow with
+    # the table, so the regex parser does not run out of stack.
+    path = tmp_path / "table.txt"
+    path.write_text("# version: nested\n" + "\n".join("-".join(["61"] * n) for n in range(1, 1001)), "utf-8")
+    table = cues.load_emoji_table(path)
+    for text in ("a" * 2500, "a" * 999 + "b" + "a" * 1001, "ba", "b"):
+        _assert_matches_oracle(text, table)
+    assert cues.count_emojis("a" * 2500, table) == 3
+
+
+def test_a_run_counts_a_lone_surrogate_body_as_no_emoji(tmp_path, small_corpus_dir):
+    # The escape "\ud83d" keeps the line ASCII, and it loads as a body that
+    # strict UTF-8 cannot encode.  The body it replaces has no cue of its
+    # own, so cues.csv is that of the unedited corpus.
+    neutral = json.dumps("Rebased and fixed the lint warnings.")
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(small_corpus_dir, corpus_dir)
+    pulls = corpus_dir / "pulls.jsonl"
+    text = pulls.read_text("utf-8")
+    assert neutral in text
+    pulls.write_text(text.replace(neutral, json.dumps("\ud83d"), 1), "utf-8")
+    assert "\\ud83d" in pulls.read_text("ascii")
+    args = ["--data-end", "2025-06-30", "--no-filter"]
+    assert cli.main(["cues", "--corpus", str(small_corpus_dir), "--out", str(tmp_path / "before"), *args]) == 0
+    assert cli.main(["run", "--corpus", str(corpus_dir), "--out", str(tmp_path / "after"), *args]) == 0
+    assert (tmp_path / "after" / "cues.csv").read_bytes() == (tmp_path / "before" / "cues.csv").read_bytes()
 
 
 def test_fixture_emoji_totals_match_oracle(corpus12, emoji_table):

@@ -268,9 +268,10 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     assert manifest["role_provenance"] == "stored"
     assert manifest["row_counts"]["pulls"] == 610
     assert manifest["row_counts"]["labeled_contributors"] == 50
-    assert manifest["row_counts"]["scored_prs"] == len(result.summary.pr_scores)
-    assert manifest["row_counts"]["skipped_prs"] == len(result.summary.skipped_prs)
-    assert len(result.summary.pr_scores) + len(result.summary.skipped_prs) == 610
+    pr_scores, skipped_prs = oracles.keyed_scores(result.summary)
+    assert manifest["row_counts"]["scored_prs"] == len(pr_scores)
+    assert manifest["row_counts"]["skipped_prs"] == len(skipped_prs)
+    assert len(pr_scores) + len(skipped_prs) == 610
     assert manifest["vif"]["threshold"] == 5.0
     assert set(manifest["vif"]["per_model"]) == {"1", "2"}
     assert isinstance(manifest["vif"]["all_below_threshold"], bool)

@@ -142,15 +142,13 @@ def test_not_sustained_scores_zero():
         num_participant=5, at_tag=1,
     )
     summary = _summarize_one(rich, NOT_SUSTAINED)
-    assert summary.pr_scores == {("a/a", 1): 0}
-    assert summary.skipped_prs == {}
+    assert oracles.keyed_scores(summary) == ({("a/a", 1): 0}, {})
 
 
 def test_censored_and_excluded_are_skip_markers():
     for status in ("censored", "excluded_gap_return"):
         summary = _summarize_one(_vector(), ParticipationLabel(status, None, None))
-        assert summary.pr_scores == {}
-        assert summary.skipped_prs == {("a/a", 1): status}
+        assert oracles.keyed_scores(summary) == ({}, {("a/a", 1): status})
         assert summary.contributor_index == {}
 
 
@@ -195,8 +193,9 @@ def test_raising_count_cues_never_lowers_score():
 def test_fixture_pr_scores_exact(cue_rows12, labels12):
     thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
-    assert summary.pr_scores == FIXTURE_SCORES
-    assert summary.skipped_prs == {
+    pr_scores, skipped_prs = oracles.keyed_scores(summary)
+    assert pr_scores == FIXTURE_SCORES
+    assert skipped_prs == {
         ("acme/wrench", 4): "excluded_gap_return",
         ("acme/wrench", 5): "excluded_gap_return",
     }
@@ -207,7 +206,7 @@ def test_summary_keeps_one_int8_score_per_row(cue_rows12, labels12):
     assert summary.scores.dtype == np.int8
     keys = [(pull.repo_full_name, pull.pr_number) for pull in cue_rows12.pulls]
     assert summary.scores.tolist() == [FIXTURE_SCORES.get(key, -1) for key in keys]
-    assert list(summary.pr_scores) == [key for key in keys if key in FIXTURE_SCORES]
+    assert list(oracles.keyed_scores(summary)[0]) == [key for key in keys if key in FIXTURE_SCORES]
 
 
 def test_fixture_indices_exact(cue_rows12, labels12):
@@ -244,7 +243,7 @@ def test_summarize_is_order_insensitive(cue_rows12, labels12):
     shuffled = list(cue_rows12)
     random.Random(3).shuffle(shuffled)
     permuted = psi.summarize(_table(shuffled), labels12.labels, thresholds)
-    assert permuted.pr_scores == direct.pr_scores
+    assert oracles.keyed_scores(permuted)[0] == oracles.keyed_scores(direct)[0]
     assert permuted.contributor_index == direct.contributor_index
     assert permuted.repository_index == direct.repository_index
 
@@ -262,7 +261,7 @@ def test_unlabeled_author_is_skipped(cue_rows12, labels12):
     del labels[("acme/rocket", "bob")]
     thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels, thresholds)
-    assert summary.skipped_prs[("acme/rocket", 5)] == "unlabeled"
+    assert oracles.keyed_scores(summary)[1][("acme/rocket", 5)] == "unlabeled"
     assert ("acme/rocket", "bob") not in summary.contributor_index
 
 
