@@ -75,7 +75,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import AbstractSet, Iterable, Sequence, TextIO
 
 ROLES = ("contributor", "integrator", "reviewer", "other")
 REPO_SIZES = ("small", "medium", "large")
@@ -264,8 +264,8 @@ def repo_size_for(pr_count: int) -> str:
 def derive_comment_role(
     comment_author: str,
     pr_author: str,
-    integrators: Iterable[str],
-    reviewers: Iterable[str],
+    integrators: AbstractSet[str],
+    reviewers: AbstractSet[str],
 ) -> str:
     """Assign a comment role from authorship facts.
 
@@ -276,9 +276,9 @@ def derive_comment_role(
     """
     if comment_author == pr_author:
         return "contributor"
-    if comment_author in set(integrators):
+    if comment_author in integrators:
         return "integrator"
-    if comment_author in set(reviewers):
+    if comment_author in reviewers:
         return "reviewer"
     return "other"
 

@@ -43,6 +43,8 @@ from typing import Callable, Mapping
 from . import corpus as corpus_mod
 
 API_BASE = "https://api.github.com"
+# Seconds each request may wait for the server before it counts as a timeout.
+REQUEST_TIMEOUT_S = 30.0
 
 DEFAULTED_CONTEXT_FIELDS = (
     "num_languages",
@@ -119,7 +121,6 @@ class GitHubFetcher:
         base_url: str = API_BASE,
         sleep: Callable[[float], None] = time.sleep,
         now: Callable[[], float] = time.time,
-        timeout: float = 30.0,
     ):
         if session is None:
             import requests  # only fetch needs it, so other commands start without it
@@ -128,7 +129,6 @@ class GitHubFetcher:
         self.base_url = base_url.rstrip("/")
         self.sleep = sleep
         self.now = now
-        self.timeout = timeout
 
     # -- low-level request handling -------------------------------------
 
@@ -144,7 +144,7 @@ class GitHubFetcher:
         while True:
             report.requests_made += 1
             try:
-                response = self.session.get(url, params=dict(params or {}), headers=headers, timeout=self.timeout)
+                response = self.session.get(url, params=dict(params or {}), headers=headers, timeout=REQUEST_TIMEOUT_S)
             except (requests.Timeout, requests.ConnectionError, TimeoutError, ConnectionError) as exc:
                 failure = f"failed after {job.max_retries} retries: {exc}"
             else:
@@ -375,6 +375,8 @@ class GitHubFetcher:
             if (login := self._login(item)) is not None
             and item.get("author_association") in ("OWNER", "MEMBER")
         }
+        # The pull's merger joins the members; one set per distinct merger.
+        integrators_by_merger: dict[str | None, set[str]] = {None: members}
         reviewers_by_pr: dict[int, set[str]] = {}
         for item in review_comments:
             number = self._issue_number(item)
@@ -405,14 +407,14 @@ class GitHubFetcher:
         for number in sorted(raw_pulls):
             item = raw_pulls[number]
             author = self._login(item) or "ghost"
-            merged_by = self._login(item, "merged_by")
-            integrators = set(members)
-            if merged_by:
-                integrators.add(merged_by)
+            merged_by = self._login(item, "merged_by") or None
+            integrators = integrators_by_merger.get(merged_by)
+            if integrators is None:
+                integrators = integrators_by_merger[merged_by] = members | {merged_by}
             comments = []
             for login, body, created in comments_by_pr.get(number, []):
                 role = corpus_mod.derive_comment_role(
-                    login, author, integrators, reviewers_by_pr.get(number, set())
+                    login, author, integrators, reviewers_by_pr.get(number, frozenset())
                 )
                 comments.append(
                     corpus_mod.CommentRecord(

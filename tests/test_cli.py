@@ -220,6 +220,22 @@ def test_importing_the_cli_leaves_requests_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_the_package_loads_no_numpy_and_binds_no_names():
+    # Each public name has one import path, its module's, so the package
+    # root imports nothing and a caller may set numpy's environment first.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import json, sys, prsafety\n"
+        "public = sorted(name for name in vars(prsafety) if not name.startswith('_'))\n"
+        "print(json.dumps(['numpy' in sys.modules, public]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == [False, []]
+
+
 def test_a_run_loads_no_openssl(small_corpus_dir, tmp_path):
     # The config hash takes the interpreter's own SHA-256, so neither the
     # import nor a whole run loads hashlib's OpenSSL binding, _hashlib.  An

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "prsafety"
-SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # Every file that may read a package constant.
 READERS = sorted(path for folder in ("src", "tests", "bench") for path in (ROOT / folder).rglob("*.py"))
 
@@ -122,3 +124,38 @@ def test_every_github_request_goes_through_the_staging_loop():
     # One loop stages and cursor-marks every response, so nothing else may send a GET.
     source = (PACKAGE / "github_fetch.py").read_text("utf-8")
     assert _callers(source, "_get") == ["_stage"]
+
+
+def _readme_imports(text: str) -> list[tuple[str, str]]:
+    """(module, name) for each from-import of prsafety in the text's python blocks."""
+    return [
+        (node.module, alias.name)
+        for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "prsafety"
+        for alias in node.names
+    ]
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` finds an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_the_readme_check_sees_a_missing_name():
+    text = "```sh\nfrom prsafety import nothing\n```\n```python\nfrom prsafety import glm, load_corpus\n```\n"
+    assert _readme_imports(text) == [("prsafety", "glm"), ("prsafety", "load_corpus")]
+    assert _resolves("prsafety", "glm") and _resolves("prsafety.corpus", "load_corpus")
+    assert not _resolves("prsafety", "load_corpus")
+
+
+def test_every_readme_import_resolves():
+    imports = _readme_imports((ROOT / "README.md").read_text("utf-8"))
+    assert ("prsafety.corpus", "load_corpus") in imports
+    assert [f"{module}.{name}" for module, name in imports if not _resolves(module, name)] == []
