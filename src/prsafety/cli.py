@@ -1,9 +1,11 @@
 """Command line interface.
 
-Subcommands mirror the pipeline stages.  Stage command X runs the stage
-table through X and writes the artifacts of every stage it ran; only ``run``
-executes the whole table and writes manifest.json.  All options can come
-from a JSON config file (--config); explicit flags override file values.
+Subcommands besides ``fetch`` are the pipeline's stage names.  Command X runs
+the stage table through X, writing every artifact of the stages it ran, and
+prints X's summary; ``run``, the last stage, writes manifest.json.  When the
+fit stage ran and no model fits, the command prints no summary and exits 1
+with each model's reason.  All options can come from a JSON config file
+(--config); explicit flags override file values.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 
@@ -25,9 +27,9 @@ import sys
 
 from . import corpus as corpus_mod
 from . import cues as cues_mod
-from . import github_fetch, participation, pipeline, ps_index, reporting
+from . import github_fetch, participation, pipeline, ps_index
 
-STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES) + ("run",)
+STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES)
 
 
 _DIGITS = re.compile(r"\d+", re.ASCII)
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--max-retries", type=_count)
 
     for name in STAGE_COMMANDS:
-        stage = sub.add_parser(name, help=f"run the {name} stage")
+        stage = sub.add_parser(name, help=f"run the stages through {name}")
         _add_common(stage)
 
     return parser
@@ -123,42 +125,9 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_summary(result: pipeline.PipelineResult) -> str:
-    return "\n".join(
-        f"model_{i}: no finite fit ({m.failure})" if m.fit is None
-        else f"model_{i}: n={m.fit.n_observations} ll={m.fit.log_likelihood:.2f} aic={m.fit.aic:.2f}"
-        for i, m in result.models.items()
-    )
-
-
-# What each stage command prints once the table has run through that stage.
-STAGE_SUMMARIES = {
-    "ingest": lambda r: json.dumps(
-        {**r.corpus.counts(), "ingest_errors": len(r.ingest_errors)}, sort_keys=True
-    ),
-    "cues": lambda r: f"wrote cues for {len(r.cue_table)} pull requests",
-    "screen": lambda r: r.screening_report.format_table(),
-    "label": lambda r: (
-        f"labeled {len(r.labeling.labels)} contributors, {len(r.labeling.unlabeled)} unlabeled"
-    ),
-    "index": lambda r: reporting.format_index_table(r.summary.repository_index),
-    "fit": _fit_summary,
-    "report": lambda r: r.report_text,
-}
-
-
 def _cmd_stage(command: str, args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
-    if command == "run":
-        result = pipeline.run_pipeline(config)
-        print(f"wrote {len(result.manifest['artifacts']) + 1} artifacts to {config.out_dir}")
-        return 0
-    result = pipeline.run_stages(config, through=command)
-    print(STAGE_SUMMARIES[command](result))
-    if result.fit_failed:
-        raise pipeline.StageError(
-            f"fit stage failed: {pipeline.NO_FIT}; see the model_<k>.json files in {config.out_dir}"
-        )
+    result = pipeline.run_pipeline(_pipeline_config(args), through=command)
+    print(pipeline.STAGES[STAGE_COMMANDS.index(command)].summary(result))
     return 0
 
 
@@ -175,13 +144,13 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if enabled:
                 gc.enable()
-    except (pipeline.ConfigError, participation.LabelingConfigError) as exc:
+    # The emoji table is named by a flag or a config key; the packaged one cannot fail.
+    except (pipeline.ConfigError, participation.LabelingConfigError, cues_mod.EmojiTableError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (
         corpus_mod.CorpusError,
         github_fetch.FetchError,
-        cues_mod.EmojiTableError,
         OSError,
         ValueError,
         RuntimeError,

@@ -137,7 +137,7 @@ DEFAULT_TABLE_RESOURCE = "emoji_table_v1.txt"
 
 
 class EmojiTableError(Exception):
-    """Malformed emoji reference table."""
+    """An emoji reference table that cannot be read or is malformed."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,15 @@ def load_emoji_table(path: str | Path | None = None) -> EmojiTable:
     if path is None:
         text = resources.files("prsafety.data").joinpath(DEFAULT_TABLE_RESOURCE).read_text("utf-8")
         return _parse_table(text, DEFAULT_TABLE_RESOURCE)
-    return _parse_table(Path(path).read_text("utf-8"), str(path))
+    try:
+        text = Path(path).read_text("utf-8")
+    except FileNotFoundError:
+        raise EmojiTableError(f"emoji table not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise EmojiTableError(f"emoji table {path} is not UTF-8 (byte {exc.start})") from None
+    except OSError as exc:
+        raise EmojiTableError(f"emoji table {path} cannot be read: {exc.strerror}") from None
+    return _parse_table(text, str(path))
 
 
 def count_emojis(text: str, table: EmojiTable) -> int:

@@ -478,29 +478,13 @@ def canned_model_specs(transforms: Mapping[str, str] | None = None) -> tuple[Mod
     index plus controls; Model 2 swaps in the recent-participation outcome;
     Model 3 keeps that outcome and adds the 12-month flag as a predictor.
     """
-    transforms = dict(transforms or {})
-    categorical = {"repo_size": REPO_SIZES}
     base = ("PS_index_repository",) + CONTROL_PREDICTORS
-    return (
-        ModelSpec(
-            name="model_1",
-            outcome="sustainedp_or_not_12",
-            predictors=base,
-            categorical=categorical,
-            transforms=transforms,
-        ),
-        ModelSpec(
-            name="model_2",
-            outcome="recent_sustainedp_or_not",
-            predictors=base,
-            categorical=categorical,
-            transforms=transforms,
-        ),
-        ModelSpec(
-            name="model_3",
-            outcome="recent_sustainedp_or_not",
-            predictors=("sustainedp_or_not_12",) + base,
-            categorical=categorical,
-            transforms=transforms,
-        ),
+    models = (
+        ("sustainedp_or_not_12", base),
+        ("recent_sustainedp_or_not", base),
+        ("recent_sustainedp_or_not", ("sustainedp_or_not_12",) + base),
+    )
+    return tuple(
+        ModelSpec(f"model_{i}", outcome, predictors, {"repo_size": REPO_SIZES}, dict(transforms or {}))
+        for i, (outcome, predictors) in enumerate(models, start=1)
     )

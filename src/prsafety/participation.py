@@ -61,6 +61,11 @@ class LabelingConfig:
             raise LabelingConfigError(
                 f"snapshot_date {self.snapshot_date} must precede data_end {self.data_end}"
             )
+        if self.recent_horizon_end <= self.snapshot_date:
+            raise LabelingConfigError(
+                f"recent_horizon_end {self.recent_horizon_end} must follow snapshot_date "
+                f"{self.snapshot_date}; no commit could count as recent"
+            )
         for name in ("window_months", "censor_margin_months", "gap_months"):
             if getattr(self, name) < 1:
                 raise LabelingConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -1,8 +1,10 @@
-"""End-to-end pipeline: ingest, cues, screen, label, index, fit, report.
+"""End-to-end pipeline: ingest, cues, screen, label, index, fit, report, run.
 
-The stages form one ordered table, STAGES.  run_stages executes a prefix of
-it, and each stage that runs writes its own artifacts; run_pipeline executes
-the whole table and is the only path that writes manifest.json.
+The stages form one ordered table, STAGES; each stage names its artifacts and
+the summary its command prints.  run_pipeline(config, through) runs the
+table's prefix up to the stage `through`, each stage writing its own
+artifacts; the last stage, run, writes manifest.json.  If the fit stage ran
+and no model fits, run_pipeline then raises StageError naming each failure.
 
 The fit stage builds its variables once as columns (_model_frame), one row
 per distinct (repository, author) weighted by its PR count, so n_observations
@@ -427,44 +429,49 @@ def _report(config: PipelineConfig, state: PipelineResult) -> None:
     (config.out_dir / "report.txt").write_text(state.report_text, encoding="utf-8")
 
 
+def _fit_summary(result: PipelineResult) -> str:
+    return "\n".join(
+        f"model_{i}: no finite fit ({m.failure})" if m.fit is None
+        else f"model_{i}: n={m.fit.n_observations} ll={m.fit.log_likelihood:.2f} aic={m.fit.aic:.2f}"
+        for i, m in result.models.items()
+    )
+
+
+def _write_manifest(config: PipelineConfig, state: PipelineResult) -> None:
+    state.manifest = _manifest(state)
+    corpus_mod.write_json(config.out_dir / "manifest.json", state.manifest)
+
+
 @dataclass(frozen=True)
 class Stage:
     name: str
     artifacts: tuple[str, ...]
     run: Callable[[PipelineConfig, PipelineResult], None]
+    summary: Callable[[PipelineResult], str]  # what the stage's command prints
 
 
 # The method's one fixed order.  Each stage reads what earlier stages left in
 # the PipelineResult and writes its own artifacts; fit also writes one
-# model_<k>.json per requested model.
+# model_<k>.json per requested model, and run records the whole run.
 STAGES = (
-    Stage("ingest", ("ingest_errors.jsonl",), _ingest),
-    Stage("cues", ("cues.csv",), _cues),
-    Stage("screen", ("screening_report.json",), _screen),
-    Stage("label", ("labels.csv",), _label),
-    Stage("index", ("ps_index_repository.csv", "ps_index_contributor.csv"), _index),
-    Stage("fit", ("models_table.csv",), _fit),
-    Stage("report", ("report.txt",), _report),
+    Stage("ingest", ("ingest_errors.jsonl",), _ingest,
+          lambda r: json.dumps({**r.corpus.counts(), "ingest_errors": len(r.ingest_errors)}, sort_keys=True)),
+    Stage("cues", ("cues.csv",), _cues, lambda r: f"wrote cues for {len(r.cue_table)} pull requests"),
+    Stage("screen", ("screening_report.json",), _screen, lambda r: r.screening_report.format_table()),
+    Stage("label", ("labels.csv",), _label,
+          lambda r: f"labeled {len(r.labeling.labels)} contributors, {len(r.labeling.unlabeled)} unlabeled"),
+    Stage("index", ("ps_index_repository.csv", "ps_index_contributor.csv"), _index,
+          lambda r: reporting.format_index_table(r.summary.repository_index)),
+    Stage("fit", ("models_table.csv",), _fit, _fit_summary),
+    Stage("report", ("report.txt",), _report, lambda r: r.report_text),
+    Stage("run", ("manifest.json",), _write_manifest,
+          lambda r: f"wrote {len(r.manifest['artifacts']) + 1} artifacts to {r.config.out_dir}"),
 )
 
-# The fixed-name artifacts of a full run, manifest.json aside.
-ARTIFACT_FILES = tuple(name for stage in STAGES for name in stage.artifacts)
+# The fixed-name artifacts of every stage before run: the manifest lists these, not itself.
+ARTIFACT_FILES = tuple(name for stage in STAGES[:-1] for name in stage.artifacts)
 
 NO_FIT = "no requested model has a finite fit"
-
-
-def run_stages(config: PipelineConfig, through: str = STAGES[-1].name) -> PipelineResult:
-    """Run the stage table in order, up to and including the stage `through`.
-
-    Every stage that runs writes its artifacts; manifest.json is written only
-    by run_pipeline.
-    """
-    stop = [stage.name for stage in STAGES].index(through)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    state = PipelineResult(config)
-    for stage in STAGES[: stop + 1]:
-        stage.run(config, state)
-    return state
 
 
 def _manifest(result: PipelineResult) -> dict:
@@ -504,12 +511,20 @@ def _manifest(result: PipelineResult) -> dict:
     }
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Run every stage, write manifest.json, then raise StageError if no model fits."""
-    result = run_stages(config)
-    result.manifest = _manifest(result)
-    path = config.out_dir / "manifest.json"
-    corpus_mod.write_json(path, result.manifest)
+def run_pipeline(config: PipelineConfig, through: str = STAGES[-1].name) -> PipelineResult:
+    """Run the stage table in order, up to and including the stage `through`,
+    then raise StageError if the fit stage ran and no model fits.
+
+    Every stage that runs writes its artifacts, so a failed fit leaves them
+    all for inspection.
+    """
+    stop = [stage.name for stage in STAGES].index(through)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    result = PipelineResult(config)
+    for stage in STAGES[: stop + 1]:
+        stage.run(config, result)
     if result.fit_failed:
-        raise StageError(f"fit stage failed: {NO_FIT}; see {path}")
+        # One line per model: a failure's own text may hold "; ".
+        lines = [f"fit stage failed: {NO_FIT}; see {config.out_dir}", *result.failure_notes()]
+        raise StageError("\n  ".join(lines))
     return result

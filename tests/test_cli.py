@@ -95,12 +95,12 @@ def test_run_on_two_pulls_stops_at_the_fit_stage(tmp_path, capsys):
     assert reasons == dict.fromkeys(COUNT_CUES, "skewness type 3 needs at least 3 observations, got 2")
 
 
-def _run_subprocess(corpus_dir, out_dir):
+def _run_subprocess(corpus_dir, out_dir, *extra):
     """`prsafety run` in a child process, which shows the real stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "prsafety.cli", "run", *_run_args(corpus_dir, out_dir)],
+        [sys.executable, "-m", "prsafety.cli", "run", *_run_args(corpus_dir, out_dir, *extra)],
         env=env, capture_output=True, text=True,
     )
 
@@ -182,6 +182,29 @@ def test_bad_flag_values_are_exit_2(small_corpus_dir, tmp_path, capsys):
     assert "ISO date" in capsys.readouterr().err
     assert cli.main(["run", *base, "--data-end", "2019-01-01"]) == 2
     assert "precede" in capsys.readouterr().err
+    # A horizon on the snapshot day is a setting at fault, not a model failure.
+    assert cli.main(["run", *base, "--recent-horizon-end", "2019-06-30"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: labeling.recent_horizon_end 2019-06-30 must follow snapshot_date 2019-06-30"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, problem",
+    [("missing", "emoji table not found: {table}"),
+     ("directory", "emoji table {table} cannot be read: Is a directory"),
+     ("not_utf8", "emoji table {table} is not UTF-8 (byte 13)")],
+)
+def test_an_unreadable_emoji_table_is_exit_2(small_corpus_dir, tmp_path, kind, problem):
+    table = tmp_path / "emoji.txt"
+    if kind == "directory":
+        table.mkdir()
+    elif kind == "not_utf8":
+        table.write_bytes(b"# version: x\n\xff\n")
+    result = _run_subprocess(small_corpus_dir, tmp_path / "out", "--emoji-table", str(table))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"configuration error: {problem.format(table=table)}\n"
 
 
 def test_missing_out_dir_is_exit_2(small_corpus_dir, capsys):
@@ -390,18 +413,22 @@ def _no_session(*args, **kwargs):
 )
 @pytest.mark.parametrize("key", ["data_end", "snapshot_date", "recent_horizon_end"])
 def test_dates_follow_one_grammar(small_corpus_dir, tmp_path, capsys, key, value, accepted):
+    # The recent horizon ends after every snapshot date tried, so that it follows the snapshot.
+    labeling = {"data_end": "2026-06-30", "recent_horizon_end": "2026-06-30"}
     raw = {"corpus_dir": str(small_corpus_dir), "out_dir": str(tmp_path / "out"),
-           "labeling": {"data_end": "2026-06-30", key: value}}
+           "labeling": {**labeling, key: value}}
     if accepted:
         assert pipeline.config_from_dict(raw).labeling == LabelingConfig(
-            **{"data_end": date(2026, 6, 30), key: date(2025, 6, 30)}
+            **{"data_end": date(2026, 6, 30), "recent_horizon_end": date(2026, 6, 30),
+               key: date(2025, 6, 30)}
         )
     else:
         with pytest.raises(pipeline.ConfigError, match=f"labeling.{key} must be an ISO date"):
             pipeline.config_from_dict(raw)
     flag = "--" + key.replace("_", "-")
     code = _exit_code(["ingest", *_run_args(small_corpus_dir, tmp_path / "out"),
-                       "--data-end", "2026-06-30", flag, str(value)])
+                       "--data-end", "2026-06-30", "--recent-horizon-end", "2026-06-30",
+                       flag, str(value)])
     assert code == (0 if accepted else 2)
     if not accepted:
         assert f"labeling.{key}" in capsys.readouterr().err
@@ -464,10 +491,19 @@ def test_stage_writes_run_artifacts_of_its_prefix(small_corpus_dir, run_out, tmp
     if "fit" in {stage.name for stage in ran}:
         expected |= {"model_1.json", "model_2.json", "model_3.json"}
     written = {p.name for p in out.iterdir()}
-    assert "manifest.json" not in written  # only run writes the manifest
+    assert ("manifest.json" in written) == (ran[-1].name == "run")  # only run writes the manifest
     assert written == expected
-    for name in written:
+    for name in written - {"manifest.json"}:
         assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+    if "manifest.json" in written:
+        # The manifest records the output directory, and hashes it with the
+        # rest of the config; everything else must match.
+        manifests = [json.loads((d / "manifest.json").read_text("utf-8")) for d in (out, run_out)]
+        for manifest in manifests:
+            config = pipeline.config_from_dict(manifest["config"])
+            assert manifest.pop("config_hash") == pipeline.config_hash(config)
+            manifest["config"]["out_dir"] = "out"
+        assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("command", ["fit", "report"])
@@ -497,6 +533,22 @@ def test_fit_and_report_exit_1_when_no_model_fits(corpus12_dir, tmp_path, capsys
     assert code == 1
     assert "no requested model has a finite fit" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_every_command_through_fit_fails_with_one_message(corpus12_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--corpus", str(corpus12_dir), "--out", str(out),
+            "--data-end", CORPUS12_DATA_END.isoformat(), "--no-filter"]
+    outputs = []
+    for command in ("fit", "report", "run"):
+        assert cli.main([command, *argv]) == 1, command
+        outputs.append(capsys.readouterr())
+    assert [o.out for o in outputs] == ["", "", ""]  # a failed fit prints no summary
+    err = outputs[0].err
+    assert [o.err for o in outputs] == [err] * 3
+    failures = json.loads((out / "manifest.json").read_text("utf-8"))["model_failures"]
+    notes = "".join(f"\n  model_{i} has no finite fit: {why}" for i, why in failures.items())
+    assert err == f"error: fit stage failed: no requested model has a finite fit; see {out}{notes}\n"
 
 
 def test_ingest_stage(small_corpus_dir, tmp_path, capsys):
@@ -603,14 +655,14 @@ def test_stage_commands_pause_the_collector_and_restore_it(
     assert collector_seen_by_ingest == [False, False, False]
 
 
-def test_run_stages_leaves_the_collector_as_the_caller_set_it(
+def test_run_pipeline_leaves_the_collector_as_the_caller_set_it(
     small_corpus_dir, tmp_path, collector_restored, collector_seen_by_ingest
 ):
     config = pipeline.config_from_dict({"corpus_dir": str(small_corpus_dir), "out_dir": str(tmp_path),
                                         "labeling": {"data_end": "2025-06-30"}})
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
-        pipeline.run_stages(config, through="ingest")
+        pipeline.run_pipeline(config, through="ingest")
         assert gc.isenabled() is enabled
     assert collector_seen_by_ingest == [True, False]
 

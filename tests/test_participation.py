@@ -41,6 +41,16 @@ def test_snapshot_must_precede_data_end():
         pp.LabelingConfig(data_end=date(2019, 6, 30))
 
 
+def test_recent_horizon_must_follow_snapshot():
+    # A horizon on the snapshot day leaves no day on which a commit is recent.
+    with pytest.raises(pp.LabelingConfigError, match=r"^recent_horizon_end 2019-06-30 must follow"):
+        _config(recent_horizon_end=date(2019, 6, 30))
+    with pytest.raises(pp.LabelingConfigError, match=r"^recent_horizon_end"):
+        _config(recent_horizon_end=date(2010, 1, 1))
+    config = _config(recent_horizon_end=date(2019, 7, 1))
+    assert pp.label_participation((date(2019, 7, 1),), config).recent_sustainedp_or_not == 1
+
+
 def test_window_must_be_observable():
     # default window ends 2020-06-29; a data_end before that is unusable
     with pytest.raises(pp.LabelingConfigError, match="beyond data_end"):

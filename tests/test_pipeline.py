@@ -571,7 +571,7 @@ def _assert_frame_matches_rows(state):
 
 @pytest.mark.parametrize("unit", ["pr", "contributor"])
 def test_model_frame_matches_the_row_path(small_corpus_dir, tmp_path, unit):
-    state = pipeline.run_stages(_config(small_corpus_dir, tmp_path / "out", unit=unit), "fit")
+    state = pipeline.run_pipeline(_config(small_corpus_dir, tmp_path / "out", unit=unit), "fit")
     assert len(state.models) == 3
     _assert_frame_matches_rows(state)
 
@@ -579,7 +579,7 @@ def test_model_frame_matches_the_row_path(small_corpus_dir, tmp_path, unit):
 def test_model_frame_matches_the_row_path_on_the_scaled_corpus(scaled_corpus_dir, tmp_path):
     # The corpus and filter of acceptance criterion 8.
     config = _config(scaled_corpus_dir, tmp_path / "out", filter=FilterConfig())
-    _assert_frame_matches_rows(pipeline.run_stages(config, "fit"))
+    _assert_frame_matches_rows(pipeline.run_pipeline(config, "fit"))
 
 
 _SAMPLES = st.one_of(

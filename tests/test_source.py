@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import re
@@ -159,3 +160,30 @@ def test_every_readme_import_resolves():
     imports = _readme_imports((ROOT / "README.md").read_text("utf-8"))
     assert ("prsafety.corpus", "load_corpus") in imports
     assert [f"{module}.{name}" for module, name in imports if not _resolves(module, name)] == []
+
+
+def _raised(source: str) -> list[str]:
+    """The class name each raise statement raises, a module's prefix aside."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def test_the_check_names_every_raised_class():
+    source = "raise StageError('a')\nraise pipeline.StageError\nraise ValueError('StageError')\nraise\n"
+    assert _raised(source) == ["StageError", "StageError", "ValueError"]
+
+
+def test_one_place_raises_stage_error():
+    # The no-fit policy is written once, in run_pipeline.
+    assert sum(_raised(path.read_text("utf-8")).count("StageError") for path in SOURCES) == 1
+
+
+def test_the_subcommands_are_fetch_and_the_stage_names():
+    from prsafety import cli, pipeline
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["fetch", *(stage.name for stage in pipeline.STAGES)]
