@@ -22,11 +22,16 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import re
 import sys
 
+# Before numpy's first import, below: BLAS pools of one thread per core can
+# stall the small fits on a busy host, so one thread unless the caller set one.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 from . import corpus as corpus_mod
-from . import cues as cues_mod
 from . import github_fetch, participation, pipeline, ps_index
 
 STAGE_COMMANDS = tuple(stage.name for stage in pipeline.STAGES)
@@ -144,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if enabled:
                 gc.enable()
-    # The emoji table is named by a flag or a config key; the packaged one cannot fail.
-    except (pipeline.ConfigError, participation.LabelingConfigError, cues_mod.EmojiTableError) as exc:
+    except pipeline.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -641,12 +641,18 @@ def load_corpus(directory: str | Path) -> LoadResult:
         _SHARED.clear()
 
 
-def _load(directory: Path) -> LoadResult:
+def check_corpus_dir(directory: str | Path) -> None:
+    """Raise CorpusError unless directory exists and holds every required file."""
+    directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"corpus directory not found: {directory}")
     for name in REQUIRED_FILES:
         if not (directory / name).is_file():
             raise CorpusError(f"missing corpus file: {directory / name}")
+
+
+def _load(directory: Path) -> LoadResult:
+    check_corpus_dir(directory)
 
     errors: list[IngestError] = []
 

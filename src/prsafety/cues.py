@@ -60,10 +60,11 @@ cues, int64 for the five COUNT_CUES, so that a sum of counts, or the
 where a list of ints takes 8 bytes a row for the pointer alone; extract_all
 turns each list into its array as soon as the walk ends and drops the list,
 and CueTable casts columns given in any other form to the same dtypes.
-Iterating the table gives the row view, (pull, CueVector) pairs of Python
-ints, for library callers and the benchmark's tracer; CueVector is a
-NamedTuple, so a row compares equal to the plain tuple of its values, and
-CUE_NAMES is its field tuple.
+Iterating the table gives the row view, (pull, row) pairs, each row a plain
+tuple of Python ints in CUE_NAMES order, for library callers and the
+benchmark's tracer.  CueTable.contributors numbers the distinct (repository,
+author) pairs in first-PR order, walking the pulls once on first read; the
+labels, the index and the model frame all take their contributors from it.
 
 write_cues_csv formats each distinct row of thirteen cues once, and each
 repository name once per chunk of rows, with csv.writer, and joins a line
@@ -81,32 +82,18 @@ from functools import cached_property
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import PullRequestRecord, csv_row_text, write_csv_text
 
 
-class CueVector(NamedTuple):
-    """One row of the cue table; its fields name the cues, in column order."""
-
-    merged_or_not: int
-    pr_comment_num: int
-    reopen_num: int
-    has_exchange: int
-    comment_conflict: int
-    contrib_comment: int
-    num_comments_con: int
-    inte_comment: int
-    reviewer_comment: int
-    other_comment: int
-    num_participant: int
-    at_tag: int
-    emoji_count: int
-
-
-CUE_NAMES = CueVector._fields
+CUE_NAMES = (
+    "merged_or_not", "pr_comment_num", "reopen_num", "has_exchange", "comment_conflict",
+    "contrib_comment", "num_comments_con", "inte_comment", "reviewer_comment", "other_comment",
+    "num_participant", "at_tag", "emoji_count",
+)
 
 # Count-valued cues, screened as continuous; every other cue is 0/1.
 COUNT_CUES = ("pr_comment_num", "reopen_num", "num_comments_con", "num_participant", "emoji_count")
@@ -253,14 +240,18 @@ class CueTable:
     def __len__(self) -> int:
         return len(self.pulls)
 
-    def __iter__(self) -> Iterator[tuple[PullRequestRecord, CueVector]]:
-        """The row view: (pull, CueVector) pairs in corpus order."""
-        return zip(self.pulls, map(CueVector._make, zip(*_int_columns(self))))
+    def __iter__(self) -> Iterator[tuple[PullRequestRecord, tuple[int, ...]]]:
+        """The row view: (pull, row) pairs, each row a tuple of Python ints in CUE_NAMES order."""
+        # A memoryview yields Python ints and copies nothing.
+        return zip(self.pulls, zip(*map(memoryview, self.columns.values())))
 
-
-def _int_columns(table: CueTable) -> list[memoryview]:
-    # A memoryview yields Python ints and copies nothing.
-    return [memoryview(table.columns[name]) for name in CUE_NAMES]
+    @cached_property
+    def contributors(self) -> tuple[list[tuple[str, str]], np.ndarray]:
+        """The distinct (repository, author) pairs in first-PR order, and each row's index among them."""
+        keys: dict[tuple[str, str], int] = {}
+        pairs = ((pull.repo_full_name, pull.author) for pull in self.pulls)
+        rows = np.fromiter((keys.setdefault(pair, len(keys)) for pair in pairs), np.intp, len(self.pulls))
+        return list(keys), rows
 
 
 def _cue_lists(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> dict[str, list[int]]:

@@ -5,11 +5,15 @@ the summary its command prints.  run_pipeline(config, through) runs the
 table's prefix up to the stage `through`, each stage writing its own
 artifacts; the last stage, run, writes manifest.json.  If the fit stage ran
 and no model fits, run_pipeline then raises StageError naming each failure.
+Before any stage it checks the corpus directory's required files and loads
+the emoji table into the result; a fault there is a ConfigError, raised
+before the output directory is made.
 
 The fit stage builds its variables once as columns (_model_frame), one row
-per distinct (repository, author) weighted by its PR count, so n_observations
-and model_rows_dropped count PRs (or contributors, each weighing 1); the
-continuous controls are log1p-transformed by the cues' skew rule, never excluded.
+per contributor of CueTable.contributors (as the labels and the index are)
+weighted by its PR count, so n_observations and model_rows_dropped count PRs
+(or contributors, each weighing 1); the continuous controls are
+log1p-transformed by the cues' skew rule, never excluded.
 Each requested model leaves one ModelResult in PipelineResult.models, and
 every per-model artifact, report line and manifest entry is read from it.
 
@@ -46,7 +50,6 @@ import json
 import re
 import types
 import typing
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -308,8 +311,6 @@ class PipelineResult:
 
 
 def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
-    if not config.corpus_dir.is_dir():
-        raise ConfigError(f"corpus path does not exist: {config.corpus_dir}")
     try:
         result = corpus_mod.load_corpus(config.corpus_dir)
     except corpus_mod.CorpusError as exc:
@@ -334,19 +335,19 @@ def _model_frame(state: PipelineResult) -> tuple[dict[str, np.ndarray], np.ndarr
     in first-PR order, and each row's weight: its PR count, or 1 when the unit
     is the contributor.  A missing label, context or index reads NaN, a
     missing repo_size None; the design encoder drops and counts those rows."""
-    counts = Counter((pull.repo_full_name, pull.author) for pull in state.cue_table.pulls)
+    keys, rows = state.cue_table.contributors
     contexts = {(c.repo_full_name, c.author): c for c in state.corpus.contexts}
     sources = dict.fromkeys(participation.OUTCOMES, state.labeling.labels)
     sources.update((name, contexts) for name in glm.CONTROL_PREDICTORS if name != "repo_size")
     frame = {
-        name: np.array([getattr(records.get(key), name, None) for key in counts], dtype=float)
+        name: np.array([getattr(records.get(key), name, None) for key in keys], dtype=float)
         for name, records in sources.items()
     }
     index = state.summary.repository_index
-    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in counts], dtype=float)
+    frame["PS_index_repository"] = np.array([index.get(repo) for repo, _ in keys], dtype=float)
     sizes = {m.repo_full_name: m.repo_size for m in state.corpus.repos}
-    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in counts], dtype=object)
-    weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    frame["repo_size"] = np.array([sizes.get(repo) for repo, _ in keys], dtype=object)
+    weights = np.bincount(rows, minlength=len(keys)).astype(np.int64, copy=False)
     return frame, weights if state.config.unit == "pr" else np.ones_like(weights)
 
 
@@ -360,7 +361,6 @@ def _ingest(config: PipelineConfig, state: PipelineResult) -> None:
 
 
 def _cues(config: PipelineConfig, state: PipelineResult) -> None:
-    state.emoji_table = cues_mod.load_emoji_table(config.emoji_table_path)
     state.cue_table = cues_mod.extract_all(state.corpus.pulls, state.emoji_table)
     cues_mod.write_cues_csv(config.out_dir / "cues.csv", state.cue_table)
 
@@ -373,9 +373,9 @@ def _screen(config: PipelineConfig, state: PipelineResult) -> None:
 
 
 def _label(config: PipelineConfig, state: PipelineResult) -> None:
-    contributors = {(p.repo_full_name, p.author) for p in state.corpus.pulls}
     state.labeling = participation.label_contributors(
-        state.corpus.commits, contributors, config.labeling, global_activity=config.global_activity
+        state.corpus.commits, state.cue_table.contributors[0], config.labeling,
+        global_activity=config.global_activity,
     )
     participation.write_labels_csv(config.out_dir / "labels.csv", state.labeling.labels)
 
@@ -519,8 +519,13 @@ def run_pipeline(config: PipelineConfig, through: str = STAGES[-1].name) -> Pipe
     all for inspection.
     """
     stop = [stage.name for stage in STAGES].index(through)
+    try:
+        corpus_mod.check_corpus_dir(config.corpus_dir)
+        emoji_table = cues_mod.load_emoji_table(config.emoji_table_path)
+    except (corpus_mod.CorpusError, cues_mod.EmojiTableError) as exc:
+        raise ConfigError(str(exc)) from None
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    result = PipelineResult(config)
+    result = PipelineResult(config, emoji_table=emoji_table)
     for stage in STAGES[: stop + 1]:
         stage.run(config, result)
     if result.fit_failed:

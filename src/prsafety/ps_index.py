@@ -36,7 +36,7 @@ Both read the table's columns.  score_prs sums the ten conditions over the
 columns, one vectorised pass per cue, and summarize multiplies each PR's sum
 by its author's sustainedp_or_not_12: 1 keeps the sum, 0 makes it 0, and a
 label without that outcome skips the PR (skip_reason).  Labels are looked up
-once per distinct (repository, author).
+once per contributor of the table (CueTable.contributors).
 
 A PsSummary keeps one int8 score per row of the table, -1 where the PR is
 skipped, beside the table's pulls; skip_reason of the author's label says
@@ -175,13 +175,7 @@ def summarize(
     the score, and a PR whose author's label has a skip_reason is skipped.
     """
     raw = score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only)
-    # Each row's contributor, numbered in first-PR order.
-    contributors: dict[tuple[str, str], int] = {}
-    rows = np.fromiter(
-        (contributors.setdefault((pull.repo_full_name, pull.author), len(contributors))
-         for pull in table.pulls),
-        dtype=np.intp, count=len(table),
-    )
+    contributors, rows = table.contributors
     gates = np.array([
         -1 if skip_reason(label) is not None else label.sustainedp_or_not_12
         for label in map(labels.get, contributors)

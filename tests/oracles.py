@@ -126,43 +126,60 @@ def write_cues_csv_rows(path, table) -> None:
 
 
 # --- ps index ---------------------------------------------------------------
-# Row by row over (pull, vector) pairs, where the package reads columns.
+# Row by row over (pull, cues) pairs, cues a dict from cue name to value,
+# where the package reads columns.
+
+def cue_dicts(table) -> list[tuple]:
+    """The (pull, cues) pairs of a cue table, read from its columns."""
+    values = [column.tolist() for column in table.columns.values()]
+    return [(pull, dict(zip(table.columns, row))) for pull, row in zip(table.pulls, zip(*values))]
+
+
+def contributor_keys(pulls) -> list[tuple[str, str]]:
+    """The distinct (repository, author) pairs of the pulls, each where its
+    first pull stands."""
+    keys = []
+    for pull in pulls:
+        if (pull.repo_full_name, pull.author) not in keys:
+            keys.append((pull.repo_full_name, pull.author))
+    return keys
+
 
 def thresholds_rows(rows, cues, scope: str) -> dict:
     """{cue: median} over all rows for the global scope; {repo: {cue:
     median}} over each repository's rows, repositories sorted, otherwise."""
     if scope == "global":
-        return {cue: median_sorted([getattr(v, cue) for _, v in rows]) for cue in cues}
+        return {cue: median_sorted([v[cue] for _, v in rows]) for cue in cues}
     repos = sorted({pull.repo_full_name for pull, _ in rows})
     return {
         repo: {
-            cue: median_sorted([getattr(v, cue) for pull, v in rows if pull.repo_full_name == repo])
+            cue: median_sorted([v[cue] for pull, v in rows if pull.repo_full_name == repo])
             for cue in cues
         }
         for repo in repos
     }
 
 
-def score_row(vector, label, medians: dict, merged_only: bool = False) -> int | None:
+def score_row(cues, label, medians: dict, merged_only: bool = False) -> int | None:
     """One PR's score: None for a censored or gap-return author, 0 for a
     not-sustained one, else the count of the ten conditions it meets, each
-    read from the vector by name.  medians maps each count cue to the
-    median its condition must exceed."""
+    read by name from cues, the PR's {cue: value}.  medians maps each count
+    cue to the median its condition must exceed."""
     if label.status in ("censored", "excluded_gap_return"):
         return None
     if label.status == "not_sustained":
         return 0
     conditions = (
-        vector.merged_or_not == 1 or not merged_only,
-        vector.pr_comment_num > medians["pr_comment_num"],
-        vector.has_exchange == 1,
-        vector.contrib_comment == 1,
-        vector.num_comments_con > medians["num_comments_con"],
-        vector.inte_comment == 1,
-        vector.reviewer_comment == 1,
-        vector.other_comment == 1,
-        vector.num_participant > medians["num_participant"],
-        vector.at_tag == 1,
+        cues["merged_or_not"] == 1 or not merged_only,
+        cues["pr_comment_num"] > medians["pr_comment_num"],
+        cues["has_exchange"] == 1,
+        cues["contrib_comment"] == 1,
+        cues["num_comments_con"] > medians["num_comments_con"],
+        cues["inte_comment"] == 1,
+        cues["reviewer_comment"] == 1,
+        cues["other_comment"] == 1,
+        cues["num_participant"] > medians["num_participant"],
+        cues["at_tag"] == 1,
     )
     return sum(conditions)
 
@@ -176,14 +193,14 @@ def summarize_rows(
     row.  A PR of an unlabeled author is skipped as "unlabeled", one that
     scores None under its label's status."""
     pr_scores, skipped = {}, {}
-    for pull, vector in rows:
+    for pull, cues in rows:
         key = (pull.repo_full_name, pull.pr_number)
         label = labels.get((pull.repo_full_name, pull.author))
         if label is None:
             skipped[key] = "unlabeled"
             continue
         row_medians = medians if scope == "global" else medians[pull.repo_full_name]
-        value = score_row(vector, label, row_medians, merged_only)
+        value = score_row(cues, label, row_medians, merged_only)
         if value is None:
             skipped[key] = label.status
         else:

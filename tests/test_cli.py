@@ -170,23 +170,40 @@ def test_missing_corpus_is_exit_2(tmp_path, capsys):
     code = cli.main(["run", *_run_args(tmp_path / "nowhere", tmp_path / "out")])
     assert code == 2
     assert "nowhere" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", corpus_mod.REQUIRED_FILES)
+def test_a_missing_corpus_file_is_exit_2(small_corpus_dir, tmp_path, capsys, name):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus_dir, corpus)
+    (corpus / name).unlink()
+    assert cli.main(["run", *_run_args(corpus, tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: missing corpus file: {corpus / name}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_flag_values_are_exit_2(small_corpus_dir, tmp_path, capsys):
-    base = _run_args(small_corpus_dir, tmp_path / "out")
+    out = tmp_path / "out"
+    base = _run_args(small_corpus_dir, out)
     assert cli.main(["run", *base, "--models", "1,x"]) == 2
     assert "bad --models" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["run", *base, "--models", "9"]) == 2
     assert "model indices" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["run", *base, "--data-end", "someday"]) == 2
     assert "ISO date" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["run", *base, "--data-end", "2019-01-01"]) == 2
     assert "precede" in capsys.readouterr().err
+    assert not out.exists()
     # A horizon on the snapshot day is a setting at fault, not a model failure.
     assert cli.main(["run", *base, "--recent-horizon-end", "2019-06-30"]) == 2
     assert capsys.readouterr().err.startswith(
         "configuration error: labeling.recent_horizon_end 2019-06-30 must follow snapshot_date 2019-06-30"
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -205,6 +222,17 @@ def test_an_unreadable_emoji_table_is_exit_2(small_corpus_dir, tmp_path, kind, p
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr == f"configuration error: {problem.format(table=table)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_rejects_an_unreadable_emoji_table(small_corpus_dir, tmp_path, capsys):
+    # Ingest reads no table, but the table is checked before the first
+    # artifact whatever the command.
+    table = tmp_path / "nope.txt"
+    argv = ["ingest", *_run_args(small_corpus_dir, tmp_path / "out"), "--emoji-table", str(table)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: emoji table not found: {table}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_out_dir_is_exit_2(small_corpus_dir, capsys):
@@ -281,6 +309,41 @@ def test_a_run_loads_no_openssl(small_corpus_dir, tmp_path):
     by_numpy, imported, after_run, code = result.stdout.splitlines()[-1].split()
     assert code == "0"
     assert imported == after_run == by_numpy
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])],
+    ids=["unset", "openblas_preset"],
+)
+def test_the_cli_gives_blas_one_thread_unless_the_caller_chose(preset, expected):
+    # The CLI sets each BLAS thread count that is unset before numpy's first
+    # import, when numpy reads them; a count the caller set is kept.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in names}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import json, os, sys\n"
+        f"names = {names!r}\n"
+        "at_numpy = []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not at_numpy:\n"
+        "            at_numpy.append([os.environ.get(n) for n in names])\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import prsafety\n"
+        "untouched = [os.environ.get(n) for n in names]\n"
+        "import prsafety.cli\n"
+        "print(json.dumps([untouched, at_numpy, [os.environ.get(n) for n in names]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    untouched, at_numpy, after = json.loads(result.stdout)
+    assert untouched == [preset.get(name) for name in names]
+    assert at_numpy == [expected]
+    assert after == expected
 
 
 # --- config files ------------------------------------------------------------------

@@ -7,6 +7,7 @@ compared with a multi-pass, row-based oracle from tests/oracles.py.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import statistics
 from datetime import datetime, timezone
@@ -90,7 +91,7 @@ def test_scaled_corpus_columns_match_the_oracle(scaled_corpus_dir, emoji_table):
     for scope in psi.THRESHOLD_SCOPES:
         thresholds = psi.compute_thresholds(table, scope)
         medians = thresholds.global_medians if scope == "global" else thresholds.per_repository
-        assert medians == oracles.thresholds_rows(list(table), psi.THRESHOLD_CUES, scope)
+        assert medians == oracles.thresholds_rows(oracles.cue_dicts(table), psi.THRESHOLD_CUES, scope)
 
 
 # --- thresholds and scores --------------------------------------------------------
@@ -109,6 +110,16 @@ _FLAG = st.integers(0, 1)
 _VECTORS = st.tuples(*(_COUNT if name in cues.COUNT_CUES else _FLAG for name in cues.CUE_NAMES))
 
 
+def _drawn_table(drawn):
+    """The (pull, {cue: value}) rows of drawn (repo, author, values) triples, and their CueTable."""
+    pulls = [
+        cm.PullRequestRecord(repo, number, author, T0, bool(values[0]), None, values[2])
+        for number, (repo, author, values) in enumerate(drawn, start=1)
+    ]
+    rows = [(pull, dict(zip(cues.CUE_NAMES, values))) for pull, (_, _, values) in zip(pulls, drawn)]
+    return rows, cues.CueTable(pulls, {name: [v[name] for _, v in rows] for name in cues.CUE_NAMES})
+
+
 @_EXAMPLES
 @given(
     drawn=st.lists(
@@ -123,14 +134,7 @@ _VECTORS = st.tuples(*(_COUNT if name in cues.COUNT_CUES else _FLAG for name in 
     merged_only=st.booleans(),
 )
 def test_thresholds_and_summary_match_the_row_oracles(drawn, statuses, scope, merged_only):
-    pulls = [
-        cm.PullRequestRecord(repo, number, author, T0, bool(values[0]), None, values[2])
-        for number, (repo, author, values) in enumerate(drawn, start=1)
-    ]
-    vectors = [cues.CueVector(*values) for _, _, values in drawn]
-    columns = {name: list(column) for name, column in zip(cues.CUE_NAMES, zip(*vectors))}
-    table = cues.CueTable(pulls, columns)
-    rows = list(zip(pulls, vectors))
+    rows, table = _drawn_table(drawn)
     labels = {key: _LABELS[status] for key, status in statuses.items()}
 
     thresholds = psi.compute_thresholds(table, scope)
@@ -142,6 +146,40 @@ def test_thresholds_and_summary_match_the_row_oracles(drawn, statuses, scope, me
     expected = oracles.summarize_rows(rows, labels, medians, scope, merged_only)
     got = (*oracles.keyed_scores(summary), summary.contributor_index, summary.repository_index)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in expected]
+
+
+# --- contributors -------------------------------------------------------------------
+
+def _assert_contributors_number_the_pulls(table):
+    keys, rows = table.contributors
+    assert keys == oracles.contributor_keys(table.pulls)
+    assert rows.dtype == np.intp
+    assert [keys[row] for row in rows.tolist()] == [(p.repo_full_name, p.author) for p in table.pulls]
+    counts = np.bincount(rows)
+    assert len(counts) == len(keys)
+    assert counts.sum() == len(table)
+    # Cached: a second read returns the same objects.
+    again = table.contributors
+    assert again[0] is keys and again[1] is rows
+
+
+@_EXAMPLES
+@given(drawn=st.lists(st.tuples(st.sampled_from(_REPOS), st.sampled_from(_AUTHORS), _VECTORS), max_size=40))
+def test_contributors_number_the_drawn_pulls_in_first_pr_order(drawn):
+    _assert_contributors_number_the_pulls(_drawn_table(drawn)[1])
+
+
+def test_contributors_of_a_hand_built_table():
+    # One author in two repositories, two authors in one, pairs revisited.
+    pairs = [("a/x", "ann"), ("b/y", "ann"), ("a/x", "kai"), ("a/x", "ann"), ("b/y", "ann"), ("b/y", "kai")]
+    pulls = [cm.PullRequestRecord(repo, n, author, T0, True, None, 0) for n, (repo, author) in enumerate(pairs)]
+    table = cues.CueTable(pulls, dict.fromkeys(cues.CUE_NAMES, [0] * len(pulls)))
+    keys, rows = table.contributors
+    assert keys == [("a/x", "ann"), ("b/y", "ann"), ("a/x", "kai"), ("b/y", "kai")]
+    assert rows.tolist() == [0, 1, 2, 0, 1, 3]
+    _assert_contributors_number_the_pulls(table)
+    # The numbering is no field: equality and replace see pulls and columns alone.
+    assert [f.name for f in dataclasses.fields(table)] == ["pulls", "columns"]
 
 
 def test_scaled_corpus_scores_match_the_row_scorer(scaled_corpus_dir, emoji_table):
@@ -158,8 +196,8 @@ def test_scaled_corpus_scores_match_the_row_scorer(scaled_corpus_dir, emoji_tabl
         for merged_only in (False, True):
             got = psi.score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only)
             expected = [
-                oracles.score_row(vector, sustained, row_medians, merged_only)
-                for (_, vector), row_medians in zip(table, medians)
+                oracles.score_row(row, sustained, row_medians, merged_only)
+                for (_, row), row_medians in zip(oracles.cue_dicts(table), medians)
             ]
             assert got.tolist() == expected, (scope, merged_only)
 
@@ -176,13 +214,14 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
     for repo, rows in counts.items():
         for comments, own, participants in rows:
             pulls.append(cm.PullRequestRecord(repo, len(pulls) + 1, "ann", T0, True, None, comments))
-            vectors.append(cues.CueVector(
+            vectors.append(dict(
                 merged_or_not=1, pr_comment_num=comments, reopen_num=comments, has_exchange=1,
                 comment_conflict=0, contrib_comment=1, num_comments_con=own, inte_comment=1,
                 reviewer_comment=0, other_comment=1, num_participant=participants, at_tag=0,
                 emoji_count=own,
             ))
-    table = cues.CueTable(pulls, dict(zip(cues.CUE_NAMES, map(list, zip(*vectors)))))
+    assert all(list(v) == list(cues.CUE_NAMES) for v in vectors)
+    table = cues.CueTable(pulls, {name: [v[name] for v in vectors] for name in cues.CUE_NAMES})
     sustained = _LABELS["sustained"]
     for scope in psi.THRESHOLD_SCOPES:
         thresholds = psi.compute_thresholds(table, scope)
@@ -191,7 +230,7 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
             for repo in counts
         }
         expected = {
-            repo: {cue: float(statistics.median([getattr(v, cue) for v in rows]))
+            repo: {cue: float(statistics.median([v[cue] for v in rows]))
                    for cue in psi.THRESHOLD_CUES}
             for repo, rows in groups.items()
         }
@@ -204,6 +243,6 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
                                   merged_only)
                 for p, v in zip(pulls, vectors)
             ], (scope, merged_only)
-    assert [vector for _, vector in table] == vectors
+    assert [dict(zip(cues.CUE_NAMES, row)) for _, row in table] == vectors
     extracted = cues.extract_all(pulls, emoji_table).columns["reopen_num"]
-    assert extracted.tolist() == [vector.reopen_num for vector in vectors]
+    assert extracted.tolist() == [vector["reopen_num"] for vector in vectors]

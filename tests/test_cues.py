@@ -292,20 +292,19 @@ def test_strip_code_fences():
 # --- extraction -------------------------------------------------------------------
 
 def _cues_of(pull, emoji_table):
-    ((_, vector),) = cues.extract_all([pull], emoji_table)
-    return vector
+    """The {cue: value} of one pull."""
+    ((_, row),) = oracles.cue_dicts(cues.extract_all([pull], emoji_table))
+    return row
 
 
 def test_zero_comment_merged_pr(emoji_table):
-    vector = _cues_of(_pull([], merged=True), emoji_table)
-    assert vector.merged_or_not == 1
-    assert all(
-        getattr(vector, name) == 0 for name in cues.CUE_NAMES if name != "merged_or_not"
-    )
+    row = _cues_of(_pull([], merged=True), emoji_table)
+    assert row["merged_or_not"] == 1
+    assert all(row[name] == 0 for name in cues.CUE_NAMES if name != "merged_or_not")
 
 
 def test_contributor_plus_integrator_example(emoji_table):
-    vector = _cues_of(
+    row = _cues_of(
         _pull(
             [
                 _comment("ann", "contributor", "please review @alice", 0),
@@ -314,17 +313,17 @@ def test_contributor_plus_integrator_example(emoji_table):
         ),
         emoji_table,
     )
-    assert (vector.contrib_comment, vector.inte_comment, vector.has_exchange) == (1, 1, 1)
-    assert vector.num_comments_con == 1
-    assert vector.pr_comment_num == 2
-    assert vector.num_participant == 2
-    assert vector.at_tag == 1
+    assert (row["contrib_comment"], row["inte_comment"], row["has_exchange"]) == (1, 1, 1)
+    assert row["num_comments_con"] == 1
+    assert row["pr_comment_num"] == 2
+    assert row["num_participant"] == 2
+    assert row["at_tag"] == 1
 
 
 def test_fixture_matches_hand_matrix(cue_rows12):
     assert len(cue_rows12) == 12
-    for pull, vector in cue_rows12:
-        got = tuple(getattr(vector, name) for name in cues.CUE_NAMES)
+    for pull, row in oracles.cue_dicts(cue_rows12):
+        got = tuple(row[name] for name in cues.CUE_NAMES)
         assert got == HAND_MATRIX[(pull.repo_full_name, pull.pr_number)], (
             pull.repo_full_name,
             pull.pr_number,
@@ -343,13 +342,13 @@ def test_order_insensitivity(corpus12, emoji_table):
 
 
 def test_structural_invariants_on_fixture(cue_rows12):
-    for _, v in cue_rows12:
-        assert v.has_exchange == int(bool(v.contrib_comment and v.inte_comment))
-        assert v.contrib_comment == int(v.num_comments_con >= 1)
-        assert v.pr_comment_num >= v.num_comments_con
-        if v.pr_comment_num >= 1:
-            assert v.num_participant >= 1
-        assert v.num_participant <= v.pr_comment_num
+    for _, v in oracles.cue_dicts(cue_rows12):
+        assert v["has_exchange"] == int(bool(v["contrib_comment"] and v["inte_comment"]))
+        assert v["contrib_comment"] == int(v["num_comments_con"] >= 1)
+        assert v["pr_comment_num"] >= v["num_comments_con"]
+        if v["pr_comment_num"] >= 1:
+            assert v["num_participant"] >= 1
+        assert v["num_participant"] <= v["pr_comment_num"]
 
 
 def test_cues_csv_layout(tmp_path, cue_rows12):

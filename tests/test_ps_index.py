@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from prsafety import ps_index as psi
-from prsafety.cues import CUE_NAMES, CueTable, CueVector
+from prsafety.cues import CUE_NAMES, CueTable
 from prsafety.participation import ParticipationLabel
 
 SUSTAINED = ParticipationLabel("sustained", 1, 1)
@@ -31,18 +31,17 @@ FIXTURE_SCORES = {
 
 
 def _table(rows):
-    """A CueTable of (pull, vector) rows; it casts the lists to its column dtypes."""
-    return CueTable(
-        [pull for pull, _ in rows], {name: [getattr(v, name) for _, v in rows] for name in CUE_NAMES}
-    )
+    """A CueTable of (pull, cues) rows; it casts the lists to its column dtypes."""
+    return CueTable([pull for pull, _ in rows], {name: [v[name] for _, v in rows] for name in CUE_NAMES})
 
 
 def _repo_table(rows):
-    """A CueTable of (repo, vector) rows; each pull carries only its repository."""
+    """A CueTable of (repo, cues) rows; each pull carries only its repository."""
     return _table([(SimpleNamespace(repo_full_name=repo), vector) for repo, vector in rows])
 
 
 def _vector(**overrides):
+    """One PR's {cue: value}: every cue 0 but the overrides."""
     base = dict.fromkeys(
         (
             "merged_or_not", "pr_comment_num", "reopen_num", "has_exchange",
@@ -51,8 +50,9 @@ def _vector(**overrides):
         ),
         0,
     )
+    assert set(overrides) <= set(base)
     base.update(overrides)
-    return CueVector(**base)
+    return base
 
 
 # --- thresholds -------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_fixture_global_medians(cue_rows12):
     assert thresholds.scope == "global"
     assert thresholds.global_medians == FIXTURE_MEDIANS
     for cue in psi.THRESHOLD_CUES:
-        values = [getattr(v, cue) for _, v in cue_rows12]
+        values = [v[cue] for _, v in oracles.cue_dicts(cue_rows12)]
         assert thresholds.global_medians[cue] == oracles.median_sorted(values)
 
 
@@ -99,7 +99,7 @@ def test_per_repository_medians_match_oracle_on_many_repositories():
     assert list(thresholds.per_repository) == present
     for repo in present:
         for cue in psi.THRESHOLD_CUES:
-            values = [getattr(v, cue) for name, v in rows if name == repo]
+            values = [v[cue] for name, v in rows if name == repo]
             assert thresholds.per_repository[repo][cue] == oracles.median_sorted(values)
 
 
@@ -240,7 +240,7 @@ def test_fixture_merged_only_variant(cue_rows12, labels12):
 def test_summarize_is_order_insensitive(cue_rows12, labels12):
     thresholds = psi.compute_thresholds(cue_rows12)
     direct = psi.summarize(cue_rows12, labels12.labels, thresholds)
-    shuffled = list(cue_rows12)
+    shuffled = oracles.cue_dicts(cue_rows12)
     random.Random(3).shuffle(shuffled)
     permuted = psi.summarize(_table(shuffled), labels12.labels, thresholds)
     assert oracles.keyed_scores(permuted)[0] == oracles.keyed_scores(direct)[0]
