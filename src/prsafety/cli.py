@@ -125,7 +125,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         job = github_fetch.FetchJob(**_given(args))
     except ValueError as exc:
         raise pipeline.ConfigError(str(exc)) from None
-    report = github_fetch.fetch_repository(job)
+    report = github_fetch.GitHubFetcher().fetch_repository(job)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
 

@@ -269,10 +269,11 @@ def derive_comment_role(
 ) -> str:
     """Assign a comment role from authorship facts.
 
-    The PR author always speaks as the contributor.  Anyone who merged or
-    closed the PR, or holds an owner or member association, is the
-    integrator.  Anyone who submitted a formal review is a reviewer.
-    Everybody else is other.  Precedence follows that order.
+    The PR author always speaks as the contributor.  Anyone in integrators
+    is the integrator: a fetched export passes the owner and member logins
+    and the PR's merged_by user (the closer of an unmerged PR is not
+    fetched).  Anyone in reviewers is a reviewer.  Everybody else is other.
+    Precedence follows that order.
     """
     if comment_author == pr_author:
         return "contributor"
@@ -783,10 +784,14 @@ def _open_csv(path: str | Path, header: Sequence[str]) -> TextIO:
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write a corpus in canonical form (embedded comments, sorted records)."""
+    """Write a corpus in canonical form: sorted records, each pull's comments
+    embedded in _sort_comments order (by timestamp, ties in input order)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(directory / "pulls.jsonl", sorted(corpus.pulls, key=_PULL_KEY))
+    pulls = sorted(corpus.pulls, key=_PULL_KEY)
+    _write_jsonl(
+        directory / "pulls.jsonl", (replace(p, comments=_sort_comments(p.comments)) for p in pulls)
+    )
     _write_jsonl(directory / "commits.jsonl", sorted(corpus.commits, key=_COMMIT_ORDER))
     _write_jsonl(directory / "contributor_context.jsonl", sorted(corpus.contexts, key=_CONTEXT_KEY))
     _write_jsonl(directory / "repos.jsonl", sorted(corpus.repos, key=_REPO_KEY))

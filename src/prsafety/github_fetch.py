@@ -17,9 +17,10 @@ comes exclusively from an environment variable named by the job, never from
 a flag value, so tokens stay out of process listings and shell history.
 
 Comment roles are derived at export time with the corpus rule: the PR
-author is the contributor; whoever merged or closed the PR, or holds an
-owner or member association, is an integrator; review-comment authors are
-reviewers (review submissions without inline comments are not fetched,
+author is the contributor; the PR's merged_by user, and anyone whose comment
+carries an owner or member association, is an integrator (who closed an
+unmerged PR is not fetched, so a closer is not one); review-comment authors
+are reviewers (review submissions without inline comments are not fetched,
 which keeps the request budget linear in pages); everyone else is other.
 
 Context fields that a single-repository export cannot observe (languages
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from functools import partial
@@ -367,33 +369,26 @@ class GitHubFetcher:
         """Build the corpus from the staged items; profiles(authors) stages the users phase."""
         repo = job.repo_full_name
         raw_pulls = {p["number"]: p for p in lists["pulls"] if "number" in p}
-        issue_comments, review_comments = lists["issue_comments"], lists["review_comments"]
 
-        members = {
-            login
-            for item in issue_comments + review_comments
-            if (login := self._login(item)) is not None
-            and item.get("author_association") in ("OWNER", "MEMBER")
-        }
-        # The pull's merger joins the members; one set per distinct merger.
-        integrators_by_merger: dict[str | None, set[str]] = {None: members}
+        # One pass over the comments: the owner and member logins, each pull's
+        # review commenters, and each pull's checked comments in staged order.
+        members: set[str] = set()
         reviewers_by_pr: dict[int, set[str]] = {}
-        for item in review_comments:
-            number = self._issue_number(item)
-            login = self._login(item)
-            if number is not None and login is not None:
-                reviewers_by_pr.setdefault(number, set()).add(login)
-
         comments_by_pr: dict[int, list[tuple[str, str, datetime]]] = {}
-        for endpoint, items in (
-            ("issue_comments", issue_comments),
-            ("review_comments", review_comments),
-        ):
-            for item in items:
-                number = self._issue_number(item)
+        for endpoint in ("issue_comments", "review_comments"):
+            for item in lists[endpoint]:
                 login = self._login(item)
+                if login is None:
+                    continue
+                if item.get("author_association") in ("OWNER", "MEMBER"):
+                    members.add(login)
+                number = self._issue_number(item)
+                if number is None:
+                    continue
+                if endpoint == "review_comments":
+                    reviewers_by_pr.setdefault(number, set()).add(login)
                 created = item.get("created_at")
-                if number is None or login is None or number not in raw_pulls or not created:
+                if number not in raw_pulls or not created:
                     continue
                 where = f"{endpoint} item {item.get('id')}"
                 body = item.get("body") or ""
@@ -407,24 +402,18 @@ class GitHubFetcher:
         for number in sorted(raw_pulls):
             item = raw_pulls[number]
             author = self._login(item) or "ghost"
-            merged_by = self._login(item, "merged_by") or None
-            integrators = integrators_by_merger.get(merged_by)
-            if integrators is None:
-                integrators = integrators_by_merger[merged_by] = members | {merged_by}
-            comments = []
-            for login, body, created in comments_by_pr.get(number, []):
-                role = corpus_mod.derive_comment_role(
-                    login, author, integrators, reviewers_by_pr.get(number, frozenset())
+            merged_by = self._login(item, "merged_by")
+            integrators = members | {merged_by} if merged_by else members
+            reviewers = reviewers_by_pr.get(number, frozenset())
+            comments = tuple(
+                corpus_mod.CommentRecord(
+                    author=login,
+                    role=corpus_mod.derive_comment_role(login, author, integrators, reviewers),
+                    body=body,
+                    created_at=created,
                 )
-                comments.append(
-                    corpus_mod.CommentRecord(
-                        author=login,
-                        role=role,
-                        body=body,
-                        created_at=created,
-                    )
-                )
-            merged = bool(item.get("merged_at"))
+                for login, body, created in comments_by_pr.get(number, ())
+            )
             closed_at = item.get("closed_at")
             pulls.append(
                 corpus_mod.PullRequestRecord(
@@ -434,19 +423,18 @@ class GitHubFetcher:
                     created_at=self._timestamp(
                         item.get("created_at"), f"pulls item #{number} created_at"
                     ),
-                    merged=merged,
+                    merged=bool(item.get("merged_at")),
                     closed_at=None
                     if closed_at is None
                     else self._timestamp(closed_at, f"pulls item #{number} closed_at"),
                     reopen_count=self._count(
                         item.get("reopen_count"), f"pulls item #{number} reopen_count"
                     ),
-                    comments=tuple(sorted(comments, key=lambda c: c.created_at)),
+                    comments=comments,
                 )
             )
 
         commits = []
-        commit_authors: dict[str, int] = {}
         for item in lists["commits"]:
             login = self._login(item, "author") or self._login(item, "committer")
             date = (((item.get("commit") or {}).get("author")) or {}).get("date")
@@ -459,34 +447,30 @@ class GitHubFetcher:
                     committed_at=self._timestamp(date, f"commits item {item.get('sha')} date"),
                 )
             )
-            commit_authors[login] = commit_authors.get(login, 0) + 1
+        commit_authors = Counter(c.author for c in commits)
 
         authors = sorted(
             {p.author for p in pulls}
             | {c.author for p in pulls for c in p.comments}
             | set(commit_authors)
         )
-        total_commits = sum(commit_authors.values())
         profile_of = profiles(authors)
-        contexts = []
-        for author in authors:
-            contexts.append(
-                corpus_mod.ContributorContext(
-                    repo_full_name=repo,
-                    author=author,
-                    core_member=author in members,
-                    contrib_rate_author=(
-                        commit_authors.get(author, 0) / total_commits if total_commits else 0.0
-                    ),
-                    followers=self._count(
-                        profile_of[author].get("followers"), f"users/{author} followers"
-                    ),
-                    # Single-repo exports cannot observe these; see module docs.
-                    num_languages=1,
-                    contrib_follow_integrator=False,
-                    social_strength=0.0,
-                )
+        contexts = [
+            corpus_mod.ContributorContext(
+                repo_full_name=repo,
+                author=author,
+                core_member=author in members,
+                contrib_rate_author=commit_authors[author] / len(commits) if commits else 0.0,
+                followers=self._count(
+                    profile_of[author].get("followers"), f"users/{author} followers"
+                ),
+                # Single-repo exports cannot observe these; see module docs.
+                num_languages=1,
+                contrib_follow_integrator=False,
+                social_strength=0.0,
             )
+            for author in authors
+        ]
 
         repos = [
             corpus_mod.RepoMeta(
@@ -500,8 +484,3 @@ class GitHubFetcher:
             )
         ]
         return corpus_mod.Corpus(pulls=pulls, commits=commits, contexts=contexts, repos=repos)
-
-
-def fetch_repository(job: FetchJob, fetcher: GitHubFetcher | None = None) -> FetchReport:
-    """Convenience wrapper used by the CLI."""
-    return (fetcher or GitHubFetcher()).fetch_repository(job)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -667,3 +668,58 @@ def jsonl_count(path) -> int:
 def jsonl_field_values(path, field: str) -> list:
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line)[field] for line in handle if line.strip()]
+
+
+# --- fetched comment roles ----------------------------------------------------
+
+def _login_of(user) -> str | None:
+    if isinstance(user, dict) and isinstance(user.get("login"), str):
+        return user["login"]
+    return None
+
+
+def _target(comment: dict) -> int | None:
+    """The pull number at the end of a comment's issue or pull request URL."""
+    for url in (comment.get("issue_url"), comment.get("pull_request_url")):
+        found = re.search(r"/(\d+)$", url or "")
+        if found:
+            return int(found.group(1))
+    return None
+
+
+def fetched_comment_roles(pulls, issue_comments, review_comments) -> dict[int, list[tuple]]:
+    """Each staged pull's sorted (author, body, role) over the staged comments
+    an export keeps (a login, a staged pull, a timestamp), each role read off
+    by scanning every staged comment again: the pull's author (a null user is
+    "ghost") is the contributor; its merged_by user, or anyone with an OWNER
+    or MEMBER comment anywhere, an integrator; anyone with a review comment
+    on that pull a reviewer; everyone else other."""
+    staged = [(c, False) for c in issue_comments] + [(c, True) for c in review_comments]
+    result = {}
+    for pull in pulls:
+        number = pull["number"]
+        author = _login_of(pull.get("user")) or "ghost"
+        merger = _login_of(pull.get("merged_by"))
+        rows = []
+        for comment, _ in staged:
+            login = _login_of(comment.get("user"))
+            if login is None or _target(comment) != number or not comment.get("created_at"):
+                continue
+            if login == author:
+                role = "contributor"
+            elif login == merger or any(
+                _login_of(other.get("user")) == login
+                and other.get("author_association") in ("OWNER", "MEMBER")
+                for other, _ in staged
+            ):
+                role = "integrator"
+            elif any(
+                review and _target(other) == number and _login_of(other.get("user")) == login
+                for other, review in staged
+            ):
+                role = "reviewer"
+            else:
+                role = "other"
+            rows.append((login, comment.get("body") or "", role))
+        result[number] = sorted(rows)
+    return result

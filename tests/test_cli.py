@@ -19,6 +19,7 @@ from prsafety import corpus as corpus_mod
 from prsafety.corpus import DEFAULT_EXCLUDED_LABELS
 from prsafety.cues import COUNT_CUES
 from prsafety.participation import LabelingConfig
+from test_github_fetch import REPO, FakeSession, _fetcher
 
 
 def _run_args(corpus_dir, out_dir, *extra):
@@ -752,11 +753,12 @@ def test_cyclic_garbage_of_a_run_does_not_grow_with_the_corpus(
 def test_fetch_maps_flags_to_job(tmp_path, capsys, monkeypatch):
     captured = {}
 
-    def fake_fetch(job, fetcher=None):
-        captured["job"] = job
-        return github_fetch.FetchReport(repo_full_name=job.repo_full_name, pulls=3)
+    class FakeFetcher:
+        def fetch_repository(self, job):
+            captured["job"] = job
+            return github_fetch.FetchReport(repo_full_name=job.repo_full_name, pulls=3)
 
-    monkeypatch.setattr(cli.github_fetch, "fetch_repository", fake_fetch)
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", FakeFetcher)
     code = cli.main([
         "fetch",
         "--repo", "acme/site",
@@ -790,9 +792,27 @@ def test_bad_fetch_flags_are_exit_2(tmp_path, capsys, monkeypatch, flag, named):
 
 
 def test_fetch_failure_is_exit_1(tmp_path, capsys, monkeypatch):
-    def fake_fetch(job, fetcher=None):
-        raise github_fetch.RepoNotFoundError("acme/site: GET /repos/acme/site returned 404")
+    class FakeFetcher:
+        def fetch_repository(self, job):
+            raise github_fetch.RepoNotFoundError("acme/site: GET /repos/acme/site returned 404")
 
-    monkeypatch.setattr(cli.github_fetch, "fetch_repository", fake_fetch)
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", FakeFetcher)
     assert cli.main(["fetch", "--repo", "acme/site", "--out", str(tmp_path)]) == 1
     assert "404" in capsys.readouterr().err
+
+
+def test_fetch_over_a_finished_export_missing_a_file_is_exit_1(tmp_path, capsys, monkeypatch):
+    # A finished export is validated, not fetched again; with repos.jsonl gone
+    # load_corpus raises CorpusError, which main reports like any runtime failure.
+    fetcher = _fetcher(FakeSession())
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", lambda: fetcher)
+    out = tmp_path / "corpus"
+    argv = ["fetch", "--repo", REPO, "--out", str(out)]
+    assert cli.main(argv) == 0
+    (out / "repos.jsonl").unlink()
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: missing corpus file: {out / 'repos.jsonl'}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -495,6 +495,31 @@ def test_save_is_canonical_and_stable(tmp_path, corpus12, corpus12_dir):
         assert (tmp_path / name).read_bytes() == (corpus12_dir / name).read_bytes()
 
 
+def test_save_writes_comments_in_load_order(tmp_path):
+    stamps = {"late": "2019-01-05T00:00:00Z", "tie-a": "2019-01-03T00:00:00Z",
+              "early": "2019-01-02T00:00:00Z", "tie-b": "2019-01-03T00:00:00Z"}
+    comments = [{"author": "kai", "role": "other", "body": body, "created_at": created}
+                for body, created in stamps.items()]
+    (tmp_path / "raw").mkdir()
+    loaded = cm.load_corpus(_minimal_dir(tmp_path / "raw", pulls=[_pull_obj(comments=comments)],
+                                         repos=[_repo_obj()]))
+    assert loaded.errors == []
+    pull = cm.PullRequestRecord(
+        "a/b", 1, "ann", cm.parse_timestamp("2019-01-01T00:00:00Z"), True, None, 0,
+        tuple(cm.CommentRecord("kai", "other", body, cm.parse_timestamp(created))
+              for body, created in stamps.items()),
+    )
+    cm.save_corpus(cm.Corpus(pulls=[pull], repos=[_meta("a/b", 10)]), tmp_path / "first")
+    (line,) = (tmp_path / "first" / "pulls.jsonl").read_text("utf-8").splitlines()
+    written = [c["body"] for c in json.loads(line)["comments"]]
+    # Timestamp order, as load_corpus gives it; the same-second pair keeps its input order.
+    assert written == [c.body for c in loaded.corpus.pulls[0].comments]
+    assert written == ["early", "tie-a", "tie-b", "late"]
+    cm.save_corpus(cm.load_corpus(tmp_path / "first").corpus, tmp_path / "again")
+    for name in cm.REQUIRED_FILES:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
 # --- filtering -----------------------------------------------------------------
 
 def _repo_corpus(metas):

@@ -4,6 +4,8 @@ import json
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from prsafety import github_fetch as gf
@@ -47,12 +49,12 @@ def _issue_comment(cid, number, author, created, body, association="NONE"):
     }
 
 
-def _review_comment(cid, number, author, created, body):
+def _review_comment(cid, number, author, created, body, association="NONE"):
     return {
         "id": cid,
         "pull_request_url": f"{BASE}/repos/{REPO}/pulls/{number}",
-        "user": {"login": author},
-        "author_association": "NONE",
+        "user": None if author is None else {"login": author},
+        "author_association": association,
         "created_at": created,
         "body": body,
     }
@@ -202,6 +204,68 @@ def test_full_export_counts_and_roles(tmp_path):
     assert payload["pulls"] == 5
     assert payload["defaulted_context_fields"] == list(gf.DEFAULTED_CONTEXT_FIELDS)
     assert payload["defaulted_pull_fields"] == ["reopen_count"]  # not in the REST pull object
+
+
+@pytest.mark.parametrize(
+    "route, number, login, association, role",
+    [
+        ("issue_comments", 1, "kai", "NONE", "integrator"),  # kai merged #1
+        ("issue_comments", 2, "kai", "NONE", "other"),  # but not #2
+        ("issue_comments", 3, "mia", "OWNER", "contributor"),  # mia opened #3
+        ("review_comments", 5, "eve", "MEMBER", "integrator"),
+    ],
+    ids=["merger-on-merged-pull", "merger-elsewhere", "owner-as-author", "member-reviewer"],
+)
+def test_merger_and_member_roles(tmp_path, route, number, login, association, role):
+    make = _issue_comment if route == "issue_comments" else _review_comment
+    staged = {"issue_comments": ISSUE_COMMENTS, "review_comments": REVIEW_COMMENTS}
+    staged[route] = [*staged[route], make(400, number, login, "2019-03-10T00:00:00Z", "added", association)]
+    _fetcher(FakeSession(**staged)).fetch_repository(_job(tmp_path))
+    assert [
+        (p.pr_number, c.author, c.role)
+        for p in load_corpus(tmp_path).corpus.pulls
+        for c in p.comments
+        if c.body == "added"
+    ] == [(number, login, role)]
+
+
+_LOGIN = st.sampled_from(["ann", "bo", "cy", None])
+# (pull number, login, created_at, body, association): numbers past 4 name no pull.
+_COMMENT = st.tuples(
+    st.integers(1, 6),
+    _LOGIN,
+    st.sampled_from([None, "2019-01-02T00:00:00Z", "2019-01-03T00:00:00Z"]),
+    st.sampled_from(["x", "y", None]),
+    st.sampled_from(["OWNER", "MEMBER", "NONE"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pulls=st.dictionaries(st.integers(1, 4), st.tuples(_LOGIN, _LOGIN), max_size=4),
+    issue=st.lists(_COMMENT, max_size=8),
+    review=st.lists(_COMMENT, max_size=8),
+)
+def test_assembled_roles_match_the_role_rule(pulls, issue, review):
+    # pulls maps each number to its (author, merger) logins; None is a null user.
+    staged = {
+        "pulls": [
+            {**_pull(number, author, "2019-01-01T00:00:00Z", merged_by=merger),
+             "user": None if author is None else {"login": author}}
+            for number, (author, merger) in pulls.items()
+        ],
+        "issue_comments": [_issue_comment(200 + i, *c) for i, c in enumerate(issue)],
+        "review_comments": [_review_comment(300 + i, *c) for i, c in enumerate(review)],
+        "commits": [],
+    }
+    corpus = _fetcher(FakeSession())._assemble(
+        _job("."), {}, staged, lambda authors: {login: {} for login in authors}
+    )
+    assert {
+        p.pr_number: sorted((c.author, c.body, c.role) for c in p.comments) for p in corpus.pulls
+    } == oracles.fetched_comment_roles(
+        staged["pulls"], staged["issue_comments"], staged["review_comments"]
+    )
 
 
 def test_pagination_requests_each_page_once(tmp_path):
