@@ -126,7 +126,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise pipeline.ConfigError(str(exc)) from None
     report = github_fetch.GitHubFetcher().fetch_repository(job)
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(corpus_mod.json_form(report), indent=2, sort_keys=True))
     return 0
 
 

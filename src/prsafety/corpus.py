@@ -41,7 +41,8 @@ and "z" too) is read by datetime.fromisoformat after one structural match;
 any other value, or one that fromisoformat rejects (February 30, second
 60), goes through parse_timestamp.  A pull's comments are parsed in one
 pass; a list with an item that fails is walked again item by item, so that
-the message names the item's position.
+a role outside ROLES, or an item that is not an object, names its position
+(comments[i]); every other field error of a comment keeps its plain wording.
 
 Within one load, each distinct repository name, author, role and size is
 one string object, shared by every record that holds it: json builds a new
@@ -59,9 +60,10 @@ cost one len() call and the longer ones two str.count() calls; only a line
 with more than MAX_NESTING "[" and "{" is walked, without recursion.
 
 write_json and write_csv give every artifact its form: indented JSON with
-sorted keys, and CSV under a header row.  write_csv_text writes text that
-csv_row_text formatted under the same header row, for a writer that formats
-each distinct row once; csv.writer formats every field either way.
+sorted keys, each value in its json_form, and CSV under a header row.
+write_csv_text writes text that csv_row_text formatted under the same
+header row, for a writer that formats each distinct row once; csv.writer
+formats every field either way.
 """
 
 from __future__ import annotations
@@ -71,11 +73,13 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from datetime import date, datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence, TextIO
+
+import numpy as np
 
 ROLES = ("contributor", "integrator", "reviewer", "other")
 REPO_SIZES = ("small", "medium", "large")
@@ -727,25 +731,37 @@ def _load(directory: Path) -> LoadResult:
     return LoadResult(corpus=corpus, errors=errors)
 
 
-def _to_json(value):
-    """json.dumps default: a record field by field, a timestamp, a set sorted."""
-    if isinstance(value, datetime):
+def json_form(value):
+    """value as JSON data: the one form of every value this package writes as JSON."""
+    if is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, datetime):  # before date, its base class
         return format_timestamp(value)
+    if isinstance(value, (date, Path)):
+        return str(value)  # a date's str is its ISO form
     if isinstance(value, frozenset):
         return sorted(value)
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [json_form(item) for item in value]
+    if isinstance(value, dict):
+        return {key: json_form(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 def _write_jsonl(path: Path, records: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, default=_to_json, separators=(",", ":")) + "\n")
+            handle.write(json.dumps(record, default=json_form, separators=(",", ":")) + "\n")
 
 
 def write_json(path: str | Path, payload) -> None:
-    """A JSON artifact: two-space indent, sorted keys, one final newline."""
+    """A JSON artifact: payload's json_form, two-space indent, sorted keys, one final newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, default=json_form, indent=2, sort_keys=True)
         handle.write("\n")
 
 

@@ -20,7 +20,7 @@ same skew rule, log1p_if_skewed, but are never excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -127,15 +127,12 @@ class ScreeningDecision:
 @dataclass
 class ScreeningReport:
     config: ScreeningConfig
-    decisions: list[ScreeningDecision]
-
-    def to_json(self) -> dict:
-        return {"config": asdict(self.config), "variables": [asdict(d) for d in self.decisions]}
+    variables: list[ScreeningDecision]
 
     def format_table(self) -> str:
         header = f"{'variable':<26} {'kind':<11} {'decision':<12} reason"
         rows = [header, "-" * len(header)]
-        for d in self.decisions:
+        for d in self.variables:
             rows.append(f"{d.name:<26} {d.kind:<11} {d.action:<12} {d.reason}")
         return "\n".join(rows)
 
@@ -207,18 +204,18 @@ def screen_predictors(
 ) -> ScreeningReport:
     """Screen every variable in the table, one decision each."""
     config = config or ScreeningConfig()
-    decisions = []
+    variables = []
     for name, values in table.items():
         kind = kinds.get(name)
         if kind not in KINDS:
             raise ValueError(f"variable {name!r} needs a kind in {KINDS}, got {kind!r}")
         column = np.asarray(values, dtype=float)
         if kind == "binary":
-            decisions.append(_screen_binary(name, column, config))
+            variables.append(_screen_binary(name, column, config))
         else:
-            decisions.append(_screen_continuous(name, column, config))
-    return ScreeningReport(config=config, decisions=decisions)
+            variables.append(_screen_continuous(name, column, config))
+    return ScreeningReport(config=config, variables=variables)
 
 
 def write_screening_report(report: ScreeningReport, path: str | Path) -> None:
-    write_json(path, report.to_json())
+    write_json(path, report)

@@ -36,7 +36,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from pathlib import Path
@@ -90,6 +90,8 @@ class FetchJob:
             raise ValueError(f"page_size must be in [1, 100], got {self.page_size}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.since is not None:  # checked, and kept as given: the cursor compares the text
+            corpus_mod.parse_timestamp(self.since)
 
 
 @dataclass
@@ -105,9 +107,6 @@ class FetchReport:
     resumed: bool = False
     defaulted_context_fields: tuple[str, ...] = DEFAULTED_CONTEXT_FIELDS
     defaulted_pull_fields: tuple[str, ...] = ("reopen_count",)  # the REST pull has no such field
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class GitHubFetcher:
@@ -221,7 +220,7 @@ class GitHubFetcher:
     def _save_cursor(self, out: Path, cursor: dict) -> None:
         path = self._cursor_path(out)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(cursor, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        corpus_mod.write_json(tmp, cursor)
         os.replace(tmp, path)
 
     def _stage(self, report: FetchReport, job: FetchJob, out: Path, cursor: dict,
@@ -312,6 +311,14 @@ class GitHubFetcher:
             raise FetchError(f"{where}: expected an integer >= 0, got {value!r}")
         return value or 0
 
+    @staticmethod
+    def _number(item: Mapping) -> int:
+        """A pull's number; anything but an integer >= 1 (true is 1 as a key) stops the export."""
+        number = item["number"]
+        if isinstance(number, bool) or not isinstance(number, int) or number < 1:
+            raise FetchError(f"pulls item {item.get('id')} number: expected an integer >= 1, got {number!r}")
+        return number
+
     def fetch_repository(self, job: FetchJob) -> FetchReport:
         out = Path(job.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +339,7 @@ class GitHubFetcher:
         report.commits = counts["commits"]
         report.contributors = counts["contexts"]
         if not finished:
-            corpus_mod.write_json(out / "fetch_report.json", report.to_json())
+            corpus_mod.write_json(out / "fetch_report.json", report)
         return report
 
     def _export(self, job: FetchJob, out: Path, cursor: dict, report: FetchReport) -> corpus_mod.LoadResult:
@@ -368,7 +375,7 @@ class GitHubFetcher:
                   profiles: Callable[[list[str]], Mapping[str, Mapping]]) -> corpus_mod.Corpus:
         """Build the corpus from the staged items; profiles(authors) stages the users phase."""
         repo = job.repo_full_name
-        raw_pulls = {p["number"]: p for p in lists["pulls"] if "number" in p}
+        raw_pulls = {self._number(p): p for p in lists["pulls"] if "number" in p}
 
         # One pass over the comments: the owner and member logins, each pull's
         # review commenters, and each pull's checked comments in staged order.

@@ -48,7 +48,7 @@ column moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -289,14 +289,6 @@ class LogisticFit:
     def odds_ratios(self) -> list[float]:
         """exp(beta) per column; inf past the float range."""
         return [math.exp(v) if v <= _LOG_FLOAT_MAX else math.inf for v in self.coefficients]
-
-    def to_json(self) -> dict:
-        """Every field, arrays as lists, and the odds ratios (an infinite one as None)."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {
-            **{name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values},
-            "odds_ratios": [v if math.isfinite(v) else None for v in self.odds_ratios],
-        }
 
 
 def normal_sf_two_sided(z: float) -> float:

@@ -78,9 +78,9 @@ UNITS = ("pr", "contributor")
 @dataclass
 class PipelineConfig:
     """The run's settings, each declared once: config_from_dict reads a JSON
-    value of the field's type (an absent key keeps the default), to_json
-    writes the same form, and __post_init__ and the nested configs check
-    the ranges."""
+    value of the field's type (an absent key keeps the default),
+    corpus.json_form writes the same form, and __post_init__ and the nested
+    configs check the ranges."""
 
     corpus_dir: Path
     out_dir: Path
@@ -107,22 +107,6 @@ class PipelineConfig:
             raise ConfigError(f"models must not repeat a model index, got {self.models!r}")
         # Sorted: the same models give the same config hash and manifest.
         self.models = tuple(sorted(self.models))
-
-    def to_json(self) -> dict:
-        return _json_form(self)
-
-
-def _json_form(value):
-    """A config value in the JSON form config_from_dict reads."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (Path, date)):
-        return str(value)  # a date's str is its ISO form
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _exact(value, *types):
@@ -257,7 +241,7 @@ _SHA256 = _builtin_sha256()
 
 
 def config_hash(config: PipelineConfig) -> str:
-    canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(corpus_mod.json_form(config), sort_keys=True, separators=(",", ":"))
     return _SHA256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -479,7 +463,7 @@ def _manifest(result: PipelineResult) -> dict:
     fitted = {i: m for i, m in result.models.items() if m.fit is not None}
     return {
         "tool": "prsafety",
-        "config": config.to_json(),
+        "config": corpus_mod.json_form(config),
         "config_hash": config_hash(config),
         "emoji_table_version": result.emoji_table.version,
         "thresholds": {
@@ -487,7 +471,7 @@ def _manifest(result: PipelineResult) -> dict:
             "global": thresholds.global_medians,
             "per_repository": thresholds.per_repository,
         },
-        "screening": result.screening_report.to_json(),
+        "screening": corpus_mod.json_form(result.screening_report),
         "control_transforms": result.control_transforms,
         "role_provenance": "stored",
         "row_counts": {

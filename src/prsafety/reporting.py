@@ -12,11 +12,12 @@ titles "Model i" in index order.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import write_csv, write_json
+from .corpus import json_form, write_csv, write_json
 from .glm import INTERCEPT_NAME, LogisticFit, ModelSpec, significance_stars
 from .ps_index import OUTCOME_COUPLING_NOTE, PsSummary, format_index_value, ranked
 
@@ -131,7 +132,9 @@ def _spec_header(spec: ModelSpec) -> dict:
 
 
 def write_model_json(path: str | Path, fit: LogisticFit, spec: ModelSpec) -> None:
-    write_json(path, {**fit.to_json(), **_spec_header(spec)})
+    """Every field of the fit, its odds ratios (an infinite one as null) and the spec."""
+    odds_ratios = [v if math.isfinite(v) else None for v in fit.odds_ratios]
+    write_json(path, {**json_form(fit), "odds_ratios": odds_ratios, **_spec_header(spec)})
 
 
 def write_model_failure_json(path: str | Path, spec: ModelSpec, message: str) -> None:

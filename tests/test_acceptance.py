@@ -249,13 +249,13 @@ def test_criterion_4_fixture_matches_hand_enumeration(corpus12_dir):
 def test_criterion_5_screening_policy():
     # a binary variable with a 1.8% minority class is excluded at the 5% default
     binary = [0.0] * 491 + [1.0] * 9
-    (decision,) = diagnostics.screen_predictors({"flag": binary}, {"flag": "binary"}).decisions
+    (decision,) = diagnostics.screen_predictors({"flag": binary}, {"flag": "binary"}).variables
     assert decision.action == "excluded"
     assert decision.minority_fraction == pytest.approx(0.018)
 
     # a heavy-tailed variable is log1p-transformed and, still skewed, excluded
     spike = [0.0] * 299 + [5e8]
-    (decision,) = diagnostics.screen_predictors({"v": spike}, {"v": "continuous"}).decisions
+    (decision,) = diagnostics.screen_predictors({"v": spike}, {"v": "continuous"}).variables
     assert decision.action == "excluded"
     assert abs(decision.raw_skewness) > 3.0
     assert abs(decision.transformed_skewness) > 3.0

@@ -19,7 +19,7 @@ from prsafety import corpus as corpus_mod
 from prsafety.corpus import DEFAULT_EXCLUDED_LABELS
 from prsafety.cues import COUNT_CUES
 from prsafety.participation import LabelingConfig
-from test_github_fetch import REPO, FakeSession, _fetcher
+from test_github_fetch import PULLS, REPO, FakeSession, _fetcher
 
 
 def _run_args(corpus_dir, out_dir, *extra):
@@ -781,7 +781,8 @@ def test_fetch_maps_flags_to_job(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, named",
     [("--repo=noslash", "owner/name"), ("--page-size=0", "page_size"),
-     ("--page-size=101", "page_size"), ("--max-retries=-1", "--max-retries")],
+     ("--page-size=101", "page_size"), ("--max-retries=-1", "--max-retries"),
+     ("--since=yesterday", "invalid RFC 3339 timestamp 'yesterday'")],
 )
 def test_bad_fetch_flags_are_exit_2(tmp_path, capsys, monkeypatch, flag, named):
     monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", _no_session)
@@ -789,6 +790,17 @@ def test_bad_fetch_flags_are_exit_2(tmp_path, capsys, monkeypatch, flag, named):
     assert _exit_code(["fetch", "--repo", "acme/site", "--out", str(out), flag]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("number", ["2", True, None, 0], ids=repr)
+def test_fetch_of_a_bad_pull_number_is_exit_1(tmp_path, capsys, monkeypatch, number):
+    # "2" or None cannot be sorted with 1, true would replace pull 1, and 0 is no pull number.
+    fetcher = _fetcher(FakeSession(pulls=[PULLS[0], {**PULLS[1], "number": number}]))
+    monkeypatch.setattr(cli.github_fetch, "GitHubFetcher", lambda: fetcher)
+    assert cli.main(["fetch", "--repo", REPO, "--out", str(tmp_path / "corpus")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: pulls item {PULLS[1]['id']} number: expected an integer >= 1, got {number!r}\n"
+    assert captured.out == ""
 
 
 def test_fetch_failure_is_exit_1(tmp_path, capsys, monkeypatch):

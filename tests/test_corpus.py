@@ -4,7 +4,10 @@ import dataclasses
 import json
 import random
 import re
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,6 +174,53 @@ def test_format_timestamp_pads_years_and_keeps_fractions():
     stamp = _utc(2019, 6, 30, 12, 0, 0, 7)
     assert cm.parse_timestamp(cm.format_timestamp(stamp)) == stamp
 
+
+
+@dataclasses.dataclass
+class _Stamps:
+    at: datetime
+    day: date
+
+
+@dataclasses.dataclass
+class _Holder:
+    stamps: _Stamps
+    path: Path
+    labels: frozenset
+    pair: tuple
+    counts: np.ndarray
+    values: np.ndarray
+    by_model: dict
+
+
+def test_json_form_gives_each_kind_of_value_its_one_form():
+    plus_two = timezone(timedelta(hours=2))
+    value = _Holder(
+        stamps=_Stamps(datetime(2019, 1, 5, 12, 0, 0, 250000, tzinfo=plus_two), date(2019, 1, 5)),
+        path=Path("out") / "model_1.json",
+        labels=frozenset({"tutorial", "awesome"}),
+        pair=(1, "two", (3,)),
+        counts=np.array([3, 0], dtype=np.int64),
+        values=np.array([0.5, -1.25]),
+        by_model={2: (True, None), 1: "x"},
+    )
+    expected = {
+        # A datetime is RFC 3339 in UTC, not str()'s "2019-01-05 12:00:00.250000+02:00".
+        "stamps": {"at": "2019-01-05T10:00:00.250000Z", "day": "2019-01-05"},
+        "path": "out/model_1.json",
+        "labels": ["awesome", "tutorial"],
+        "pair": [1, "two", [3]],
+        "counts": [3, 0],
+        "values": [0.5, -1.25],
+        "by_model": {2: [True, None], 1: "x"},
+    }
+    form = cm.json_form(value)
+    # repr, not ==, so that numpy scalars and tuples cannot pass for ints and lists.
+    assert repr(form) == repr(expected)
+    assert json.loads(json.dumps(form)) == {**expected, "by_model": {"2": [True, None], "1": "x"}}
+    # No other value has a form, so json.dumps cannot pass one through unchanged.
+    with pytest.raises(TypeError, match="^set has no JSON form$"):
+        cm.json_form({"a": [{1}]})
 
 # --- size boundaries -----------------------------------------------------------
 

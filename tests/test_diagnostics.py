@@ -126,7 +126,7 @@ def test_log1p_monotone_and_precise():
 
 def test_imbalanced_binary_excluded():
     values = [0.0] * 491 + [1.0] * 9  # minority share 1.8%
-    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decisions
+    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).variables
     assert decision.action == "excluded"
     assert decision.minority_fraction == pytest.approx(0.018)
     assert "below" in decision.reason
@@ -134,7 +134,7 @@ def test_imbalanced_binary_excluded():
 
 def test_balanced_binary_retained():
     values = [0.0] * 475 + [1.0] * 25  # exactly at the 5% default
-    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).decisions
+    (decision,) = dg.screen_predictors({"flag": values}, {"flag": "binary"}).variables
     assert decision.action == "retained"
 
 
@@ -148,7 +148,7 @@ def test_empty_binary_excluded_without_a_fraction(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = dg.screen_predictors({"flag": [], "v": []}, {"flag": "binary", "v": "continuous"})
-    flag, v = report.decisions
+    flag, v = report.variables
     assert (flag.action, flag.reason, flag.minority_fraction) == (
         "excluded", "no observations, minority class undefined", None
     )
@@ -163,7 +163,7 @@ def test_empty_binary_excluded_without_a_fraction(tmp_path):
 def test_mild_continuous_retained():
     rng = random.Random(55)
     values = [rng.gauss(10, 2) for _ in range(200)]
-    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).variables
     assert decision.action == "retained"
     assert abs(decision.raw_skewness) <= 3.0
     assert decision.transformed_skewness is None
@@ -172,7 +172,7 @@ def test_mild_continuous_retained():
 def test_heavy_tail_transformed():
     rng = random.Random(314)
     values = [math.exp(rng.gauss(0, 4)) for _ in range(300)]
-    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).variables
     assert decision.action == "transformed"
     assert abs(decision.raw_skewness) > 3.0
     assert abs(decision.transformed_skewness) <= 3.0
@@ -180,14 +180,14 @@ def test_heavy_tail_transformed():
 
 def test_spike_still_skewed_after_transform_is_excluded():
     values = [0.0] * 299 + [5e8]
-    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).decisions
+    (decision,) = dg.screen_predictors({"v": values}, {"v": "continuous"}).variables
     assert decision.action == "excluded"
     assert abs(decision.transformed_skewness) > 3.0
     assert "after log1p" in decision.reason
 
 
 def test_zero_variance_continuous_excluded_not_fatal():
-    (decision,) = dg.screen_predictors({"v": [7.0] * 10}, {"v": "continuous"}).decisions
+    (decision,) = dg.screen_predictors({"v": [7.0] * 10}, {"v": "continuous"}).variables
     assert decision.action == "excluded"
     assert "undefined" in decision.reason
 
@@ -195,15 +195,15 @@ def test_zero_variance_continuous_excluded_not_fatal():
 def test_too_few_values_continuous_excluded_not_fatal():
     with pytest.raises(dg.UndefinedSkewnessError, match="at least 3 observations, got 2"):
         dg.skewness([1.0, 2.0])
-    (decision,) = dg.screen_predictors({"v": [1.0, 2.0]}, {"v": "continuous"}).decisions
+    (decision,) = dg.screen_predictors({"v": [1.0, 2.0]}, {"v": "continuous"}).variables
     assert (decision.action, decision.reason) == (
         "excluded", "skewness type 3 needs at least 3 observations, got 2"
     )
     type1 = dg.ScreeningConfig(skew_type=1)
-    (decision,) = dg.screen_predictors({"v": [1.0]}, {"v": "continuous"}, type1).decisions
+    (decision,) = dg.screen_predictors({"v": [1.0]}, {"v": "continuous"}, type1).variables
     assert decision.reason == "skewness type 1 needs at least 2 observations, got 1"
     # Two equal values are enough for type 1, so the reason is the zero variance.
-    (decision,) = dg.screen_predictors({"v": [4.0, 4.0]}, {"v": "continuous"}, type1).decisions
+    (decision,) = dg.screen_predictors({"v": [4.0, 4.0]}, {"v": "continuous"}, type1).variables
     assert decision.reason == "zero variance, skewness undefined"
 
 
@@ -225,7 +225,7 @@ def test_decisions_do_not_depend_on_column_order():
     forward = dg.screen_predictors(table, kinds)
     reversed_table = dict(reversed(list(table.items())))
     backward = dg.screen_predictors(reversed_table, kinds)
-    key = lambda report: {d.name: (d.action, d.reason) for d in report.decisions}
+    key = lambda report: {d.name: (d.action, d.reason) for d in report.variables}
     assert key(forward) == key(backward)
 
 

@@ -21,7 +21,7 @@ import oracles
 import synth
 from conftest import CORPUS12_DATA_END
 from prsafety import cues, diagnostics, glm, pipeline, reporting
-from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, load_corpus, save_corpus
+from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, json_form, load_corpus, save_corpus
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -165,8 +165,8 @@ def test_readme_config_block_shows_every_key_with_its_default():
     shown = json.loads(block)
     required = {"corpus_dir": shown["corpus_dir"], "out_dir": shown["out_dir"],
                 "labeling": {"data_end": shown["labeling"]["data_end"]}}
-    defaults = pipeline.config_from_dict(required).to_json()
-    assert pipeline.config_from_dict(shown).to_json() == defaults
+    defaults = json_form(pipeline.config_from_dict(required))
+    assert json_form(pipeline.config_from_dict(shown)) == defaults
     assert shown == defaults
 
 
@@ -217,7 +217,7 @@ def test_config_hash_tracks_content(tmp_path):
     )
     assert unordered.models == ordered.models == (1, 3)
     assert pipeline.config_hash(unordered) == pipeline.config_hash(ordered)
-    assert unordered.to_json()["models"] == [1, 3]
+    assert json_form(unordered)["models"] == [1, 3]
 
 
 def test_config_hash_is_the_sha256_of_the_canonical_json(tmp_path):
@@ -228,7 +228,7 @@ def test_config_hash_is_the_sha256_of_the_canonical_json(tmp_path):
                 filter=FilterConfig(), screening=diagnostics.ScreeningConfig(skew_threshold=2.5)),
     ]
     for config in configs:
-        canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(json_form(config), sort_keys=True, separators=(",", ":"))
         assert pipeline.config_hash(config) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     # The interpreter's own module, not hashlib's OpenSSL binding: _sha2 from
     # Python 3.12 on, _sha256 before (the CI matrix runs both).

@@ -58,6 +58,30 @@ def test_only_corpus_formats_csv():
     assert [path.name for path in SOURCES if "csv" in _imported_modules(path.read_text("utf-8"))] == ["corpus.py"]
 
 
+def _own_json_forms(source: str) -> list[str]:
+    """Each to_json the source defines and each use of dataclasses.asdict."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json":
+            sites.append(f"def to_json (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "asdict" for alias in node.names):
+            sites.append(f"import asdict (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+            sites.append(f"asdict (line {node.lineno})")
+    return sites
+
+
+def test_the_check_sees_an_own_json_form():
+    source = "from dataclasses import asdict, dataclass\nclass A:\n def to_json(self):\n  return dataclasses.asdict(self)\n"
+    assert _own_json_forms(source) == ["import asdict (line 1)", "def to_json (line 3)", "asdict (line 4)"]
+
+
+def test_only_corpus_json_form_gives_values_their_json_form():
+    # One JSON form: corpus.json_form turns dataclasses, timestamps, dates,
+    # paths, sets and arrays into JSON data for every writer.
+    assert [f"{path.name}: {site}" for path in SOURCES for site in _own_json_forms(path.read_text("utf-8"))] == []
+
+
 def _names_read(sources: list[str]) -> set[str]:
     """Every name the sources read: as a name, an attribute or a from-import."""
     read = set()
