@@ -18,13 +18,13 @@ truncation), then "Z", "z" or an offset +HH:MM / -HH:MM.  Space separators,
 missing seconds, compact or week dates and "+0000" offsets are rejected.  A
 comment body must be a string; the empty string is a valid body.
 
-Loading normalizes record order (pulls by repo and number, comments by
-timestamp, commits and contexts by key) so that save followed by load
-round-trips to an equal corpus.  Every non-blank line that fails, whether it
-is not UTF-8, not JSON, nested too deeply, not an object, has a field of the
-wrong kind, repeats a key or names an unknown pull, becomes exactly one
-ingest-error line and is skipped; the load never aborts on a line.  A
-missing required file is fatal.
+Loading normalizes record order (pulls by repo and number, commits and
+contexts by key, and, in a load without a fold, comments by timestamp) so
+that save followed by load round-trips to an equal corpus.  Every non-blank
+line that fails, whether it is not UTF-8, not JSON, nested too deeply, not
+an object, has a field of the wrong kind, repeats a key or names an unknown
+pull, becomes exactly one ingest-error line and is skipped; the load never
+aborts on a line.  A missing required file is fatal.
 
 Each record table is compiled once, at import, into one straight-line parser
 (as dataclasses generates __init__): cheap acceptance tests run inline, and
@@ -44,14 +44,22 @@ pass; a list with an item that fails is walked again item by item, so that
 a role outside ROLES, or an item that is not an object, names its position
 (comments[i]); every other field error of a comment keeps its plain wording.
 
+A load with a fold (load_corpus(directory, fold)) checks every line as a
+load without one does, with the same errors in the same order, but keeps
+no comment record: each checked comment goes straight into its pull's open
+thread, and the pull is a FoldedPull that holds the thread's closed row.  A
+thread stays open only while comments can still arrive: to the end of its
+pulls.jsonl line, or, when comments.jsonl exists, to the end of that file.
+Its comments are never sorted, so the fold must not depend on their order.
+
 Within one load, each distinct repository name, author, role and size is
 one string object, shared by every record that holds it: json builds a new
 string for each value, and a corpus repeats a few thousand names across
-all its records.  The table behind it (_SHARED) lives only while
-load_corpus runs.  sys.intern would keep every name a long-lived process
-ever loaded, since from Python 3.12 a string interned at runtime is
-immortal.  Bodies and timestamps are nearly all distinct and are not
-shared.
+all its records.  Each distinct row of a fold is one tuple in the same way.
+The table behind it (_SHARED) lives only while load_corpus runs.
+sys.intern would keep every name a long-lived process ever loaded, since
+from Python 3.12 a string interned at runtime is immortal.  Bodies and
+timestamps are nearly all distinct and are not shared.
 
 A line is "nested too deeply" once reading it opens a level of arrays and
 objects past MAX_NESTING, on every Python version and at every call depth.
@@ -141,6 +149,22 @@ class PullRequestRecord:
     reopen_count: int
     comments: tuple[CommentRecord, ...] = ()
 
+    @property
+    def comment_count(self) -> int:
+        return len(self.comments)
+
+
+@dataclass(frozen=True, slots=True)
+class FoldedPull(PullRequestRecord):
+    """A pull read with a fold: it holds no comment, and `thread` is the row
+    the fold gave its thread, one object for every equal row of the load."""
+
+    thread: tuple[int, ...] = ()
+
+    @property
+    def comment_count(self) -> int:
+        return self.thread[0]  # a fold's row starts with its comment count
+
 
 @dataclass(frozen=True, slots=True)
 class CommitEvent:
@@ -187,7 +211,7 @@ class Corpus:
     def counts(self) -> dict[str, int]:
         return {
             "pulls": len(self.pulls),
-            "comments": sum(len(p.comments) for p in self.pulls),
+            "comments": sum(p.comment_count for p in self.pulls),
             "commits": len(self.commits),
             "contexts": len(self.contexts),
             "repos": len(self.repos),
@@ -304,11 +328,12 @@ def _fault(value, name: str, wanted: str) -> _LineError:
     return _LineError(f"field {name!r} {wanted}")
 
 
-# The first object of each name and choice value seen in the current load,
-# which a passing name or choice is read as; load_corpus empties it when it
-# returns.  Loads that overlap in threads share it, and the first to return
-# empties it: the other's records stay equal, but share fewer names.
-_SHARED: dict[str, str] = {}
+# The first object of each name, choice value and fold row seen in the
+# current load, which a passing name or choice, or a closed thread, is read
+# as; load_corpus empties it when it returns.  Loads that overlap in threads
+# share it, and the first to return empties it: the other's records stay
+# equal, but share fewer objects.
+_SHARED: dict = {}
 
 
 def _name(obj: dict, name: str) -> str:
@@ -417,16 +442,36 @@ def _string_set(obj: dict, name: str) -> frozenset[str]:
     return frozenset(value)
 
 
-def _comments(obj: dict, name: str) -> tuple[CommentRecord, ...]:
-    value = obj.get(name, [])
+def _checked_comments(obj: dict, parse) -> list:
+    """The items of a pull line's comments, each read by parse, a parser of _COMMENT."""
+    value = obj.get("comments", [])
     if type(value) is not list:
-        raise _LineError(f"field {name!r} must be a list")
+        raise _LineError("field 'comments' must be a list")
     try:
-        comments = [_parse_comment(c) for c in value]
+        return [parse(c) for c in value]
     except (_LineError, AttributeError):  # AttributeError: an item that is not an object
         # Walk the list again item by item, so the error names its position.
-        comments = [_comment(c, i) for i, c in enumerate(value)]
-    return _sort_comments(comments)
+        return [_comment(c, i, parse) for i, c in enumerate(value)]
+
+
+def _comments(obj: dict, name: str) -> tuple[CommentRecord, ...]:
+    return _sort_comments(_checked_comments(obj, _parse_comment))
+
+
+def _folded_comments(fold, close: bool):
+    """The kind of a folded pull's thread: the line's comments, checked as
+    _comments checks them, folded into a new open thread, and closed into
+    its shared row when close."""
+    def thread(obj: dict, name: str):
+        opened = fold()
+        for role, author, body, _ in _checked_comments(obj, _parse_comment_fields):
+            opened.add(role, author, body)
+        if not close:
+            return opened
+        row = opened.close()
+        return _SHARED.setdefault(row, row)
+
+    return thread
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -491,13 +536,14 @@ def _compile(table, record_type=None):
     """One parser function for a record table.
 
     The function checks the rows in order and builds the record from each
-    field's last value.  It sets the record's slots one by one, as the
-    frozen dataclass __init__ does but without its object.__setattr__ call
-    per field, so the record type may have no __post_init__.  Without a
-    record type it returns the rows' values as a tuple, in row order.  For
-    a row whose kind has an `accepts` test the test runs inline and the kind
-    is called only when it fails (or, for a kind that also `reads`, when the
-    conversion raises ValueError); every other row calls its kind.
+    field's last value; a field that no row names keeps its default.  It
+    sets the record's slots one by one, as the frozen dataclass __init__
+    does but without its object.__setattr__ call per field, so the record
+    type may have no __post_init__.  Without a record type it returns the
+    rows' values as a tuple, in row order.  For a row whose kind has an
+    `accepts` test the test runs inline and the kind is called only when it
+    fails (or, for a kind that also `reads`, when the conversion raises
+    ValueError); every other row calls its kind.
     """
     namespace = dict(_INLINE_NAMES)
     lines = ["def parse(obj):", "    get = obj.get"]
@@ -523,8 +569,11 @@ def _compile(table, record_type=None):
             raise TypeError(f"{record_type.__name__} is built without __init__")
         namespace.update(new=object.__new__, record=record_type)
         lines.append("    rec = new(record)")
+        rows = {name for name, _ in table}
         for f in fields(record_type):
-            namespace[f"set_{f.name}"] = vars(record_type)[f.name].__set__
+            namespace[f"set_{f.name}"] = getattr(record_type, f.name).__set__
+            if f.name not in rows:  # the parser reads the name from its globals
+                namespace[f"f_{f.name}"] = f.default
             lines.append(f"    set_{f.name}(rec, f_{f.name})")
         lines.append("    return rec")
     label = "key" if record_type is None else record_type.__name__
@@ -533,6 +582,7 @@ def _compile(table, record_type=None):
 
 
 _parse_comment = _compile(_COMMENT, CommentRecord)
+_parse_comment_fields = _compile(_COMMENT)
 _parse_pull = _compile(_PULL, PullRequestRecord)
 _parse_pull_key = _compile(_COMMENT_KEY)
 _parse_commit = _compile(_COMMIT, CommitEvent)
@@ -540,14 +590,15 @@ _parse_context = _compile(_CONTEXT, ContributorContext)
 _parse_repo = _compile(_REPO, RepoMeta)
 
 
-def _comment(obj, index: int | None) -> CommentRecord:
-    """Item `index` of a pull's comment list, or (None) a comments.jsonl line.
+def _comment(obj, index: int | None, parse=_parse_comment):
+    """Item `index` of a pull's comment list, or (None) a comments.jsonl line,
+    read by parse, a parser of _COMMENT.
 
     The position is formatted only into an error message.
     """
     if isinstance(obj, dict):
         try:
-            return _parse_comment(obj)
+            return parse(obj)
         except _ChoiceError as exc:
             raise _LineError(f"{_position(index)}: {exc}") from None
     raise _LineError(f"{_position(index)} must be an object")
@@ -632,16 +683,21 @@ def _decode(line: str) -> dict:
     return obj
 
 
-def load_corpus(directory: str | Path) -> LoadResult:
+def load_corpus(directory: str | Path, fold=None) -> LoadResult:
     """Load and validate a corpus directory.
 
     Returns the corpus together with the per-line error report.  Invalid
     lines are skipped, never repaired.  A missing required file raises
     CorpusError.  Equal names and roles in the corpus are one object each;
     the table that shares them is emptied on return, also after a raise.
+
+    With a fold, each pull is a FoldedPull and no comment record is kept.
+    fold() gives a new open thread for each pull line; its add(role, author,
+    body) takes each checked comment of the pull, and its close() gives the
+    thread's row, a tuple of ints that starts with its comment count.
     """
     try:
-        return _load(Path(directory))
+        return _load(Path(directory), fold)
     finally:
         _SHARED.clear()
 
@@ -656,8 +712,9 @@ def check_corpus_dir(directory: str | Path) -> None:
             raise CorpusError(f"missing corpus file: {directory / name}")
 
 
-def _load(directory: Path) -> LoadResult:
+def _load(directory: Path, fold) -> LoadResult:
     check_corpus_dir(directory)
+    separate = (directory / "comments.jsonl").is_file()
 
     errors: list[IngestError] = []
 
@@ -683,28 +740,45 @@ def _load(directory: Path) -> LoadResult:
         errors.extend(repeats)
         return kept
 
+    if fold is None:
+        parse_pull, parse_comment = _parse_pull, _parse_comment
+    else:
+        # A thread stays open while comments can still arrive: to the end of
+        # its line, or to the end of comments.jsonl.
+        thread = _folded_comments(fold, close=not separate)
+        parse_pull = _compile((("thread", thread), *_PULL[1:]), FoldedPull)
+        parse_comment = _parse_comment_fields
     pulls = unique(
         "pulls.jsonl",
-        _parse_pull,
+        parse_pull,
         _PULL_KEY,
         lambda p: f"duplicate pr_number {p.pr_number} for {p.repo_full_name}",
     )
 
-    def separate_comment(obj: dict) -> tuple[tuple[str, int], CommentRecord]:
+    def separate_comment(obj: dict) -> tuple[tuple[str, int], CommentRecord | tuple]:
         key = _parse_pull_key(obj)
-        comment = _comment(obj, None)
+        comment = _comment(obj, None, parse_comment)
         if key not in pulls:
             raise _LineError(f"comment references unknown pull {key[0]}#{key[1]}")
         return key, comment
 
-    if (directory / "comments.jsonl").is_file():
+    if separate and fold is not None:
+        for _, (key, (role, author, body, _)) in read("comments.jsonl", separate_comment):
+            pulls[key].thread.add(role, author, body)
+        # Set in place, as the compiled parser sets every slot: the record
+        # is the load's own until it returns.
+        set_thread = FoldedPull.thread.__set__
+        for pull in pulls.values():
+            row = pull.thread.close()
+            set_thread(pull, _SHARED.setdefault(row, row))
+    elif separate:
         # Comments are gathered per pull and merged once after the file: a
         # stable sort of the embedded comments followed by the separate ones
         # in file order puts same-second comments in that same order.
-        separate: dict[tuple[str, int], list[CommentRecord]] = {}
+        gathered: dict[tuple[str, int], list[CommentRecord]] = {}
         for _, (key, comment) in read("comments.jsonl", separate_comment):
-            separate.setdefault(key, []).append(comment)
-        for key, comments in separate.items():
+            gathered.setdefault(key, []).append(comment)
+        for key, comments in gathered.items():
             pull = pulls[key]
             pulls[key] = replace(pull, comments=_sort_comments(pull.comments + tuple(comments)))
 
@@ -801,10 +875,13 @@ def _open_csv(path: str | Path, header: Sequence[str]) -> TextIO:
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write a corpus in canonical form: sorted records, each pull's comments
-    embedded in _sort_comments order (by timestamp, ties in input order)."""
+    embedded in _sort_comments order (by timestamp, ties in input order).
+    A FoldedPull has no comments to write, so a folded load raises ValueError."""
+    pulls = sorted(corpus.pulls, key=_PULL_KEY)
+    if any(isinstance(p, FoldedPull) for p in pulls):
+        raise ValueError("a corpus loaded with a fold holds no comments to save")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pulls = sorted(corpus.pulls, key=_PULL_KEY)
     _write_jsonl(
         directory / "pulls.jsonl", (replace(p, comments=_sort_comments(p.comments)) for p in pulls)
     )

@@ -38,8 +38,9 @@ scanned at all when no entry of the table is pure ASCII, as in the packaged
 table: such a body cannot contain any entry.  A custom table with a
 pure-ASCII entry is always scanned.
 
-extract_all builds the cues of a whole corpus as a CueTable in one walk over
-each thread: every comment updates all thirteen counters at once.  A body is
+A Thread folds in a thread's comments one at a time, each updating every
+counter at once, and closes into the thread's row of the eleven
+THREAD_CUES; merged_or_not and reopen_num come from the pull.  A body is
 searched for a mention only when it contains "@", which every mention needs,
 and for "conflict" only when its lowercased text contains "confl"; a PR's
 conflict or mention search stops at its first hit, and the emoji sum reads
@@ -51,20 +52,25 @@ checks every code point), so the five characters a match starts with
 lowercase to "confl".  The "i" after them also matches U+0130, which
 lowercases to two code points, so the test stops before it.
 
-The table keeps the pulls in corpus order as row keys and the cues as
-columns in CUE_NAMES order, which screening, thresholds, the index's
-scoring, cues.csv and the model frame read directly.  Each column is
-a numpy array of the dtype COLUMN_DTYPES declares: uint8 for the eight 0/1
-cues, int64 for the five COUNT_CUES, so that a sum of counts, or the
-(a + b) / 2 of a median, cannot wrap.  A column takes 1 or 8 bytes a row,
-where a list of ints takes 8 bytes a row for the pointer alone; extract_all
-turns each list into its array as soon as the walk ends and drops the list,
-and CueTable casts columns given in any other form to the same dtypes.
-Iterating the table gives the row view, (pull, row) pairs, each row a plain
-tuple of Python ints in CUE_NAMES order, for library callers and the
-benchmark's tracer.  CueTable.contributors numbers the distinct (repository,
-author) pairs in first-PR order, walking the pulls once on first read; the
-labels, the index and the model frame all take their contributors from it.
+extract_all builds the cues of a whole corpus as a CueTable.  A pipeline
+run loads its corpus with a fold (corpus.load_corpus(directory, fold)), so
+each of its pulls is a FoldedPull that brings its Thread's row from ingest
+and holds no comment; the comments of any other pull, as a load without a
+fold gives them, go through a Thread here.  The table keeps the pulls in
+corpus order as row keys and the cues as columns in CUE_NAMES order, which
+screening, thresholds, the index's scoring, cues.csv and the model frame
+read directly.  Each column is a numpy array of the dtype COLUMN_DTYPES
+declares: uint8 for the eight 0/1 cues, int64 for the five COUNT_CUES, so
+that a sum of counts, or the (a + b) / 2 of a median, cannot wrap.  A
+column takes 1 or 8 bytes a row, where a tuple of ints takes 8 bytes a row
+for the pointer alone; extract_all turns the rows into columns one column
+at a time, and CueTable casts columns given in any other form to the same
+dtypes.  Iterating the table gives the row view, (pull, row) pairs, each
+row a plain tuple of Python ints in CUE_NAMES order, for library callers
+and the benchmark's tracer.  CueTable.contributors numbers the distinct
+(repository, author) pairs in first-PR order, walking the pulls once on
+first read; the labels, the index and the model frame all take their
+contributors from it.
 
 write_cues_csv formats each distinct row of thirteen cues once, and each
 repository name once per chunk of rows, with csv.writer, and joins a line
@@ -86,7 +92,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PullRequestRecord, csv_row_text, write_csv_text
+from .corpus import FoldedPull, PullRequestRecord, csv_row_text, write_csv_text
 
 
 CUE_NAMES = (
@@ -97,6 +103,9 @@ CUE_NAMES = (
 
 # Count-valued cues, screened as continuous; every other cue is 0/1.
 COUNT_CUES = ("pr_comment_num", "reopen_num", "num_comments_con", "num_participant", "emoji_count")
+
+# The cues a thread's comments give, in CUE_NAMES order: a Thread's row.
+THREAD_CUES = tuple(name for name in CUE_NAMES if name not in ("merged_or_not", "reopen_num"))
 
 # Each cue column's dtype.  Counts stay int64: they are summed and go
 # through medians, and a corpus line may carry a reopen count up to
@@ -254,65 +263,77 @@ class CueTable:
         return list(keys), rows
 
 
-def _cue_lists(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> dict[str, list[int]]:
-    """The cue columns of the pulls as lists, one pass over each thread."""
-    columns: dict[str, list[int]] = {name: [] for name in CUE_NAMES}
-    # Appending to the columns keeps no container per row alive, so the
-    # garbage collector has no per-row object to walk.
-    (
-        merged_or_not, pr_comment_num, reopen_num, has_exchange, comment_conflict,
-        contrib_comment, num_comments_con, inte_comment, reviewer_comment, other_comment,
-        num_participant, at_tag, emoji_count,
-    ) = (column.append for column in columns.values())
-    for pull in pulls:
-        contributor = integrator = reviewer = other = conflict = mention = emoji = 0
-        authors = set()
-        for comment in pull.comments:
-            role, body = comment.role, comment.body
-            if role == "contributor":
-                contributor += 1
-            elif role == "integrator":
-                integrator = 1
-            elif role == "reviewer":
-                reviewer = 1
-            elif role == "other":
-                other = 1
-            authors.add(comment.author)
-            if not conflict and mentions_conflict(body):
-                conflict = 1
-            if not mention and "@" in body and has_mention(body):
-                mention = 1
-            emoji += count_emojis(body, table)
-        contributed = int(contributor > 0)
-        merged_or_not(int(pull.merged))
-        pr_comment_num(len(pull.comments))
-        reopen_num(pull.reopen_count)
-        has_exchange(contributed & integrator)
-        comment_conflict(conflict)
-        contrib_comment(contributed)
-        num_comments_con(contributor)
-        inte_comment(integrator)
-        reviewer_comment(reviewer)
-        other_comment(other)
-        num_participant(len(authors))
-        at_tag(mention)
-        emoji_count(emoji)
-    return columns
+class Thread:
+    """The cues of one thread's comments, folded in one comment at a time.
+
+    add takes a comment's role, author and body; close gives the thread's
+    row of THREAD_CUES.  Every cue is a count, an any-flag or the size of
+    the set of authors, so the row does not depend on the order the
+    comments came in, or on how many sources they came from.
+    """
+
+    __slots__ = ("table", "comments", "contributor", "integrator", "reviewer", "other",
+                 "conflict", "mention", "emoji", "authors")
+
+    def __init__(self, table: EmojiTable) -> None:
+        self.table = table
+        self.comments = self.contributor = self.integrator = self.reviewer = self.other = 0
+        self.conflict = self.mention = self.emoji = 0
+        self.authors: set[str] = set()
+
+    def add(self, role: str, author: str, body: str) -> None:
+        self.comments += 1
+        if role == "contributor":
+            self.contributor += 1
+        elif role == "integrator":
+            self.integrator = 1
+        elif role == "reviewer":
+            self.reviewer = 1
+        elif role == "other":
+            self.other = 1
+        self.authors.add(author)
+        if not self.conflict and mentions_conflict(body):
+            self.conflict = 1
+        if not self.mention and "@" in body and has_mention(body):
+            self.mention = 1
+        self.emoji += count_emojis(body, self.table)
+
+    def close(self) -> tuple[int, ...]:
+        contributed = int(self.contributor > 0)
+        return (
+            self.comments, contributed & self.integrator, self.conflict, contributed,
+            self.contributor, self.integrator, self.reviewer, self.other, len(self.authors),
+            self.mention, self.emoji,
+        )
 
 
-def _array(values: list[int], dtype: np.dtype) -> np.ndarray:
+def _thread_row(pull: PullRequestRecord, table: EmojiTable) -> tuple[int, ...]:
+    if isinstance(pull, FoldedPull):
+        return pull.thread
+    thread = Thread(table)
+    for comment in pull.comments:
+        thread.add(comment.role, comment.author, comment.body)
+    return thread.close()
+
+
+def _array(values: Sequence[int], dtype: np.dtype) -> np.ndarray:
     if dtype == np.uint8:
         return np.frombuffer(bytes(values), dtype)  # three times as fast as fromiter
     return np.fromiter(values, dtype, count=len(values))
 
 
 def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTable:
-    """The cue table of the pulls, one pass over each thread."""
-    columns = _cue_lists(pulls, table)
-    for name, dtype in COLUMN_DTYPES.items():
-        # The list goes as soon as its array exists, so at most one column
-        # is held twice.
-        columns[name] = _array(columns[name], dtype)
+    """The cue table of the pulls.  A FoldedPull brings its thread's row from
+    the load; the comments of any other pull are folded here, by the same
+    Thread."""
+    rows = [_thread_row(pull, table) for pull in pulls]
+    columns = {
+        "merged_or_not": _array([int(pull.merged) for pull in pulls], COLUMN_DTYPES["merged_or_not"]),
+        "reopen_num": _array([pull.reopen_count for pull in pulls], COLUMN_DTYPES["reopen_num"]),
+    }
+    # zip yields one column at a time, so at most one is held as a tuple.
+    for name, values in zip(THREAD_CUES, zip(*rows) if rows else [()] * len(THREAD_CUES)):
+        columns[name] = _array(values, COLUMN_DTYPES[name])
     return CueTable(list(pulls), columns)
 
 

@@ -7,8 +7,9 @@ follower counts.  One loop, _stage, sends every request: it appends each
 response to raw_<phase>.jsonl and marks it in fetch_cursor.json with the
 file's new size.  A resume cuts off an append that a crash tore and never
 sends a marked request again; a cursor from other job parameters or other
-phases starts over.  Finalization deduplicates by natural key, so items that
-shift between pages cannot produce duplicate pull numbers.
+phases starts over.  Finalization deduplicates by natural key (a pull's
+id), so an item that shifts between pages is read once; two staged pulls
+with different ids and one number stop the export.
 
 Requests are strictly sequential (one in flight per repository).  A 403
 with an exhausted rate-limit header sleeps until the advertised reset; a
@@ -375,7 +376,13 @@ class GitHubFetcher:
                   profiles: Callable[[list[str]], Mapping[str, Mapping]]) -> corpus_mod.Corpus:
         """Build the corpus from the staged items; profiles(authors) stages the users phase."""
         repo = job.repo_full_name
-        raw_pulls = {self._number(p): p for p in lists["pulls"] if "number" in p}
+        raw_pulls: dict[int, Mapping] = {}
+        for item in lists["pulls"]:
+            if "number" in item:
+                kept = raw_pulls.setdefault(self._number(item), item)
+                if kept is not item:
+                    raise FetchError(f"pulls items {kept.get('id')} and {item.get('id')} "
+                                     f"share number {item['number']}")
 
         # One pass over the comments: the owner and member logins, each pull's
         # review commenters, and each pull's checked comments in staged order.

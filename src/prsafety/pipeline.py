@@ -9,6 +9,13 @@ Before any stage it checks the corpus directory's required files and loads
 the emoji table into the result; a fault there is a ConfigError, raised
 before the output directory is made.
 
+The ingest stage loads the corpus with a fold, cues.Thread over that emoji
+table: each comment is checked as every load checks it and folded into its
+pull's cue row, so no comment record outlives ingest.  The pulls of
+PipelineResult.corpus are therefore corpus.FoldedPull records that hold no
+comments (corpus.load_corpus without a fold gives the records), and the cue
+stage's extract_all turns their rows into the CueTable.
+
 The fit stage builds its variables once as columns (_model_frame), one row
 per contributor of CueTable.contributors (as the labels and the index are)
 weighted by its PR count, so n_observations and model_rows_dropped count PRs
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import importlib
 import json
 import re
@@ -294,9 +302,9 @@ class PipelineResult:
         return [f"{m.spec.name} has no finite fit: {m.failure}" for m in failed]
 
 
-def load_and_filter(config: PipelineConfig) -> corpus_mod.LoadResult:
+def load_and_filter(config: PipelineConfig, fold=None) -> corpus_mod.LoadResult:
     try:
-        result = corpus_mod.load_corpus(config.corpus_dir)
+        result = corpus_mod.load_corpus(config.corpus_dir, fold)
     except corpus_mod.CorpusError as exc:
         raise ConfigError(str(exc)) from None
     if config.filter is not None:
@@ -339,7 +347,7 @@ def _model_frame(state: PipelineResult) -> tuple[dict[str, np.ndarray], np.ndarr
 # that swaps a module attribute (a tracer, a test double) sees every call.
 
 def _ingest(config: PipelineConfig, state: PipelineResult) -> None:
-    load = load_and_filter(config)
+    load = load_and_filter(config, functools.partial(cues_mod.Thread, state.emoji_table))
     state.corpus, state.ingest_errors = load.corpus, load.errors
     corpus_mod.write_error_report(load.errors, config.out_dir / "ingest_errors.jsonl")
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from prsafety import corpus as cm
+from prsafety import cues
 
 
 def _write(path, lines):
@@ -543,6 +544,14 @@ def test_save_is_canonical_and_stable(tmp_path, corpus12, corpus12_dir):
     cm.save_corpus(corpus12, tmp_path)
     for name in ("pulls.jsonl", "commits.jsonl", "contributor_context.jsonl", "repos.jsonl"):
         assert (tmp_path / name).read_bytes() == (corpus12_dir / name).read_bytes()
+
+
+def test_a_folded_corpus_is_not_saved(corpus12_dir, emoji_table, tmp_path):
+    folded = cm.load_corpus(corpus12_dir, fold=lambda: cues.Thread(emoji_table))
+    assert folded.corpus.counts() == cm.load_corpus(corpus12_dir).corpus.counts()
+    with pytest.raises(ValueError, match="holds no comments to save"):
+        cm.save_corpus(folded.corpus, tmp_path / "saved")
+    assert not (tmp_path / "saved").exists()
 
 
 def test_save_writes_comments_in_load_order(tmp_path):

@@ -2,13 +2,16 @@
 
 extract_all walks each thread once and keeps the cues as columns;
 compute_thresholds, score_prs and summarize read those columns.  Each is
-compared with a multi-pass, row-based oracle from tests/oracles.py.
+compared with a multi-pass, row-based oracle from tests/oracles.py, and a
+load that folds each thread into its row is compared with the records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import random
 import statistics
 from datetime import datetime, timezone
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 import oracles
+import synth
 from prsafety import corpus as cm
 from prsafety import cues
 from prsafety import ps_index as psi
@@ -246,3 +250,81 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
     assert [dict(zip(cues.CUE_NAMES, row)) for _, row in table] == vectors
     extracted = cues.extract_all(pulls, emoji_table).columns["reopen_num"]
     assert extracted.tolist() == [vector["reopen_num"] for vector in vectors]
+
+
+# --- the fold: a load that keeps no comment record ---------------------------------
+
+def _assert_fold_agrees_with_the_records(directory, emoji_table):
+    records = cm.load_corpus(directory)
+    folded = cm.load_corpus(directory, fold=functools.partial(cues.Thread, emoji_table))
+    assert folded.errors == records.errors
+    assert folded.corpus.counts() == records.corpus.counts()
+    assert all(type(p) is cm.FoldedPull and p.comments == () for p in folded.corpus.pulls)
+    assert [dataclasses.replace(p, comments=()) for p in records.corpus.pulls] == [
+        cm.PullRequestRecord(*(getattr(p, f.name) for f in dataclasses.fields(cm.PullRequestRecord)))
+        for p in folded.corpus.pulls
+    ]
+    want = cues.extract_all(records.corpus.pulls, emoji_table)
+    got = cues.extract_all(folded.corpus.pulls, emoji_table)
+    assert got.pulls == folded.corpus.pulls
+    for name in cues.CUE_NAMES:
+        assert got.columns[name].dtype == want.columns[name].dtype, name
+        assert got.columns[name].tolist() == want.columns[name].tolist(), name
+    # Equal rows are one object.
+    rows = [p.thread for p in folded.corpus.pulls]
+    assert len({id(row) for row in rows}) == len(set(rows))
+
+
+def _split_comments(directory, rng, same_second, bad_role, bad_time, orphan):
+    """Move some of each pull's comments to a shuffled comments.jsonl, with
+    drawn faults: same-second timestamps in a thread, a role outside ROLES
+    and an impossible created_at (each at a drawn comment, embedded or
+    not), and a comment naming a pull the corpus lacks."""
+    pulls, separate, every = [], [], []
+    for line in (directory / "pulls.jsonl").read_text("utf-8").splitlines():
+        pull = json.loads(line)
+        key = {"repo_full_name": pull["repo_full_name"], "pr_number": pull["pr_number"]}
+        embedded = []
+        for comment in pull["comments"]:
+            if same_second:
+                comment["created_at"] = pull["comments"][0]["created_at"]
+            every.append(comment)
+            if rng.random() < 0.5:
+                embedded.append(comment)
+            else:
+                separate.append({**key, **comment})
+        pulls.append({**pull, "comments": embedded})
+    if every and bad_role is not None:
+        every[bad_role % len(every)]["role"] = "owner"
+    if every and bad_time is not None:
+        every[bad_time % len(every)]["created_at"] = "2019-02-30T10:00:00Z"
+    if orphan:
+        separate.append({"repo_full_name": "acme/r0", "pr_number": 999, "role": "other",
+                         "author": "ghost", "body": "orphan", "created_at": "2019-01-01T00:00:00Z"})
+    rng.shuffle(separate)
+    for name, items in (("pulls.jsonl", pulls), ("comments.jsonl", separate)):
+        (directory / name).write_text("".join(json.dumps(i) + "\n" for i in items), encoding="utf-8")
+
+
+@settings(_EXAMPLES, max_examples=100)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    same_second=st.booleans(),
+    bad_role=st.none() | st.integers(0, 40),
+    bad_time=st.none() | st.integers(0, 40),
+    orphan=st.booleans(),
+)
+def test_a_folded_load_gives_the_records_cues_and_errors(
+    tmp_path_factory, emoji_table, sizes, seed, same_second, bad_role, bad_time, orphan
+):
+    directory = tmp_path_factory.mktemp("fold")
+    counts = tuple((f"acme/r{i}", size) for i, size in enumerate(sizes))
+    synth.build_scaled_corpus(directory, counts=counts, seed=seed, prs_per_author=2)
+    _assert_fold_agrees_with_the_records(directory, emoji_table)
+    _split_comments(directory, random.Random(seed), same_second, bad_role, bad_time, orphan)
+    _assert_fold_agrees_with_the_records(directory, emoji_table)
+
+
+def test_a_folded_load_of_the_scaled_corpus_gives_the_records_cues(scaled_corpus_dir, emoji_table):
+    _assert_fold_agrees_with_the_records(scaled_corpus_dir, emoji_table)

@@ -540,3 +540,11 @@ def test_absent_or_null_counts_read_zero(tmp_path):
     corpus = load_corpus(tmp_path).corpus
     assert [p.reopen_count for p in corpus.pulls] == [0, 0, 0, 0, 0]
     assert corpus.repos[0].stars == 0
+
+
+def test_two_staged_pulls_with_one_number_stop_the_export(tmp_path):
+    # _read_staging dedupes on id, so both pulls reach assembly.
+    session = FakeSession(pulls=[PULLS[0], {**PULLS[1], "id": 999, "number": 1, "user": {"login": "zed"}}])
+    with pytest.raises(gf.FetchError, match="pulls items 101 and 999 share number 1"):
+        _fetcher(session).fetch_repository(_job(tmp_path))
+    assert not (tmp_path / "pulls.jsonl").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import random
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from conftest import CORPUS12_DATA_END
-from prsafety import cues, diagnostics, glm, pipeline, reporting
-from prsafety.corpus import MAX_NESTING, REQUIRED_FILES, FilterConfig, json_form, load_corpus, save_corpus
+from prsafety import cli, cues, diagnostics, glm, pipeline, reporting
+from prsafety.corpus import (
+    MAX_NESTING, REQUIRED_FILES, CommentRecord, FilterConfig, json_form, load_corpus, save_corpus,
+)
 from prsafety.participation import LabelingConfig
 from prsafety.ps_index import OUTCOME_COUPLING_NOTE
 
@@ -399,6 +402,36 @@ def test_all_models_failing_is_a_stage_error(corpus12_dir, tmp_path):
     report = (out / "report.txt").read_text("utf-8")
     assert "Sustained participation models" not in report
     assert report.count("has no finite fit") == 3
+
+
+def _reachable(*roots) -> list:
+    """Every object reachable from roots through references, classes aside."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_run_keeps_no_comment_record(corpus12_dir, tmp_path, capsys):
+    counts = synth.corpus12().counts()
+    flags = ["--corpus", str(corpus12_dir), "--out", str(tmp_path / "out"), "--data-end", "2021-06-30"]
+    config = _config(corpus12_dir, tmp_path / "out", labeling=LabelingConfig(data_end=CORPUS12_DATA_END))
+    # No model fits corpus12, so a whole run ends in StageError after its
+    # manifest; the stages before fit leave the result to inspect.
+    result = pipeline.run_pipeline(config, through="index")
+    reachable = _reachable(result.corpus, result.cue_table)
+    assert len(result.corpus.pulls) == len(result.cue_table.pulls) == 12
+    assert sum(1 for obj in reachable if isinstance(obj, CommentRecord)) == 0
+
+    with pytest.raises(pipeline.StageError):
+        pipeline.run_pipeline(config)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))
+    assert manifest["row_counts"]["comments"] == counts["comments"] == 20
+    assert cli.main(["ingest", *flags]) == 0
+    assert json.loads(capsys.readouterr().out) == {**counts, "ingest_errors": 0}
 
 
 # --- metamorphic properties: what the method ignores moves no byte ----------------------
