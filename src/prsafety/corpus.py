@@ -46,20 +46,25 @@ a role outside ROLES, or an item that is not an object, names its position
 
 A load with a fold (load_corpus(directory, fold)) checks every line as a
 load without one does, with the same errors in the same order, but keeps
-no comment record: each checked comment goes straight into its pull's open
-thread, and the pull is a FoldedPull that holds the thread's closed row.  A
-thread stays open only while comments can still arrive: to the end of its
-pulls.jsonl line, or, when comments.jsonl exists, to the end of that file.
-Its comments are never sorted, so the fold must not depend on their order.
+only what a run's stages read: each checked comment goes straight into its
+pull's open thread, and the pull is a FoldedPull that holds its key, author,
+merged flag, reopen count and the thread's closed row.  Its created_at and
+closed_at are checked at ingest, by the same rows as in any other load, and
+not kept, nor is any comment.  A thread stays open only while comments can
+still arrive: to the end of its pulls.jsonl line, or, when comments.jsonl
+exists, to the end of that file.  Its comments are never sorted, so the
+fold must not depend on their order.
 
 Within one load, each distinct repository name, author, role and size is
 one string object, shared by every record that holds it: json builds a new
 string for each value, and a corpus repeats a few thousand names across
-all its records.  Each distinct row of a fold is one tuple in the same way.
-The table behind it (_SHARED) lives only while load_corpus runs.
-sys.intern would keep every name a long-lived process ever loaded, since
-from Python 3.12 a string interned at runtime is immortal.  Bodies and
-timestamps are nearly all distinct and are not shared.
+all its records.  Each distinct row of a fold and each distinct set of a
+repository's category labels (most repositories have none) is one object
+in the same way.  The table behind it (_SHARED) lives only while
+load_corpus runs.  sys.intern would keep every name a long-lived process
+ever loaded, since from Python 3.12 a string interned at runtime is
+immortal.  Bodies and timestamps are nearly all distinct and are not
+shared.
 
 A line is "nested too deeply" once reading it opens a level of arrays and
 objects past MAX_NESTING, on every Python version and at every call depth.
@@ -85,7 +90,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import AbstractSet, Iterable, Sequence, TextIO
+from typing import AbstractSet, ClassVar, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -155,11 +160,23 @@ class PullRequestRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class FoldedPull(PullRequestRecord):
-    """A pull read with a fold: it holds no comment, and `thread` is the row
-    the fold gave its thread, one object for every equal row of the load."""
+class FoldedPull:
+    """A pull read with a fold, holding only what a run's stages read.
 
-    thread: tuple[int, ...] = ()
+    `thread` is the row the fold gave its thread, one object for every equal
+    row of the load.  The pull's created_at and closed_at are checked at
+    ingest as every load checks them, and not kept; it holds no comment, and
+    `comments` reads as () for a reader written for PullRequestRecord.
+    """
+
+    repo_full_name: str
+    pr_number: int
+    author: str
+    merged: bool
+    reopen_count: int
+    thread: tuple[int, ...]
+
+    comments: ClassVar[tuple[CommentRecord, ...]] = ()
 
     @property
     def comment_count(self) -> int:
@@ -203,7 +220,7 @@ _REPO_KEY = attrgetter("repo_full_name")
 
 @dataclass
 class Corpus:
-    pulls: list[PullRequestRecord] = field(default_factory=list)
+    pulls: list[PullRequestRecord | FoldedPull] = field(default_factory=list)
     commits: list[CommitEvent] = field(default_factory=list)
     contexts: list[ContributorContext] = field(default_factory=list)
     repos: list[RepoMeta] = field(default_factory=list)
@@ -328,11 +345,11 @@ def _fault(value, name: str, wanted: str) -> _LineError:
     return _LineError(f"field {name!r} {wanted}")
 
 
-# The first object of each name, choice value and fold row seen in the
-# current load, which a passing name or choice, or a closed thread, is read
-# as; load_corpus empties it when it returns.  Loads that overlap in threads
-# share it, and the first to return empties it: the other's records stay
-# equal, but share fewer objects.
+# The first object of each name, choice value, label set and fold row seen
+# in the current load, which a passing name, choice or label set, or a
+# closed thread, is read as; load_corpus empties it when it returns.  Loads
+# that overlap in threads share it, and the first to return empties it: the
+# other's records stay equal, but share fewer objects.
 _SHARED: dict = {}
 
 
@@ -439,7 +456,8 @@ def _string_set(obj: dict, name: str) -> frozenset[str]:
     value = obj.get(name, [])
     if type(value) is not list or not all(type(s) is str for s in value):
         raise _LineError(f"field {name!r} must be a list of strings")
-    return frozenset(value)
+    labels = frozenset(value)
+    return _SHARED.setdefault(labels, labels)
 
 
 def _checked_comments(obj: dict, parse) -> list:
@@ -536,7 +554,10 @@ def _compile(table, record_type=None):
     """One parser function for a record table.
 
     The function checks the rows in order and builds the record from each
-    field's last value; a field that no row names keeps its default.  It
+    field's last value.  A row that names no field of the record is checked
+    all the same and its value dropped: so a FoldedPull's parser checks
+    created_at and closed_at by the rows, kinds and messages of every other
+    pull load, with no timestamp path of its own, and keeps neither.  It
     sets the record's slots one by one, as the frozen dataclass __init__
     does but without its object.__setattr__ call per field, so the record
     type may have no __post_init__.  Without a record type it returns the
@@ -569,11 +590,8 @@ def _compile(table, record_type=None):
             raise TypeError(f"{record_type.__name__} is built without __init__")
         namespace.update(new=object.__new__, record=record_type)
         lines.append("    rec = new(record)")
-        rows = {name for name, _ in table}
         for f in fields(record_type):
             namespace[f"set_{f.name}"] = getattr(record_type, f.name).__set__
-            if f.name not in rows:  # the parser reads the name from its globals
-                namespace[f"f_{f.name}"] = f.default
             lines.append(f"    set_{f.name}(rec, f_{f.name})")
         lines.append("    return rec")
     label = "key" if record_type is None else record_type.__name__
@@ -688,13 +706,15 @@ def load_corpus(directory: str | Path, fold=None) -> LoadResult:
 
     Returns the corpus together with the per-line error report.  Invalid
     lines are skipped, never repaired.  A missing required file raises
-    CorpusError.  Equal names and roles in the corpus are one object each;
-    the table that shares them is emptied on return, also after a raise.
+    CorpusError.  Equal names, roles and label sets in the corpus are one
+    object each; the table that shares them is emptied on return, also
+    after a raise.
 
-    With a fold, each pull is a FoldedPull and no comment record is kept.
-    fold() gives a new open thread for each pull line; its add(role, author,
-    body) takes each checked comment of the pull, and its close() gives the
-    thread's row, a tuple of ints that starts with its comment count.
+    With a fold, each pull is a FoldedPull: neither a comment record nor a
+    timestamp of the pull is kept.  fold() gives a new open thread for each
+    pull line; its add(role, author, body) takes each checked comment of the
+    pull, and its close() gives the thread's row, a tuple of ints that
+    starts with its comment count.
     """
     try:
         return _load(Path(directory), fold)

@@ -238,7 +238,7 @@ class CueTable:
     column of `columns` holds one cue, keyed in CUE_NAMES order, as an array
     of its COLUMN_DTYPES dtype."""
 
-    pulls: Sequence[PullRequestRecord]
+    pulls: Sequence[PullRequestRecord | FoldedPull]
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
@@ -307,7 +307,7 @@ class Thread:
         )
 
 
-def _thread_row(pull: PullRequestRecord, table: EmojiTable) -> tuple[int, ...]:
+def _thread_row(pull: PullRequestRecord | FoldedPull, table: EmojiTable) -> tuple[int, ...]:
     if isinstance(pull, FoldedPull):
         return pull.thread
     thread = Thread(table)
@@ -322,7 +322,7 @@ def _array(values: Sequence[int], dtype: np.dtype) -> np.ndarray:
     return np.fromiter(values, dtype, count=len(values))
 
 
-def extract_all(pulls: Sequence[PullRequestRecord], table: EmojiTable) -> CueTable:
+def extract_all(pulls: Sequence[PullRequestRecord | FoldedPull], table: EmojiTable) -> CueTable:
     """The cue table of the pulls.  A FoldedPull brings its thread's row from
     the load; the comments of any other pull are folded here, by the same
     Thread."""

@@ -12,9 +12,11 @@ before the output directory is made.
 The ingest stage loads the corpus with a fold, cues.Thread over that emoji
 table: each comment is checked as every load checks it and folded into its
 pull's cue row, so no comment record outlives ingest.  The pulls of
-PipelineResult.corpus are therefore corpus.FoldedPull records that hold no
-comments (corpus.load_corpus without a fold gives the records), and the cue
-stage's extract_all turns their rows into the CueTable.
+PipelineResult.corpus are therefore corpus.FoldedPull records, which hold
+only what the stages read: the pull's key, author, merged flag, reopen
+count and cue row.  Their timestamps are checked at ingest and not kept,
+and they hold no comments (corpus.load_corpus without a fold gives the
+records).  The cue stage's extract_all turns their rows into the CueTable.
 
 The fit stage builds its variables once as columns (_model_frame), one row
 per contributor of CueTable.contributors (as the labels and the index are)

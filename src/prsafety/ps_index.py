@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PullRequestRecord, write_csv
+from .corpus import FoldedPull, PullRequestRecord, write_csv
 from .cues import CueTable
 from .participation import ParticipationLabel
 
@@ -85,7 +85,7 @@ class Thresholds:
     global_medians: Mapping[str, float] | None = None
     per_repository: Mapping[str, Mapping[str, float]] | None = None
 
-    def row_medians(self, pulls: Sequence[PullRequestRecord]) -> Mapping[str, float | np.ndarray]:
+    def row_medians(self, pulls: Sequence[PullRequestRecord | FoldedPull]) -> Mapping[str, float | np.ndarray]:
         """The medians score_prs compares the rows of pulls against: the
         global medians, or per cue an array of each row's repository median."""
         if self.scope == "global":
@@ -155,7 +155,7 @@ class PsSummary:
     when that PR is skipped for the reason skip_reason gives its author's
     label in labels."""
 
-    pulls: Sequence[PullRequestRecord]
+    pulls: Sequence[PullRequestRecord | FoldedPull]
     scores: np.ndarray
     labels: Mapping[tuple[str, str], ParticipationLabel]
     contributor_index: dict[tuple[str, str], float]

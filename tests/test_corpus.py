@@ -554,6 +554,45 @@ def test_a_folded_corpus_is_not_saved(corpus12_dir, emoji_table, tmp_path):
     assert not (tmp_path / "saved").exists()
 
 
+def test_a_folded_pull_keeps_only_what_the_stages_read(tmp_path, emoji_table):
+    comment = {"author": "bo", "role": "reviewer", "body": "@ann ok", "created_at": "2019-01-02T00:00:00Z"}
+    pulls = [_pull_obj("a/b", n, closed_at="2019-01-03T00:00:00Z", comments=[comment] * n) for n in (1, 2)]
+    pulls.append(_pull_obj("c/d", 1, merged=False))
+    labels = (["docs-only", "education"], [], ["education", "docs-only"], [], ["docs-only"])
+    repos = [_repo_obj(f"r/{i}", labels=tags) for i, tags in enumerate(labels)]
+    directory = _minimal_dir(tmp_path, pulls=pulls, repos=[*repos, _repo_obj("a/b"), _repo_obj("c/d")])
+    records = cm.load_corpus(directory)
+    folded = cm.load_corpus(directory, fold=lambda: cues.Thread(emoji_table))
+    assert not cm._SHARED
+    assert folded.errors == records.errors == []
+
+    kept = ("repo_full_name", "pr_number", "author", "merged", "reopen_count", "thread")
+    assert tuple(f.name for f in dataclasses.fields(cm.FoldedPull)) == kept
+    assert len(folded.corpus.pulls) == 3
+    for pull, record in zip(folded.corpus.pulls, records.corpus.pulls):
+        assert type(pull) is cm.FoldedPull
+        assert not any(isinstance(getattr(pull, name), datetime) for name in kept)
+        assert not hasattr(pull, "created_at") and not hasattr(pull, "closed_at")
+        assert pull.comments == ()  # read by readers of either record
+        assert pull.comment_count == record.comment_count
+        assert [getattr(pull, name) for name in kept[:-1]] == [getattr(record, name) for name in kept[:-1]]
+
+    for corpus in (records.corpus, folded.corpus):
+        sets = [r.category_labels for r in corpus.repos]
+        assert len(set(sets)) == 3 < len(sets)
+        assert len({id(s) for s in sets}) == len(set(sets))
+
+    # A folded load that raises part way empties the shared table as well.
+    class Failing(cues.Thread):
+        def close(self):
+            assert cm._SHARED  # the first pull's names
+            raise RuntimeError("thread failed")
+
+    with pytest.raises(RuntimeError, match="thread failed"):
+        cm.load_corpus(directory, fold=lambda: Failing(emoji_table))
+    assert not cm._SHARED
+
+
 def test_save_writes_comments_in_load_order(tmp_path):
     stamps = {"late": "2019-01-05T00:00:00Z", "tie-a": "2019-01-03T00:00:00Z",
               "early": "2019-01-02T00:00:00Z", "tie-b": "2019-01-03T00:00:00Z"}

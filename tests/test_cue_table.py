@@ -15,7 +15,7 @@ import random
 import statistics
 from datetime import datetime, timezone
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -260,9 +260,10 @@ def _assert_fold_agrees_with_the_records(directory, emoji_table):
     assert folded.errors == records.errors
     assert folded.corpus.counts() == records.corpus.counts()
     assert all(type(p) is cm.FoldedPull and p.comments == () for p in folded.corpus.pulls)
-    assert [dataclasses.replace(p, comments=()) for p in records.corpus.pulls] == [
-        cm.PullRequestRecord(*(getattr(p, f.name) for f in dataclasses.fields(cm.PullRequestRecord)))
-        for p in folded.corpus.pulls
+    # Field by field: every field a folded pull keeps but its row.
+    kept = [f.name for f in dataclasses.fields(cm.FoldedPull) if f.name != "thread"]
+    assert [[getattr(p, name) for name in kept] for p in records.corpus.pulls] == [
+        [getattr(p, name) for name in kept] for p in folded.corpus.pulls
     ]
     want = cues.extract_all(records.corpus.pulls, emoji_table)
     got = cues.extract_all(folded.corpus.pulls, emoji_table)
@@ -273,6 +274,25 @@ def _assert_fold_agrees_with_the_records(directory, emoji_table):
     # Equal rows are one object.
     rows = [p.thread for p in folded.corpus.pulls]
     assert len({id(row) for row in rows}) == len(set(rows))
+
+
+# Faulty pull timestamps: a folded pull keeps neither, but checks both.
+_BAD_PULL_STAMPS = tuple(
+    (name, value)
+    for name in ("created_at", "closed_at")
+    for value in ("2019-02-30T10:00:00Z", "2019-01-01T10:00:60Z", "2019-01-01T24:00:00Z",
+                  "2019-01-01T10:00:00", 1546336800)
+) + (("created_at", None),)
+
+
+def _break_pull_stamps(directory, faults):
+    """Set each drawn (position, (field, value)) fault on the pull at that
+    position of pulls.jsonl."""
+    path = directory / "pulls.jsonl"
+    pulls = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    for position, (name, value) in faults:
+        pulls[position % len(pulls)][name] = value
+    path.write_text("".join(json.dumps(p) + "\n" for p in pulls), encoding="utf-8")
 
 
 def _split_comments(directory, rng, same_second, bad_role, bad_time, orphan):
@@ -314,13 +334,17 @@ def _split_comments(directory, rng, same_second, bad_role, bad_time, orphan):
     bad_role=st.none() | st.integers(0, 40),
     bad_time=st.none() | st.integers(0, 40),
     orphan=st.booleans(),
+    bad_stamps=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_BAD_PULL_STAMPS)), max_size=2),
 )
+@example(sizes=[6, 6], seed=3, same_second=False, bad_role=None, bad_time=None, orphan=False,
+         bad_stamps=list(enumerate(_BAD_PULL_STAMPS)))  # every fault, each on its own pull
 def test_a_folded_load_gives_the_records_cues_and_errors(
-    tmp_path_factory, emoji_table, sizes, seed, same_second, bad_role, bad_time, orphan
+    tmp_path_factory, emoji_table, sizes, seed, same_second, bad_role, bad_time, orphan, bad_stamps
 ):
     directory = tmp_path_factory.mktemp("fold")
     counts = tuple((f"acme/r{i}", size) for i, size in enumerate(sizes))
     synth.build_scaled_corpus(directory, counts=counts, seed=seed, prs_per_author=2)
+    _break_pull_stamps(directory, bad_stamps)
     _assert_fold_agrees_with_the_records(directory, emoji_table)
     _split_comments(directory, random.Random(seed), same_second, bad_role, bad_time, orphan)
     _assert_fold_agrees_with_the_records(directory, emoji_table)
