@@ -19,15 +19,16 @@ missing seconds, compact or week dates and "+0000" offsets are rejected.  A
 comment body must be a string; the empty string is a valid body.
 
 Loading normalizes record order (pulls by repo and number, commits and
-contexts by key, and, in a load without a fold, comments by timestamp) so
-that save followed by load round-trips to an equal corpus.  Every non-blank
-line that fails, whether it is not UTF-8, not JSON, nested too deeply, not
-an object, has a field of the wrong kind, repeats a key or names an unknown
-pull, becomes exactly one ingest-error line and is skipped; the load never
-aborts on a line.  A missing required file is fatal.
+contexts by key, and, in a load without a fold, comments by timestamp with
+ties in input order) so that save followed by load round-trips to an equal
+corpus.  Every non-blank line that fails, whether it is not UTF-8, not
+JSON, nested too deeply, not an object, has a field of the wrong kind,
+repeats a key or names an unknown pull, becomes exactly one ingest-error
+line and is skipped; the load never aborts on a line.  A missing required
+file is fatal.
 
-Each record table is compiled once, at import, into one straight-line parser
-(as dataclasses generates __init__): cheap acceptance tests run inline, and
+Each record table is compiled into one straight-line parser, at import or,
+for pulls, at each load (as dataclasses generates __init__): cheap acceptance tests run inline, and
 a value that fails one, or a field whose kind transforms its value, goes to
 the kind function, which states every check and message once.
 
@@ -44,16 +45,16 @@ pass; a list with an item that fails is walked again item by item, so that
 a role outside ROLES, or an item that is not an object, names its position
 (comments[i]); every other field error of a comment keeps its plain wording.
 
-A load with a fold (load_corpus(directory, fold)) checks every line as a
-load without one does, with the same errors in the same order, but keeps
-only what a run's stages read: each checked comment goes straight into its
-pull's open thread, and the pull is a FoldedPull that holds its key, author,
-merged flag, reopen count and the thread's closed row.  Its created_at and
-closed_at are checked at ingest, by the same rows as in any other load, and
-not kept, nor is any comment.  A thread stays open only while comments can
-still arrive: to the end of its pulls.jsonl line, or, when comments.jsonl
-exists, to the end of that file.  Its comments are never sorted, so the
-fold must not depend on their order.
+Every load folds: each pull line opens a thread of the fold, each checked
+comment of the pull is added to it (the line's own in line order, then
+comments.jsonl's in file order), and the pull keeps the closed thread's row.
+A thread stays open only while comments can still arrive: to the end of its
+line, or to the end of comments.jsonl when that exists.  Without a fold the
+fold is _Comments, whose row is the comments as CommentRecords in timestamp
+order, and each pull is a PullRequestRecord.  With one (load_corpus(directory,
+fold)), each pull is a FoldedPull, which keeps only what a run's stages
+read: its key, author, merged flag, reopen count and row.  Its created_at
+and closed_at are checked as in any load, with the same errors, not kept.
 
 Within one load, each distinct repository name, author, role and size is
 one string object, shared by every record that holds it: json builds a new
@@ -345,11 +346,11 @@ def _fault(value, name: str, wanted: str) -> _LineError:
     return _LineError(f"field {name!r} {wanted}")
 
 
-# The first object of each name, choice value, label set and fold row seen
-# in the current load, which a passing name, choice or label set, or a
-# closed thread, is read as; load_corpus empties it when it returns.  Loads
-# that overlap in threads share it, and the first to return empties it: the
-# other's records stay equal, but share fewer objects.
+# The first object of each name, choice value, label set and closed
+# thread's row seen in the current load, which each later equal one is read
+# as; load_corpus empties it when it returns.  Loads that overlap in threads
+# share it, and the first to return empties it: the other's records stay
+# equal, but share fewer objects.
 _SHARED: dict = {}
 
 
@@ -460,36 +461,33 @@ def _string_set(obj: dict, name: str) -> frozenset[str]:
     return _SHARED.setdefault(labels, labels)
 
 
-def _checked_comments(obj: dict, parse) -> list:
-    """The items of a pull line's comments, each read by parse, a parser of _COMMENT."""
+def _checked_comments(obj: dict) -> list:
+    """The items of a pull line's comments, each as its row tuple of _COMMENT."""
     value = obj.get("comments", [])
     if type(value) is not list:
         raise _LineError("field 'comments' must be a list")
     try:
-        return [parse(c) for c in value]
+        return [_parse_comment(c) for c in value]
     except (_LineError, AttributeError):  # AttributeError: an item that is not an object
         # Walk the list again item by item, so the error names its position.
-        return [_comment(c, i, parse) for i, c in enumerate(value)]
+        return [_comment(c, i) for i, c in enumerate(value)]
 
 
-def _comments(obj: dict, name: str) -> tuple[CommentRecord, ...]:
-    return _sort_comments(_checked_comments(obj, _parse_comment))
-
-
-def _folded_comments(fold, close: bool):
-    """The kind of a folded pull's thread: the line's comments, checked as
-    _comments checks them, folded into a new open thread, and closed into
-    its shared row when close."""
+def _thread(fold, close: bool):
+    """The kind of a pull's thread: a new thread of fold given the line's
+    checked comments, and closed into its shared row when close."""
     def thread(obj: dict, name: str):
         opened = fold()
-        for role, author, body, _ in _checked_comments(obj, _parse_comment_fields):
-            opened.add(role, author, body)
-        if not close:
-            return opened
-        row = opened.close()
-        return _SHARED.setdefault(row, row)
+        for role, author, body, created_at in _checked_comments(obj):
+            opened.add(role, author, body, created_at)
+        return _closed(opened) if close else opened
 
     return thread
+
+
+def _closed(thread):
+    row = thread.close()
+    return _SHARED.setdefault(row, row)
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -509,8 +507,8 @@ _COMMENT = (
     ("created_at", _timestamp),
 )
 
+# A pull's rows after its thread's, which each load puts first (_pull_parser).
 _PULL = (
-    ("comments", _comments),
     ("repo_full_name", _name),
     ("pr_number", _integer(1)),
     ("author", _name),
@@ -521,7 +519,7 @@ _PULL = (
 )
 
 # A comments.jsonl line names its pull with the pull's key fields.
-_COMMENT_KEY = _PULL[1:3]
+_COMMENT_KEY = _PULL[:2]
 
 _COMMIT = (
     ("repo_full_name", _name),
@@ -594,29 +592,27 @@ def _compile(table, record_type=None):
             namespace[f"set_{f.name}"] = getattr(record_type, f.name).__set__
             lines.append(f"    set_{f.name}(rec, f_{f.name})")
         lines.append("    return rec")
-    label = "key" if record_type is None else record_type.__name__
+    label = "row" if record_type is None else record_type.__name__
     exec(compile("\n".join(lines), f"<{label} parser>", "exec"), namespace)
     return namespace["parse"]
 
 
-_parse_comment = _compile(_COMMENT, CommentRecord)
-_parse_comment_fields = _compile(_COMMENT)
-_parse_pull = _compile(_PULL, PullRequestRecord)
+_parse_comment = _compile(_COMMENT)
 _parse_pull_key = _compile(_COMMENT_KEY)
 _parse_commit = _compile(_COMMIT, CommitEvent)
 _parse_context = _compile(_CONTEXT, ContributorContext)
 _parse_repo = _compile(_REPO, RepoMeta)
 
 
-def _comment(obj, index: int | None, parse=_parse_comment):
-    """Item `index` of a pull's comment list, or (None) a comments.jsonl line,
-    read by parse, a parser of _COMMENT.
+def _comment(obj, index: int | None) -> tuple:
+    """The row tuple of item `index` of a pull's comment list, or (None) of a
+    comments.jsonl line.
 
     The position is formatted only into an error message.
     """
     if isinstance(obj, dict):
         try:
-            return parse(obj)
+            return _parse_comment(obj)
         except _ChoiceError as exc:
             raise _LineError(f"{_position(index)}: {exc}") from None
     raise _LineError(f"{_position(index)} must be an object")
@@ -632,6 +628,25 @@ _CREATED_AT = attrgetter("created_at")
 def _sort_comments(comments: Iterable[CommentRecord]) -> tuple[CommentRecord, ...]:
     # Stable on timestamp so same-second comments keep their input order.
     return tuple(sorted(comments, key=_CREATED_AT))
+
+
+class _Comments(list):
+    """The fold of a load without one: its row is the comments as
+    CommentRecords, in _sort_comments order."""
+
+    def add(self, role: str, author: str, body: str, created_at: datetime) -> None:
+        self.append(CommentRecord(author, role, body, created_at))
+
+    def close(self) -> tuple[CommentRecord, ...]:
+        return _sort_comments(self)
+
+
+def _pull_parser(fold, close: bool):
+    """The pulls.jsonl parser of a load with fold, and the slot of its
+    record (a PullRequestRecord for _Comments, else a FoldedPull) that holds
+    the thread: its row, or the open thread unless close."""
+    record, slot = (PullRequestRecord, "comments") if fold is _Comments else (FoldedPull, "thread")
+    return _compile(((slot, _thread(fold, close)), *_PULL), record), getattr(record, slot)
 
 
 _scan = json.JSONDecoder().scan_once
@@ -710,14 +725,15 @@ def load_corpus(directory: str | Path, fold=None) -> LoadResult:
     object each; the table that shares them is emptied on return, also
     after a raise.
 
-    With a fold, each pull is a FoldedPull: neither a comment record nor a
-    timestamp of the pull is kept.  fold() gives a new open thread for each
-    pull line; its add(role, author, body) takes each checked comment of the
-    pull, and its close() gives the thread's row, a tuple of ints that
-    starts with its comment count.
+    fold() gives a new open thread for each pull line; its add(role,
+    author, body, created_at) takes each checked comment of the pull, in the
+    order the module docstring gives, and its close() gives the hashable
+    row the pull keeps.  With a fold, each pull is a FoldedPull, which keeps
+    no comment record or timestamp, and whose comment_count is its row's
+    first item, as in cues.Thread's rows; without one, a PullRequestRecord.
     """
     try:
-        return _load(Path(directory), fold)
+        return _load(Path(directory), _Comments if fold is None else fold)
     finally:
         _SHARED.clear()
 
@@ -760,14 +776,7 @@ def _load(directory: Path, fold) -> LoadResult:
         errors.extend(repeats)
         return kept
 
-    if fold is None:
-        parse_pull, parse_comment = _parse_pull, _parse_comment
-    else:
-        # A thread stays open while comments can still arrive: to the end of
-        # its line, or to the end of comments.jsonl.
-        thread = _folded_comments(fold, close=not separate)
-        parse_pull = _compile((("thread", thread), *_PULL[1:]), FoldedPull)
-        parse_comment = _parse_comment_fields
+    parse_pull, slot = _pull_parser(fold, close=not separate)
     pulls = unique(
         "pulls.jsonl",
         parse_pull,
@@ -775,32 +784,21 @@ def _load(directory: Path, fold) -> LoadResult:
         lambda p: f"duplicate pr_number {p.pr_number} for {p.repo_full_name}",
     )
 
-    def separate_comment(obj: dict) -> tuple[tuple[str, int], CommentRecord | tuple]:
+    def separate_comment(obj: dict) -> tuple[tuple[str, int], tuple]:
         key = _parse_pull_key(obj)
-        comment = _comment(obj, None, parse_comment)
+        comment = _comment(obj, None)
         if key not in pulls:
             raise _LineError(f"comment references unknown pull {key[0]}#{key[1]}")
         return key, comment
 
-    if separate and fold is not None:
-        for _, (key, (role, author, body, _)) in read("comments.jsonl", separate_comment):
-            pulls[key].thread.add(role, author, body)
+    if separate:
+        thread_of = slot.__get__
+        for _, (key, (role, author, body, created_at)) in read("comments.jsonl", separate_comment):
+            thread_of(pulls[key]).add(role, author, body, created_at)
         # Set in place, as the compiled parser sets every slot: the record
         # is the load's own until it returns.
-        set_thread = FoldedPull.thread.__set__
         for pull in pulls.values():
-            row = pull.thread.close()
-            set_thread(pull, _SHARED.setdefault(row, row))
-    elif separate:
-        # Comments are gathered per pull and merged once after the file: a
-        # stable sort of the embedded comments followed by the separate ones
-        # in file order puts same-second comments in that same order.
-        gathered: dict[tuple[str, int], list[CommentRecord]] = {}
-        for _, (key, comment) in read("comments.jsonl", separate_comment):
-            gathered.setdefault(key, []).append(comment)
-        for key, comments in gathered.items():
-            pull = pulls[key]
-            pulls[key] = replace(pull, comments=_sort_comments(pull.comments + tuple(comments)))
+            slot.__set__(pull, _closed(thread_of(pull)))
 
     commits = [c for _, c in read("commits.jsonl", _parse_commit)]
     contexts = unique(

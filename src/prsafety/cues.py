@@ -53,13 +53,12 @@ lowercase to "confl".  The "i" after them also matches U+0130, which
 lowercases to two code points, so the test stops before it.
 
 extract_all builds the cues of a whole corpus as a CueTable.  A pipeline
-run loads its corpus with a fold (corpus.load_corpus(directory, fold)), so
-each of its pulls is a FoldedPull that brings its Thread's row from ingest
-and holds no comment; the comments of any other pull, as a load without a
-fold gives them, go through a Thread here.  The table keeps the pulls in
-corpus order as row keys and the cues as columns in CUE_NAMES order, which
-screening, thresholds, the index's scoring, cues.csv and the model frame
-read directly.  Each column is a numpy array of the dtype COLUMN_DTYPES
+run loads its corpus with Thread as the fold (corpus.load_corpus(directory,
+fold)), so each of its pulls is a FoldedPull that brings its Thread's row
+from ingest; a load without a fold keeps the comment records, and those go
+through a Thread here.  The table keeps the pulls in corpus order as row
+keys and the cues as columns in CUE_NAMES order, which screening,
+thresholds, the index's scoring, cues.csv and the model frame read directly.  Each column is a numpy array of the dtype COLUMN_DTYPES
 declares: uint8 for the eight 0/1 cues, int64 for the five COUNT_CUES, so
 that a sum of counts, or the (a + b) / 2 of a median, cannot wrap.  A
 column takes 1 or 8 bytes a row, where a tuple of ints takes 8 bytes a row
@@ -84,6 +83,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from datetime import datetime
 from functools import cached_property
 from importlib import resources
 from operator import attrgetter
@@ -266,10 +266,10 @@ class CueTable:
 class Thread:
     """The cues of one thread's comments, folded in one comment at a time.
 
-    add takes a comment's role, author and body; close gives the thread's
-    row of THREAD_CUES.  Every cue is a count, an any-flag or the size of
-    the set of authors, so the row does not depend on the order the
-    comments came in, or on how many sources they came from.
+    add takes a comment as corpus.load_corpus gives it to a fold; close
+    gives the thread's row of THREAD_CUES.  Every cue is a count, an
+    any-flag or the size of the set of authors, so the row does not depend
+    on the comments' order or sources, and created_at is not read.
     """
 
     __slots__ = ("table", "comments", "contributor", "integrator", "reviewer", "other",
@@ -281,7 +281,7 @@ class Thread:
         self.conflict = self.mention = self.emoji = 0
         self.authors: set[str] = set()
 
-    def add(self, role: str, author: str, body: str) -> None:
+    def add(self, role: str, author: str, body: str, created_at: datetime) -> None:
         self.comments += 1
         if role == "contributor":
             self.contributor += 1
@@ -312,7 +312,7 @@ def _thread_row(pull: PullRequestRecord | FoldedPull, table: EmojiTable) -> tupl
         return pull.thread
     thread = Thread(table)
     for comment in pull.comments:
-        thread.add(comment.role, comment.author, comment.body)
+        thread.add(comment.role, comment.author, comment.body, comment.created_at)
     return thread.close()
 
 

@@ -39,9 +39,9 @@ label without that outcome skips the PR (skip_reason).  Labels are looked up
 once per contributor of the table (CueTable.contributors).
 
 A PsSummary keeps one int8 score per row of the table, -1 where the PR is
-skipped, beside the table's pulls; skip_reason of the author's label says
-why a PR is skipped.  Medians and contributor totals are taken over Python
-ints, never over a narrow dtype.
+skipped; skip_reason of the author's label says why a PR is skipped.
+Medians and contributor totals are taken over Python ints, never over a
+narrow dtype.
 
 The CSVs and the report print an index with format_index_value (three
 decimals) and rank repositories with ranked (highest first, ties by name).
@@ -151,13 +151,11 @@ def skip_reason(label: ParticipationLabel | None) -> str | None:
 
 @dataclass
 class PsSummary:
-    """The index of a cue table: scores[i] is the score of pulls[i], or -1
-    when that PR is skipped for the reason skip_reason gives its author's
-    label in labels."""
+    """The index of a cue table: scores[i] is the score of the table's row
+    i, or -1 when that PR is skipped for the reason skip_reason gives its
+    author's label."""
 
-    pulls: Sequence[PullRequestRecord | FoldedPull]
     scores: np.ndarray
-    labels: Mapping[tuple[str, str], ParticipationLabel]
     contributor_index: dict[tuple[str, str], float]
     repository_index: dict[str, float]
 
@@ -199,7 +197,7 @@ def summarize(
         repo: sum(values) / len(values) for repo, values in sorted(by_repo.items())
     }
 
-    return PsSummary(table.pulls, scores, labels, contributor_index, repository_index)
+    return PsSummary(scores, contributor_index, repository_index)
 
 
 def format_index_value(value: float) -> str:

@@ -225,7 +225,7 @@ def test_criterion_4_fixture_matches_hand_enumeration(corpus12_dir):
     thresholds = compute_thresholds(cue_rows)
     summary = summarize(cue_rows, labeling.labels, thresholds)
 
-    pr_scores, skipped_prs = oracles.keyed_scores(summary)
+    pr_scores, skipped_prs = oracles.keyed_scores(summary, cue_rows, labeling.labels)
     assert pr_scores == FIXTURE_SCORES
     assert summary.contributor_index == FIXTURE_CONTRIBUTOR_INDEX
     assert summary.repository_index == FIXTURE_REPOSITORY_INDEX

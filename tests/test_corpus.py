@@ -922,38 +922,45 @@ def test_save_then_load_round_trips(tmp_path_factory, corpus):
 
 # --- compiled parsers against the interpreted walk ------------------------------------
 
-def _interpreted_comment(obj, where):
-    """A comment through the interpreted walk, its position formatted up front."""
+def _interpreted_comment(obj, where, record_type):
+    """A comment through the interpreted walk into record_type, its position
+    formatted up front."""
     if not isinstance(obj, dict):
         raise cm._LineError(f"{where} must be an object")
     try:
-        return oracles.parse_record_rows(cm._COMMENT, cm.CommentRecord, obj)
+        return oracles.parse_record_rows(cm._COMMENT, record_type, obj)
     except cm._ChoiceError as exc:
         raise cm._LineError(f"{where}: {exc}") from None
+
+
+def _comment_row(**values):
+    """A comment's row tuple: its values in _COMMENT order, as a fold's add takes them."""
+    return tuple(values[name] for name, _ in cm._COMMENT)
 
 
 def _interpreted_comments(obj, name):
     value = obj.get(name, [])
     if type(value) is not list:
         raise cm._LineError(f"field {name!r} must be a list")
-    comments = [_interpreted_comment(c, f"comments[{i}]") for i, c in enumerate(value)]
+    comments = [_interpreted_comment(c, f"comments[{i}]", cm.CommentRecord) for i, c in enumerate(value)]
     return tuple(sorted(comments, key=lambda c: c.created_at))
 
 
-_INTERPRETED_PULL = tuple(
-    (name, _interpreted_comments if name == "comments" else kind) for name, kind in cm._PULL
-)
+_INTERPRETED_PULL = (("comments", _interpreted_comments), *cm._PULL)
+
+# The pulls.jsonl parser of a load without a fold, as _load builds it.
+_COMPILED_PULL, _ = cm._pull_parser(cm._Comments, close=True)
 
 # Each file's line parser, compiled and interpreted.
 _PARSERS = {
     "pulls.jsonl": (
-        cm._parse_pull,
+        _COMPILED_PULL,
         lambda obj: oracles.parse_record_rows(_INTERPRETED_PULL, cm.PullRequestRecord, obj),
     ),
     "comments.jsonl": (
         lambda obj: (cm._parse_pull_key(obj), cm._comment(obj, None)),
         lambda obj: (tuple(kind(obj, name) for name, kind in cm._COMMENT_KEY),
-                     _interpreted_comment(obj, "comment")),
+                     _interpreted_comment(obj, "comment", _comment_row)),
     ),
     "commits.jsonl": (
         cm._parse_commit,

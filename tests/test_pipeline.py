@@ -271,7 +271,7 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     assert manifest["role_provenance"] == "stored"
     assert manifest["row_counts"]["pulls"] == 610
     assert manifest["row_counts"]["labeled_contributors"] == 50
-    pr_scores, skipped_prs = oracles.keyed_scores(result.summary)
+    pr_scores, skipped_prs = oracles.keyed_scores(result.summary, result.cue_table, result.labeling.labels)
     assert manifest["row_counts"]["scored_prs"] == len(pr_scores)
     assert manifest["row_counts"]["skipped_prs"] == len(skipped_prs)
     assert len(pr_scores) + len(skipped_prs) == 610

@@ -118,10 +118,13 @@ def _columns(vectors):
 
 
 def _summarize_one(vector, label):
-    """summarize on a one-PR table whose author carries the label."""
+    """summarize on a one-PR table whose author carries the label, and the
+    summary's keyed_scores."""
     pull = SimpleNamespace(repo_full_name="a/a", pr_number=1, author="ann")
     thresholds = psi.Thresholds("global", global_medians=FIXTURE_MEDIANS)
-    return psi.summarize(_table([(pull, vector)]), {("a/a", "ann"): label}, thresholds)
+    table, labels = _table([(pull, vector)]), {("a/a", "ann"): label}
+    summary = psi.summarize(table, labels, thresholds)
+    return summary, oracles.keyed_scores(summary, table, labels)
 
 
 def test_tie_with_median_earns_no_point():
@@ -141,14 +144,14 @@ def test_not_sustained_scores_zero():
         num_comments_con=4, inte_comment=1, reviewer_comment=1, other_comment=1,
         num_participant=5, at_tag=1,
     )
-    summary = _summarize_one(rich, NOT_SUSTAINED)
-    assert oracles.keyed_scores(summary) == ({("a/a", 1): 0}, {})
+    _, keyed = _summarize_one(rich, NOT_SUSTAINED)
+    assert keyed == ({("a/a", 1): 0}, {})
 
 
 def test_censored_and_excluded_are_skip_markers():
     for status in ("censored", "excluded_gap_return"):
-        summary = _summarize_one(_vector(), ParticipationLabel(status, None, None))
-        assert oracles.keyed_scores(summary) == ({}, {("a/a", 1): status})
+        summary, keyed = _summarize_one(_vector(), ParticipationLabel(status, None, None))
+        assert keyed == ({}, {("a/a", 1): status})
         assert summary.contributor_index == {}
 
 
@@ -193,7 +196,7 @@ def test_raising_count_cues_never_lowers_score():
 def test_fixture_pr_scores_exact(cue_rows12, labels12):
     thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels12.labels, thresholds)
-    pr_scores, skipped_prs = oracles.keyed_scores(summary)
+    pr_scores, skipped_prs = oracles.keyed_scores(summary, cue_rows12, labels12.labels)
     assert pr_scores == FIXTURE_SCORES
     assert skipped_prs == {
         ("acme/wrench", 4): "excluded_gap_return",
@@ -206,7 +209,7 @@ def test_summary_keeps_one_int8_score_per_row(cue_rows12, labels12):
     assert summary.scores.dtype == np.int8
     keys = [(pull.repo_full_name, pull.pr_number) for pull in cue_rows12.pulls]
     assert summary.scores.tolist() == [FIXTURE_SCORES.get(key, -1) for key in keys]
-    assert list(oracles.keyed_scores(summary)[0]) == [key for key in keys if key in FIXTURE_SCORES]
+    assert list(oracles.keyed_scores(summary, cue_rows12, labels12.labels)[0]) == [key for key in keys if key in FIXTURE_SCORES]
 
 
 def test_fixture_indices_exact(cue_rows12, labels12):
@@ -242,8 +245,10 @@ def test_summarize_is_order_insensitive(cue_rows12, labels12):
     direct = psi.summarize(cue_rows12, labels12.labels, thresholds)
     shuffled = oracles.cue_dicts(cue_rows12)
     random.Random(3).shuffle(shuffled)
-    permuted = psi.summarize(_table(shuffled), labels12.labels, thresholds)
-    assert oracles.keyed_scores(permuted)[0] == oracles.keyed_scores(direct)[0]
+    permuted_table = _table(shuffled)
+    permuted = psi.summarize(permuted_table, labels12.labels, thresholds)
+    assert (oracles.keyed_scores(permuted, permuted_table, labels12.labels)[0]
+            == oracles.keyed_scores(direct, cue_rows12, labels12.labels)[0])
     assert permuted.contributor_index == direct.contributor_index
     assert permuted.repository_index == direct.repository_index
 
@@ -261,7 +266,7 @@ def test_unlabeled_author_is_skipped(cue_rows12, labels12):
     del labels[("acme/rocket", "bob")]
     thresholds = psi.compute_thresholds(cue_rows12)
     summary = psi.summarize(cue_rows12, labels, thresholds)
-    assert oracles.keyed_scores(summary)[1][("acme/rocket", 5)] == "unlabeled"
+    assert oracles.keyed_scores(summary, cue_rows12, labels)[1][("acme/rocket", 5)] == "unlabeled"
     assert ("acme/rocket", "bob") not in summary.contributor_index
 
 

@@ -5,7 +5,6 @@ import json
 import math
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,9 +224,7 @@ def test_model_failure_json(tmp_path):
 
 def _summary():
     return PsSummary(
-        pulls=[SimpleNamespace(repo_full_name="acme/rocket", pr_number=1, author="alice")],
         scores=np.array([8], dtype=np.int8),
-        labels={},
         contributor_index={("acme/rocket", "alice"): 4.75},
         repository_index={"acme/rocket": 2.0519, "acme/wrench": 0.5},
     )
