@@ -49,23 +49,31 @@ Every load folds: each pull line opens a thread of the fold, each checked
 comment of the pull is added to it (the line's own in line order, then
 comments.jsonl's in file order), and the pull keeps the closed thread's row.
 A thread stays open only while comments can still arrive: to the end of its
-line, or to the end of comments.jsonl when that exists.  Without a fold the
-fold is _Comments, whose row is the comments as CommentRecords in timestamp
-order, and each pull is a PullRequestRecord.  With one (load_corpus(directory,
-fold)), each pull is a FoldedPull, which keeps only what a run's stages
-read: its key, author, merged flag, reopen count and row.  Its created_at
-and closed_at are checked as in any load, with the same errors, not kept.
+line, or to the end of comments.jsonl when that exists.  Each checked pull
+is appended to columns, one array per field, with no object of its own: a
+repository code and an author code (indices into the load's names), its
+number, merged flag and reopen count, and the index of its row among the
+fold's distinct rows.  A repeated key is found through one dict per
+repository from number to position, so no key tuple is built per pull.  The
+canonical order is a stable np.lexsort over repository codes numbered in
+sorted-name order, then numbers.  With a fold (load_corpus(directory,
+fold)), the corpus's pulls are those columns, a Pulls; its created_at and
+closed_at are checked as in any load, with the same errors, and not kept.
+Without one the fold is _Comments, whose row is the comments as
+CommentRecords in timestamp order, and each pull becomes a
+PullRequestRecord, timestamps and all.
 
 Within one load, each distinct repository name, author, role and size is
 one string object, shared by every record that holds it: json builds a new
 string for each value, and a corpus repeats a few thousand names across
-all its records.  Each distinct row of a fold and each distinct set of a
-repository's category labels (most repositories have none) is one object
-in the same way.  The table behind it (_SHARED) lives only while
-load_corpus runs.  sys.intern would keep every name a long-lived process
-ever loaded, since from Python 3.12 a string interned at runtime is
-immortal.  Bodies and timestamps are nearly all distinct and are not
-shared.
+all its records.  Each distinct set of a repository's category labels (most
+repositories have none) is one object in the same way, and each distinct
+row of a fold is one entry of Pulls.rows.  The table behind the sharing
+(_SHARED) lives only while load_corpus runs.  sys.intern would keep every
+name a long-lived process ever loaded, since from Python 3.12 a string
+interned at runtime is immortal.  Bodies and timestamps are nearly all
+distinct and are not shared, and neither are the rows of _Comments: each
+pull of a load without a fold keeps its own, never hashed.
 
 A line is "nested too deeply" once reading it opens a level of arrays and
 objects past MAX_NESTING, on every Python version and at every call depth.
@@ -87,11 +95,12 @@ import io
 import json
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import AbstractSet, ClassVar, Iterable, Sequence, TextIO
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -155,33 +164,71 @@ class PullRequestRecord:
     reopen_count: int
     comments: tuple[CommentRecord, ...] = ()
 
-    @property
-    def comment_count(self) -> int:
-        return len(self.comments)
 
-
-@dataclass(frozen=True, slots=True)
-class FoldedPull:
-    """A pull read with a fold, holding only what a run's stages read.
-
-    `thread` is the row the fold gave its thread, one object for every equal
-    row of the load.  The pull's created_at and closed_at are checked at
-    ingest as every load checks them, and not kept; it holds no comment, and
-    `comments` reads as () for a reader written for PullRequestRecord.
-    """
+class PullView(NamedTuple):
+    """One row of Pulls, built when the row is read and kept by nothing.  It
+    holds no comment: `comments` reads as () for a reader written for
+    PullRequestRecord."""
 
     repo_full_name: str
     pr_number: int
     author: str
-    merged: bool
-    reopen_count: int
-    thread: tuple[int, ...]
 
-    comments: ClassVar[tuple[CommentRecord, ...]] = ()
+    comments = ()
 
-    @property
-    def comment_count(self) -> int:
-        return self.thread[0]  # a fold's row starts with its comment count
+
+@dataclass(frozen=True, eq=False)
+class Pulls:
+    """Pulls as columns: entry i of each array belongs to pull i.
+
+    repo[i] indexes repos and author[i] indexes authors; every name of repos
+    has a pull.  pr_number and reopen_count are int64 and merged is uint8,
+    the dtypes of the cue columns they become.  rows holds the distinct rows
+    the fold gave the pulls' threads, and thread[i] indexes it.
+    repo_comments[c] counts the comments the load added to the pulls of
+    repository code c, whatever the fold's rows hold.
+    """
+
+    repos: tuple[str, ...]
+    authors: tuple[str, ...]
+    repo: np.ndarray
+    author: np.ndarray
+    pr_number: np.ndarray
+    merged: np.ndarray
+    reopen_count: np.ndarray
+    thread: np.ndarray
+    rows: tuple
+    repo_comments: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pr_number)
+
+    def __iter__(self) -> Iterator[PullView]:
+        """The row view: one PullView per pull, each built as it is read."""
+        return map(
+            PullView,
+            map(self.repos.__getitem__, self.repo.tolist()),
+            self.pr_number.tolist(),
+            map(self.authors.__getitem__, self.author.tolist()),
+        )
+
+    def of_repositories(self, names: AbstractSet[str]) -> Pulls:
+        """The pulls of the named repositories, in the same order."""
+        kept = [code for code, name in enumerate(self.repos) if name in names]
+        mask = np.zeros(len(self.repos), bool)
+        mask[kept] = True
+        return self._take(mask[self.repo], kept)
+
+    def _take(self, rows: np.ndarray, repos: Sequence[int]) -> Pulls:
+        """The pulls at rows (an index array or a mask), all of them of the
+        repository codes repos, which become codes 0, 1, ... in that order."""
+        code = np.zeros(len(self.repos), np.int64)
+        code[repos] = np.arange(len(repos))
+        columns = ("author", "pr_number", "merged", "reopen_count", "thread")
+        return replace(
+            self, repos=tuple(self.repos[c] for c in repos), repo=code[self.repo[rows]],
+            repo_comments=self.repo_comments[repos], **{name: getattr(self, name)[rows] for name in columns},
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,15 +268,20 @@ _REPO_KEY = attrgetter("repo_full_name")
 
 @dataclass
 class Corpus:
-    pulls: list[PullRequestRecord | FoldedPull] = field(default_factory=list)
+    """A corpus's records: a load with a fold gives its pulls as Pulls, every
+    other corpus as PullRequestRecords."""
+
+    pulls: list[PullRequestRecord] | Pulls = field(default_factory=list)
     commits: list[CommitEvent] = field(default_factory=list)
     contexts: list[ContributorContext] = field(default_factory=list)
     repos: list[RepoMeta] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
+        pulls = self.pulls
+        folded = isinstance(pulls, Pulls)
         return {
-            "pulls": len(self.pulls),
-            "comments": sum(p.comment_count for p in self.pulls),
+            "pulls": len(pulls),
+            "comments": int(pulls.repo_comments.sum()) if folded else sum(len(p.comments) for p in pulls),
             "commits": len(self.commits),
             "contexts": len(self.contexts),
             "repos": len(self.repos),
@@ -346,9 +398,9 @@ def _fault(value, name: str, wanted: str) -> _LineError:
     return _LineError(f"field {name!r} {wanted}")
 
 
-# The first object of each name, choice value, label set and closed
-# thread's row seen in the current load, which each later equal one is read
-# as; load_corpus empties it when it returns.  Loads that overlap in threads
+# The first object of each name, choice value and label set seen in the
+# current load, which each later equal one is read as; load_corpus empties
+# it when it returns.  Loads that overlap in threads
 # share it, and the first to return empties it: the other's records stay
 # equal, but share fewer objects.
 _SHARED: dict = {}
@@ -475,19 +527,15 @@ def _checked_comments(obj: dict) -> list:
 
 def _thread(fold, close: bool):
     """The kind of a pull's thread: a new thread of fold given the line's
-    checked comments, and closed into its shared row when close."""
+    checked comments (closed into its row when close), and their count."""
     def thread(obj: dict, name: str):
         opened = fold()
-        for role, author, body, created_at in _checked_comments(obj):
+        comments = _checked_comments(obj)
+        for role, author, body, created_at in comments:
             opened.add(role, author, body, created_at)
-        return _closed(opened) if close else opened
+        return opened.close() if close else opened, len(comments)
 
     return thread
-
-
-def _closed(thread):
-    row = thread.close()
-    return _SHARED.setdefault(row, row)
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -552,14 +600,8 @@ def _compile(table, record_type=None):
     """One parser function for a record table.
 
     The function checks the rows in order and builds the record from each
-    field's last value.  A row that names no field of the record is checked
-    all the same and its value dropped: so a FoldedPull's parser checks
-    created_at and closed_at by the rows, kinds and messages of every other
-    pull load, with no timestamp path of its own, and keeps neither.  It
-    sets the record's slots one by one, as the frozen dataclass __init__
-    does but without its object.__setattr__ call per field, so the record
-    type may have no __post_init__.  Without a record type it returns the
-    rows' values as a tuple, in row order.  For a row whose kind has an
+    field's last value, through _builder.  Without a record type it returns
+    the rows' values as a tuple, in row order.  For a row whose kind has an
     `accepts` test the test runs inline and the kind is called only when it
     fails (or, for a kind that also `reads`, when the conversion raises
     ValueError); every other row calls its kind.
@@ -584,17 +626,32 @@ def _compile(table, record_type=None):
     if record_type is None:
         lines.append(f"    return ({', '.join(f'f_{name}' for name, _ in table)},)")
     else:
-        if hasattr(record_type, "__post_init__"):
-            raise TypeError(f"{record_type.__name__} is built without __init__")
-        namespace.update(new=object.__new__, record=record_type)
-        lines.append("    rec = new(record)")
-        for f in fields(record_type):
-            namespace[f"set_{f.name}"] = getattr(record_type, f.name).__set__
-            lines.append(f"    set_{f.name}(rec, f_{f.name})")
-        lines.append("    return rec")
+        namespace["build"] = _builder(record_type)
+        lines.append(f"    return build({', '.join(f'f_{f.name}' for f in fields(record_type))})")
     label = "row" if record_type is None else record_type.__name__
     exec(compile("\n".join(lines), f"<{label} parser>", "exec"), namespace)
     return namespace["parse"]
+
+
+def _builder(record_type):
+    """A function of record_type's field values, in field order, that builds
+    the record.
+
+    It sets the record's slots one by one, as the frozen dataclass __init__
+    does but without its object.__setattr__ call per field, so the record
+    type may have no __post_init__.
+    """
+    if hasattr(record_type, "__post_init__"):
+        raise TypeError(f"{record_type.__name__} is built without __init__")
+    names = [f.name for f in fields(record_type)]
+    namespace = {"new": object.__new__, "record": record_type}
+    lines = [f"def build({', '.join(names)}):", "    rec = new(record)"]
+    for name in names:
+        namespace[f"set_{name}"] = getattr(record_type, name).__set__
+        lines.append(f"    set_{name}(rec, {name})")
+    lines.append("    return rec")
+    exec(compile("\n".join(lines), f"<{record_type.__name__} builder>", "exec"), namespace)
+    return namespace["build"]
 
 
 _parse_comment = _compile(_COMMENT)
@@ -630,23 +687,108 @@ def _sort_comments(comments: Iterable[CommentRecord]) -> tuple[CommentRecord, ..
     return tuple(sorted(comments, key=_CREATED_AT))
 
 
+_new_comment = _builder(CommentRecord)
+_new_pull = _builder(PullRequestRecord)
+
+
 class _Comments(list):
     """The fold of a load without one: its row is the comments as
     CommentRecords, in _sort_comments order."""
 
     def add(self, role: str, author: str, body: str, created_at: datetime) -> None:
-        self.append(CommentRecord(author, role, body, created_at))
+        self.append(_new_comment(author, role, body, created_at))
 
     def close(self) -> tuple[CommentRecord, ...]:
         return _sort_comments(self)
 
 
 def _pull_parser(fold, close: bool):
-    """The pulls.jsonl parser of a load with fold, and the slot of its
-    record (a PullRequestRecord for _Comments, else a FoldedPull) that holds
-    the thread: its row, or the open thread unless close."""
-    record, slot = (PullRequestRecord, "comments") if fold is _Comments else (FoldedPull, "thread")
-    return _compile(((slot, _thread(fold, close)), *_PULL), record), getattr(record, slot)
+    """The pulls.jsonl parser of a load with fold.  It returns the values of
+    the line's rows in order: first its thread's (the open thread, or its
+    row when close, and its comment count), then those of _PULL."""
+    return _compile((("thread", _thread(fold, close)), *_PULL))
+
+
+class _Columns:
+    """Pulls appended one at a time, one array per field, and the names,
+    rows and comment counts they index (see Pulls)."""
+
+    def __init__(self, fold) -> None:
+        self.repos: dict[str, int] = {}  # each name's code, in first-seen order
+        self.authors: dict[str, int] = {}
+        self.repo_comments: list[int] = []
+        self.repo, self.author, self.pr_number = array("q"), array("q"), array("q")
+        self.merged, self.reopen_count, self.thread = array("B"), array("q"), array("q")
+        self.rows: list = []
+        # The rows of _Comments are nearly all distinct: each pull keeps its
+        # own, where hashing it to share it would cost a hash of every comment.
+        self.row_codes: dict | None = None if fold is _Comments else {}
+
+    def code(self, repo: str) -> int:
+        code = self.repos.setdefault(repo, len(self.repos))
+        if code == len(self.repo_comments):
+            self.repo_comments.append(0)
+        return code
+
+    def append(self, code: int, number: int, author: str, merged: bool, reopen_count: int,
+               comments: int) -> None:
+        """Append a pull of repository code, all but its row (add_row)."""
+        self.repo_comments[code] += comments
+        self.repo.append(code)
+        self.author.append(self.authors.setdefault(author, len(self.authors)))
+        self.pr_number.append(number)
+        self.merged.append(merged)
+        self.reopen_count.append(reopen_count)
+
+    def add_row(self, row) -> None:
+        """Append the next pull's row: its index among the distinct rows."""
+        index = len(self.rows)
+        if self.row_codes is not None:
+            index = self.row_codes.setdefault(row, index)
+        if index == len(self.rows):
+            self.rows.append(row)
+        self.thread.append(index)
+
+    def pulls(self) -> Pulls:
+        """The pulls in the order appended; the arrays are shared, not copied."""
+        # Viewed as np.int64: numpy reads typecode "q" as long long, a
+        # distinct dtype that np.asarray(..., np.int64) would copy.
+        repo, author, pr_number, reopen_count, thread = (
+            np.asarray(column).view(np.int64)
+            for column in (self.repo, self.author, self.pr_number, self.reopen_count, self.thread)
+        )
+        return Pulls(
+            tuple(self.repos), tuple(self.authors), repo, author, pr_number,
+            np.asarray(self.merged).view(np.uint8), reopen_count, thread,
+            tuple(self.rows), np.array(self.repo_comments, np.int64),
+        )
+
+
+def pull_columns(records: Iterable[PullRequestRecord], fold) -> Pulls:
+    """The records as Pulls, in their order.  Each record's comments go to a
+    new thread of fold, as a load gives them, and its row is that thread's
+    close."""
+    columns = _Columns(fold)
+    for record in records:
+        thread = fold()
+        for comment in record.comments:
+            thread.add(comment.role, comment.author, comment.body, comment.created_at)
+        columns.append(
+            columns.code(record.repo_full_name), record.pr_number, record.author, record.merged,
+            record.reopen_count, len(record.comments),
+        )
+        columns.add_row(thread.close())
+    return columns.pulls()
+
+
+def _canonical(pulls: Pulls) -> tuple[Pulls, np.ndarray]:
+    """The pulls by repository name and number, with repository codes in
+    sorted-name order, and the positions they came from."""
+    by_name = sorted(range(len(pulls.repos)), key=pulls.repos.__getitem__)
+    rank = np.zeros(len(by_name), np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    order = np.lexsort((pulls.pr_number, rank[pulls.repo]))
+    return pulls._take(order, by_name), order
 
 
 _scan = json.JSONDecoder().scan_once
@@ -728,9 +870,8 @@ def load_corpus(directory: str | Path, fold=None) -> LoadResult:
     fold() gives a new open thread for each pull line; its add(role,
     author, body, created_at) takes each checked comment of the pull, in the
     order the module docstring gives, and its close() gives the hashable
-    row the pull keeps.  With a fold, each pull is a FoldedPull, which keeps
-    no comment record or timestamp, and whose comment_count is its row's
-    first item, as in cues.Thread's rows; without one, a PullRequestRecord.
+    row the pull keeps.  With a fold, the corpus's pulls are a Pulls, which
+    keeps no comment record or timestamp; without one, PullRequestRecords.
     """
     try:
         return _load(Path(directory), _Comments if fold is None else fold)
@@ -776,29 +917,58 @@ def _load(directory: Path, fold) -> LoadResult:
         errors.extend(repeats)
         return kept
 
-    parse_pull, slot = _pull_parser(fold, close=not separate)
-    pulls = unique(
-        "pulls.jsonl",
-        parse_pull,
-        _PULL_KEY,
-        lambda p: f"duplicate pr_number {p.pr_number} for {p.repo_full_name}",
-    )
+    columns = _Columns(fold)
+    numbers: list[dict[int, int]] = []  # per repository code: each number's position
+    threads = []  # each pull's open thread, while comments.jsonl can add to it
+    stamps = []  # without a fold: each pull's values that no column holds
+    repeats = []
+    for lineno, values in read("pulls.jsonl", _pull_parser(fold, close=not separate)):
+        (thread, comments), repo, number, author, created_at, merged, closed_at, reopen_count = values
+        code = columns.code(repo)
+        if code == len(numbers):
+            numbers.append({})
+        position = len(columns.pr_number)
+        if numbers[code].setdefault(number, position) != position:
+            repeats.append(IngestError("pulls.jsonl", lineno, f"duplicate pr_number {number} for {repo}"))
+            continue
+        columns.append(code, number, author, merged, reopen_count, comments)
+        if separate:
+            threads.append(thread)
+        else:
+            columns.add_row(thread)
+        if fold is _Comments:
+            stamps.append((created_at, merged, closed_at))
+    errors.extend(repeats)
 
-    def separate_comment(obj: dict) -> tuple[tuple[str, int], tuple]:
-        key = _parse_pull_key(obj)
+    def separate_comment(obj: dict) -> tuple[int, tuple]:
+        repo, number = _parse_pull_key(obj)
         comment = _comment(obj, None)
-        if key not in pulls:
-            raise _LineError(f"comment references unknown pull {key[0]}#{key[1]}")
-        return key, comment
+        code = columns.repos.get(repo)
+        position = None if code is None else numbers[code].get(number)
+        if position is None:
+            raise _LineError(f"comment references unknown pull {repo}#{number}")
+        return position, comment
 
     if separate:
-        thread_of = slot.__get__
-        for _, (key, (role, author, body, created_at)) in read("comments.jsonl", separate_comment):
-            thread_of(pulls[key]).add(role, author, body, created_at)
-        # Set in place, as the compiled parser sets every slot: the record
-        # is the load's own until it returns.
-        for pull in pulls.values():
-            slot.__set__(pull, _closed(thread_of(pull)))
+        for _, (position, (role, author, body, created_at)) in read("comments.jsonl", separate_comment):
+            threads[position].add(role, author, body, created_at)
+            columns.repo_comments[columns.repo[position]] += 1
+        for thread in threads:
+            columns.add_row(thread.close())
+    # Freed before the sort and the later files, so their peaks do not stack.
+    del numbers, threads
+    pulls, order = _canonical(columns.pulls())
+    del columns
+    if fold is _Comments:
+        rows, repos, authors = pulls.rows, pulls.repos, pulls.authors
+        pulls = [
+            _new_pull(repos[r], n, authors[a], created_at, merged, closed_at, k, rows[t])
+            for (created_at, merged, closed_at), r, n, a, k, t in zip(
+                map(stamps.__getitem__, order.tolist()),
+                *(column.tolist() for column in (pulls.repo, pulls.pr_number, pulls.author,
+                                                 pulls.reopen_count, pulls.thread)),
+            )
+        ]
 
     commits = [c for _, c in read("commits.jsonl", _parse_commit)]
     contexts = unique(
@@ -815,7 +985,7 @@ def _load(directory: Path, fold) -> LoadResult:
     )
 
     corpus = Corpus(
-        pulls=[pulls[k] for k in sorted(pulls)],
+        pulls=pulls,
         commits=sorted(commits, key=_COMMIT_ORDER),
         contexts=[contexts[k] for k in sorted(contexts)],
         repos=[repos[k] for k in sorted(repos)],
@@ -894,10 +1064,10 @@ def _open_csv(path: str | Path, header: Sequence[str]) -> TextIO:
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write a corpus in canonical form: sorted records, each pull's comments
     embedded in _sort_comments order (by timestamp, ties in input order).
-    A FoldedPull has no comments to write, so a folded load raises ValueError."""
-    pulls = sorted(corpus.pulls, key=_PULL_KEY)
-    if any(isinstance(p, FoldedPull) for p in pulls):
+    A folded load's Pulls have no comments to write, so it raises ValueError."""
+    if isinstance(corpus.pulls, Pulls):
         raise ValueError("a corpus loaded with a fold holds no comments to save")
+    pulls = sorted(corpus.pulls, key=_PULL_KEY)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     _write_jsonl(
@@ -920,6 +1090,7 @@ def filter_repositories(corpus: Corpus, config: FilterConfig) -> Corpus:
     and contexts of dropped repositories are removed as well.  Applying the
     same filter twice is a no-op.  There is no default filter: a run whose
     PipelineConfig.filter is None does not filter and does not call this.
+    A folded load's Pulls are filtered by a mask over their columns.
     """
     ranked = sorted(corpus.repos, key=lambda r: (-r.stars, r.repo_full_name))
     if len(ranked) > config.top_n_by_stars:
@@ -930,8 +1101,12 @@ def filter_repositories(corpus: Corpus, config: FilterConfig) -> Corpus:
     kept = [r for r in ranked if not (r.category_labels & excluded)]
     names = {r.repo_full_name for r in kept}
 
+    pulls = corpus.pulls
     return Corpus(
-        pulls=[p for p in corpus.pulls if p.repo_full_name in names],
+        pulls=(
+            pulls.of_repositories(names) if isinstance(pulls, Pulls)
+            else [p for p in pulls if p.repo_full_name in names]
+        ),
         commits=[c for c in corpus.commits if c.repo_full_name in names],
         contexts=[c for c in corpus.contexts if c.repo_full_name in names],
         repos=[r for r in corpus.repos if r.repo_full_name in names],

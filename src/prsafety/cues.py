@@ -54,25 +54,27 @@ lowercases to two code points, so the test stops before it.
 
 extract_all builds the cues of a whole corpus as a CueTable.  A pipeline
 run loads its corpus with Thread as the fold (corpus.load_corpus(directory,
-fold)), so each of its pulls is a FoldedPull that brings its Thread's row
-from ingest; a load without a fold keeps the comment records, and those go
-through a Thread here.  The table keeps the pulls in corpus order as row
-keys and the cues as columns in CUE_NAMES order, which screening,
-thresholds, the index's scoring, cues.csv and the model frame read directly.  Each column is a numpy array of the dtype COLUMN_DTYPES
-declares: uint8 for the eight 0/1 cues, int64 for the five COUNT_CUES, so
-that a sum of counts, or the (a + b) / 2 of a median, cannot wrap.  A
-column takes 1 or 8 bytes a row, where a tuple of ints takes 8 bytes a row
-for the pointer alone; extract_all turns the rows into columns one column
-at a time, and CueTable casts columns given in any other form to the same
-dtypes.  Iterating the table gives the row view, (pull, row) pairs, each
-row a plain tuple of Python ints in CUE_NAMES order, for library callers
-and the benchmark's tracer.  CueTable.contributors numbers the distinct
-(repository, author) pairs in first-PR order, walking the pulls once on
-first read; the labels, the index and the model frame all take their
-contributors from it.
+fold)), so its pulls are a corpus.Pulls whose rows are Thread rows from
+ingest; a list of PullRequestRecords is first folded into the same columns
+by corpus.pull_columns, through the same Thread.  The table keeps the Pulls,
+whose key columns (repository and author codes, numbers) name its rows, and
+the cues as columns in CUE_NAMES order, which screening, thresholds, the
+index's scoring, cues.csv and the model frame read directly.  Each column is
+a numpy array of the dtype COLUMN_DTYPES declares: uint8 for the eight 0/1
+cues, int64 for the five COUNT_CUES, so that a sum of counts, or the
+(a + b) / 2 of a median, cannot wrap.  merged_or_not and reopen_num are the
+Pulls' own merged and reopen_count arrays, not copies; each thread cue is
+its column of the distinct rows, taken at each pull's row index.  CueTable
+casts columns given in any other form to the same dtypes.  Iterating the
+table gives the row view, (pull, row) pairs, each pull a corpus.PullView and
+each row a plain tuple of Python ints in CUE_NAMES order, built as they are
+read, for the benchmark's tracer.  CueTable.contributors numbers the
+distinct (repository, author) code pairs in first-PR order on first read;
+the labels, the index and the model frame all take their contributors from
+it.
 
 write_cues_csv formats each distinct row of thirteen cues once, and each
-repository name once per chunk of rows, with csv.writer, and joins a line
+repository's name once per chunk of rows, with csv.writer, and joins a line
 from those two pieces around the PR number.  A corpus repeats few cue
 rows: the reference corpus has 1,470 distinct rows in 60,684 pulls.  The
 lines go to the file a chunk of rows at a time, so the writer holds neither
@@ -84,15 +86,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FoldedPull, PullRequestRecord, csv_row_text, write_csv_text
+from .corpus import PullRequestRecord, Pulls, PullView, csv_row_text, pull_columns, write_csv_text
 
 
 CUE_NAMES = (
@@ -234,11 +235,11 @@ def mentions_conflict(text: str) -> bool:
 
 @dataclass(frozen=True)
 class CueTable:
-    """The cues of a corpus: row i holds the cues of pulls[i], and each
+    """The cues of a corpus: row i holds the cues of pull i of pulls, and each
     column of `columns` holds one cue, keyed in CUE_NAMES order, as an array
     of its COLUMN_DTYPES dtype."""
 
-    pulls: Sequence[PullRequestRecord | FoldedPull]
+    pulls: Pulls
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
@@ -249,7 +250,7 @@ class CueTable:
     def __len__(self) -> int:
         return len(self.pulls)
 
-    def __iter__(self) -> Iterator[tuple[PullRequestRecord, tuple[int, ...]]]:
+    def __iter__(self) -> Iterator[tuple[PullView, tuple[int, ...]]]:
         """The row view: (pull, row) pairs, each row a tuple of Python ints in CUE_NAMES order."""
         # A memoryview yields Python ints and copies nothing.
         return zip(self.pulls, zip(*map(memoryview, self.columns.values())))
@@ -257,10 +258,12 @@ class CueTable:
     @cached_property
     def contributors(self) -> tuple[list[tuple[str, str]], np.ndarray]:
         """The distinct (repository, author) pairs in first-PR order, and each row's index among them."""
-        keys: dict[tuple[str, str], int] = {}
-        pairs = ((pull.repo_full_name, pull.author) for pull in self.pulls)
-        rows = np.fromiter((keys.setdefault(pair, len(keys)) for pair in pairs), np.intp, len(self.pulls))
-        return list(keys), rows
+        pulls = self.pulls
+        width = len(pulls.authors)
+        pairs: dict[int, int] = {}  # each pair's code, repository code * width + author code
+        codes = (pulls.repo * width + pulls.author).tolist()
+        rows = np.fromiter((pairs.setdefault(code, len(pairs)) for code in codes), np.intp, len(codes))
+        return [(pulls.repos[code // width], pulls.authors[code % width]) for code in pairs], rows
 
 
 class Thread:
@@ -307,34 +310,17 @@ class Thread:
         )
 
 
-def _thread_row(pull: PullRequestRecord | FoldedPull, table: EmojiTable) -> tuple[int, ...]:
-    if isinstance(pull, FoldedPull):
-        return pull.thread
-    thread = Thread(table)
-    for comment in pull.comments:
-        thread.add(comment.role, comment.author, comment.body, comment.created_at)
-    return thread.close()
-
-
-def _array(values: Sequence[int], dtype: np.dtype) -> np.ndarray:
-    if dtype == np.uint8:
-        return np.frombuffer(bytes(values), dtype)  # three times as fast as fromiter
-    return np.fromiter(values, dtype, count=len(values))
-
-
-def extract_all(pulls: Sequence[PullRequestRecord | FoldedPull], table: EmojiTable) -> CueTable:
-    """The cue table of the pulls.  A FoldedPull brings its thread's row from
-    the load; the comments of any other pull are folded here, by the same
-    Thread."""
-    rows = [_thread_row(pull, table) for pull in pulls]
-    columns = {
-        "merged_or_not": _array([int(pull.merged) for pull in pulls], COLUMN_DTYPES["merged_or_not"]),
-        "reopen_num": _array([pull.reopen_count for pull in pulls], COLUMN_DTYPES["reopen_num"]),
-    }
-    # zip yields one column at a time, so at most one is held as a tuple.
-    for name, values in zip(THREAD_CUES, zip(*rows) if rows else [()] * len(THREAD_CUES)):
-        columns[name] = _array(values, COLUMN_DTYPES[name])
-    return CueTable(list(pulls), columns)
+def extract_all(pulls: Pulls | Sequence[PullRequestRecord], table: EmojiTable) -> CueTable:
+    """The cue table of the pulls.  Pulls bring their threads' rows from the
+    load; the comments of PullRequestRecords are folded here, by the same
+    Thread, into the same columns."""
+    if not isinstance(pulls, Pulls):
+        pulls = pull_columns(pulls, partial(Thread, table))
+    rows = np.array(pulls.rows, np.int64).reshape(len(pulls.rows), len(THREAD_CUES))
+    columns = {"merged_or_not": pulls.merged, "reopen_num": pulls.reopen_count}
+    for name, values in zip(THREAD_CUES, rows.T):
+        columns[name] = values.astype(COLUMN_DTYPES[name])[pulls.thread]
+    return CueTable(pulls, columns)
 
 
 # Rows per piece of cues.csv text.  The write runs near the run's peak
@@ -342,9 +328,6 @@ def extract_all(pulls: Sequence[PullRequestRecord | FoldedPull], table: EmojiTab
 # repositories' heads, its text) adds to that peak; at 256 rows that is
 # about 0.1 MB.
 _WRITE_CHUNK = 256
-
-_REPO = attrgetter("repo_full_name")
-_NUMBER = attrgetter("pr_number")
 
 
 def write_cues_csv(path: str | Path, table: CueTable) -> None:
@@ -360,14 +343,15 @@ def _cue_rows_text(table: CueTable) -> Iterator[str]:
     # each chunk's distinct heads once for the chunk: a repository's pulls
     # are adjacent, so few heads are formatted twice.
     tails: dict[tuple[int, ...], str] = {}
+    pulls = table.pulls
     for start in range(0, len(table), _WRITE_CHUNK):
         stop = start + _WRITE_CHUNK
-        pulls = table.pulls[start:stop]
-        repos = list(map(_REPO, pulls))
+        repos = pulls.repo[start:stop].tolist()
         rows = list(zip(*(table.columns[name][start:stop].tolist() for name in CUE_NAMES)))
-        heads = {repo: csv_row_text((repo, ""), terminated=False) for repo in set(repos)}
+        heads = {code: csv_row_text((pulls.repos[code], ""), terminated=False) for code in set(repos)}
         for row in set(rows).difference(tails):
             tails[row] = csv_row_text(("", *row))
         yield "".join(map(
-            "{}{}{}".format, map(heads.__getitem__, repos), map(_NUMBER, pulls), map(tails.__getitem__, rows),
+            "{}{}{}".format, map(heads.__getitem__, repos), pulls.pr_number[start:stop].tolist(),
+            map(tails.__getitem__, rows),
         ))

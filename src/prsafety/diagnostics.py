@@ -138,8 +138,10 @@ class ScreeningReport:
 
 
 def _screen_binary(name: str, values: np.ndarray, config: ScreeningConfig) -> ScreeningDecision:
-    bad = set(np.unique(values)) - {0.0, 1.0}
-    if bad:
+    # Tested elementwise: np.unique, on numpy 2, imports numpy.ma, so it
+    # runs only to word the error.
+    if ((values != 0) & (values != 1)).any():
+        bad = set(np.unique(values)) - {0.0, 1.0}
         raise ValueError(f"binary variable {name!r} takes values outside {{0, 1}}: {sorted(bad)}")
     if not values.size:
         return ScreeningDecision(name, "binary", "excluded", "no observations, minority class undefined")

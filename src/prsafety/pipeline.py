@@ -12,11 +12,13 @@ before the output directory is made.
 The ingest stage loads the corpus with a fold, cues.Thread over that emoji
 table: each comment is checked as every load checks it and folded into its
 pull's cue row, so no comment record outlives ingest.  The pulls of
-PipelineResult.corpus are therefore corpus.FoldedPull records, which hold
-only what the stages read: the pull's key, author, merged flag, reopen
-count and cue row.  Their timestamps are checked at ingest and not kept,
-and they hold no comments (corpus.load_corpus without a fold gives the
-records).  The cue stage's extract_all turns their rows into the CueTable.
+PipelineResult.corpus are therefore a corpus.Pulls: columns, with no object
+per pull, of only what the stages read: each pull's repository and author
+codes, number, merged flag, reopen count and the index of its cue row.
+Their timestamps are checked at ingest and not kept, and they hold no
+comments (corpus.load_corpus without a fold gives the records).  The filter
+masks those columns, and the cue stage's extract_all turns the rows into the
+CueTable, which keeps the Pulls as its row keys.
 
 The fit stage builds its variables once as columns (_model_frame), one row
 per contributor of CueTable.contributors (as the labels and the index are)

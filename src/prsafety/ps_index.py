@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FoldedPull, PullRequestRecord, write_csv
+from .corpus import Pulls, write_csv
 from .cues import CueTable
 from .participation import ParticipationLabel
 
@@ -85,13 +85,13 @@ class Thresholds:
     global_medians: Mapping[str, float] | None = None
     per_repository: Mapping[str, Mapping[str, float]] | None = None
 
-    def row_medians(self, pulls: Sequence[PullRequestRecord | FoldedPull]) -> Mapping[str, float | np.ndarray]:
+    def row_medians(self, pulls: Pulls) -> Mapping[str, float | np.ndarray]:
         """The medians score_prs compares the rows of pulls against: the
         global medians, or per cue an array of each row's repository median."""
         if self.scope == "global":
             return self.global_medians
-        repos = [self.per_repository[pull.repo_full_name] for pull in pulls]
-        return {cue: np.array([medians[cue] for medians in repos]) for cue in THRESHOLD_CUES}
+        repos = [self.per_repository[name] for name in pulls.repos]
+        return {cue: np.array([medians[cue] for medians in repos])[pulls.repo] for cue in THRESHOLD_CUES}
 
 
 def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
@@ -110,12 +110,13 @@ def compute_thresholds(table: CueTable, scope: str = "global") -> Thresholds:
     if scope == "global":
         medians = {cue: float(median(values)) for cue, values in columns}
         return Thresholds(scope="global", global_medians=medians)
-    rows_of: dict[str, list[int]] = {}
-    for row, pull in enumerate(table.pulls):
-        rows_of.setdefault(pull.repo_full_name, []).append(row)
+    rows_of: dict[int, list[int]] = {}
+    for row, code in enumerate(table.pulls.repo.tolist()):
+        rows_of.setdefault(code, []).append(row)
+    names = table.pulls.repos
     per_repo = {
-        repo: {cue: float(median([values[row] for row in rows_of[repo]])) for cue, values in columns}
-        for repo in sorted(rows_of)
+        names[code]: {cue: float(median([values[row] for row in rows_of[code]])) for cue, values in columns}
+        for code in sorted(rows_of, key=names.__getitem__)
     }
     return Thresholds(scope="per_repository", per_repository=per_repo)
 

@@ -312,6 +312,31 @@ def test_a_run_loads_no_openssl(small_corpus_dir, tmp_path):
     assert imported == after_run == by_numpy
 
 
+def test_a_run_imports_no_numpy_module_past_the_cli(corpus12_dir, tmp_path):
+    # numpy 2's np.unique imports numpy.ma (about 1 MB resident); the 0/1
+    # checks call it only to word an error.  numpy 1 imports numpy.ma up
+    # front, and the run then adds nothing either.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["run", "--corpus", str(corpus12_dir), "--out", str(tmp_path / "out"),
+            "--data-end", "2021-06-30", "--no-filter"]
+    probe = (
+        "import json, sys\n"
+        "from prsafety import cli\n"
+        "def loaded(): return {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+        "before = loaded()\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(loaded() - before)]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    code, added = json.loads(result.stdout.splitlines()[-1])
+    assert code == 1  # every stage runs; on twelve pulls no model has a finite fit
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    assert added == []
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])],

@@ -566,16 +566,24 @@ def test_a_folded_pull_keeps_only_what_the_stages_read(tmp_path, emoji_table):
     assert not cm._SHARED
     assert folded.errors == records.errors == []
 
-    kept = ("repo_full_name", "pr_number", "author", "merged", "reopen_count", "thread")
-    assert tuple(f.name for f in dataclasses.fields(cm.FoldedPull)) == kept
-    assert len(folded.corpus.pulls) == 3
-    for pull, record in zip(folded.corpus.pulls, records.corpus.pulls):
-        assert type(pull) is cm.FoldedPull
-        assert not any(isinstance(getattr(pull, name), datetime) for name in kept)
-        assert not hasattr(pull, "created_at") and not hasattr(pull, "closed_at")
-        assert pull.comments == ()  # read by readers of either record
-        assert pull.comment_count == record.comment_count
-        assert [getattr(pull, name) for name in kept[:-1]] == [getattr(record, name) for name in kept[:-1]]
+    # Columns, with no object per pull and no timestamp: one array per field,
+    # the names the codes index, and the distinct rows.
+    pulls = folded.corpus.pulls
+    assert type(pulls) is cm.Pulls and len(pulls) == 3
+    kept = ("repos", "authors", "repo", "author", "pr_number", "merged", "reopen_count", "thread", "rows",
+            "repo_comments")
+    assert tuple(f.name for f in dataclasses.fields(cm.Pulls)) == kept
+    assert all(type(getattr(pulls, name)) is np.ndarray for name in kept if name not in ("repos", "authors", "rows"))
+    assert (pulls.repos, pulls.authors) == (("a/b", "c/d"), ("ann",))
+    assert pulls.repo.tolist() == [0, 0, 1] and pulls.author.tolist() == [0, 0, 0]
+    assert pulls.pr_number.tolist() == [1, 2, 1] and pulls.reopen_count.tolist() == [0, 0, 0]
+    assert pulls.merged.tolist() == [int(r.merged) for r in records.corpus.pulls]
+    assert [pulls.rows[t][0] for t in pulls.thread.tolist()] == [1, 2, 0]  # a Thread row's comment count
+    assert pulls.repo_comments.tolist() == [3, 0] and folded.corpus.counts()["comments"] == 3
+    assert not any(isinstance(value, datetime) for row in pulls.rows for value in row)
+    assert not hasattr(pulls, "created_at") and not hasattr(pulls, "closed_at")
+    assert [tuple(pull) for pull in pulls] == [(r.repo_full_name, r.pr_number, r.author) for r in records.corpus.pulls]
+    assert all(pull.comments == () for pull in pulls)  # read by readers of either record
 
     for corpus in (records.corpus, folded.corpus):
         sets = [r.category_labels for r in corpus.repos]
@@ -948,8 +956,15 @@ def _interpreted_comments(obj, name):
 
 _INTERPRETED_PULL = (("comments", _interpreted_comments), *cm._PULL)
 
-# The pulls.jsonl parser of a load without a fold, as _load builds it.
-_COMPILED_PULL, _ = cm._pull_parser(cm._Comments, close=True)
+# The pulls.jsonl parser of a load without a fold, as _load builds it, its
+# values made into the record that load gives.
+_PARSE_PULL = cm._pull_parser(cm._Comments, close=True)
+
+
+def _COMPILED_PULL(obj):
+    (comments, _), repo, number, author, created_at, merged, closed_at, reopen_count = _PARSE_PULL(obj)
+    return cm.PullRequestRecord(repo, number, author, created_at, merged, closed_at, reopen_count, comments)
+
 
 # Each file's line parser, compiled and interpreted.
 _PARSERS = {

@@ -64,6 +64,15 @@ def _pulls(threads) -> list[cm.PullRequestRecord]:
     ]
 
 
+def _keys(pulls) -> list[tuple]:
+    return [(pull.repo_full_name, pull.pr_number, pull.author) for pull in pulls]
+
+
+def _columns(pulls) -> cm.Pulls:
+    """The records as Pulls, each row the record's comments."""
+    return cm.pull_columns(pulls, _Recording)
+
+
 # --- extraction ---------------------------------------------------------------------
 
 @_EXAMPLES
@@ -78,7 +87,8 @@ def test_table_rows_match_the_multi_pass_oracle(emoji_table, threads):
     for i, (name, column) in enumerate(table.columns.items()):
         assert column.dtype == (np.int64 if name in cues.COUNT_CUES else np.uint8), name
         assert column.tolist() == [row[i] for row in expected], name
-    assert [pull for pull, _ in table] == pulls
+    assert _keys(pull for pull, _ in table) == _keys(pulls)
+    assert all(pull.comments == () for pull, _ in table)
     assert [vector for _, vector in table] == expected
     # The row view yields Python ints, whatever the columns' dtypes.
     assert all(type(value) is int for _, vector in table for value in vector)
@@ -122,7 +132,7 @@ def _drawn_table(drawn):
         for number, (repo, author, values) in enumerate(drawn, start=1)
     ]
     rows = [(pull, dict(zip(cues.CUE_NAMES, values))) for pull, (_, _, values) in zip(pulls, drawn)]
-    return rows, cues.CueTable(pulls, {name: [v[name] for _, v in rows] for name in cues.CUE_NAMES})
+    return rows, cues.CueTable(_columns(pulls), {name: [v[name] for _, v in rows] for name in cues.CUE_NAMES})
 
 
 @_EXAMPLES
@@ -178,7 +188,7 @@ def test_contributors_of_a_hand_built_table():
     # One author in two repositories, two authors in one, pairs revisited.
     pairs = [("a/x", "ann"), ("b/y", "ann"), ("a/x", "kai"), ("a/x", "ann"), ("b/y", "ann"), ("b/y", "kai")]
     pulls = [cm.PullRequestRecord(repo, n, author, T0, True, None, 0) for n, (repo, author) in enumerate(pairs)]
-    table = cues.CueTable(pulls, dict.fromkeys(cues.CUE_NAMES, [0] * len(pulls)))
+    table = cues.CueTable(_columns(pulls), dict.fromkeys(cues.CUE_NAMES, [0] * len(pulls)))
     keys, rows = table.contributors
     assert keys == [("a/x", "ann"), ("b/y", "ann"), ("a/x", "kai"), ("b/y", "kai")]
     assert rows.tolist() == [0, 1, 2, 0, 1, 3]
@@ -226,7 +236,7 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
                 emoji_count=own,
             ))
     assert all(list(v) == list(cues.CUE_NAMES) for v in vectors)
-    table = cues.CueTable(pulls, {name: [v[name] for v in vectors] for name in cues.CUE_NAMES})
+    table = cues.CueTable(_columns(pulls), {name: [v[name] for v in vectors] for name in cues.CUE_NAMES})
     sustained = _LABELS["sustained"]
     for scope in psi.THRESHOLD_SCOPES:
         thresholds = psi.compute_thresholds(table, scope)
@@ -242,7 +252,7 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
         got = {"": thresholds.global_medians} if scope == "global" else thresholds.per_repository
         assert got == expected, scope
         for merged_only in (False, True):
-            scores = psi.score_prs(table.columns, thresholds.row_medians(pulls), merged_only)
+            scores = psi.score_prs(table.columns, thresholds.row_medians(table.pulls), merged_only)
             assert scores.tolist() == [
                 oracles.score_row(v, sustained, expected["" if scope == "global" else p.repo_full_name],
                                   merged_only)
@@ -255,26 +265,52 @@ def test_counts_past_uint16_keep_their_medians_and_scores(emoji_table):
 
 # --- the fold: a load that keeps no comment record ---------------------------------
 
+def _assert_columns_hold_the_records(pulls, records):
+    """Field by field, the Pulls of a folded load hold what the records load's pulls hold."""
+    assert type(pulls) is cm.Pulls and len(pulls) == len(records)
+    assert [pulls.repos[code] for code in pulls.repo.tolist()] == [p.repo_full_name for p in records]
+    assert [pulls.authors[code] for code in pulls.author.tolist()] == [p.author for p in records]
+    assert pulls.pr_number.tolist() == [p.pr_number for p in records]
+    assert pulls.merged.tolist() == [int(p.merged) for p in records]
+    assert pulls.reopen_count.tolist() == [p.reopen_count for p in records]
+    assert [pulls.repo_comments[code] for code in range(len(pulls.repos))] == [
+        sum(len(p.comments) for p in records if p.repo_full_name == name) for name in pulls.repos
+    ]
+    # Codes number the repositories in name order, each with a pull.
+    assert list(pulls.repos) == sorted(pulls.repos)
+    assert set(pulls.repo.tolist()) == set(range(len(pulls.repos)))
+    dtypes = {"repo": np.int64, "author": np.int64, "pr_number": np.int64, "merged": np.uint8,
+              "reopen_count": np.int64, "thread": np.int64, "repo_comments": np.int64}
+    assert {name: getattr(pulls, name).dtype for name in dtypes} == dtypes
+    # The row view: built on access, holding no comment.
+    assert _keys(pulls) == _keys(records)
+    assert all(pull.comments == () for pull in pulls)
+
+
 def _assert_fold_agrees_with_the_records(directory, emoji_table):
     records = cm.load_corpus(directory)
     folded = cm.load_corpus(directory, fold=functools.partial(cues.Thread, emoji_table))
     assert folded.errors == records.errors
     assert folded.corpus.counts() == records.corpus.counts()
-    assert all(type(p) is cm.FoldedPull and p.comments == () for p in folded.corpus.pulls)
-    # Field by field: every field a folded pull keeps but its row.
-    kept = [f.name for f in dataclasses.fields(cm.FoldedPull) if f.name != "thread"]
-    assert [[getattr(p, name) for name in kept] for p in records.corpus.pulls] == [
-        [getattr(p, name) for name in kept] for p in folded.corpus.pulls
-    ]
+    _assert_columns_hold_the_records(folded.corpus.pulls, records.corpus.pulls)
+    # A filter that drops repositories masks the columns as it drops the records.
+    for top in (1, 2):
+        config = cm.FilterConfig(top_n_by_stars=top)
+        want = cm.filter_repositories(records.corpus, config)
+        got = cm.filter_repositories(folded.corpus, config)
+        assert got.counts() == want.counts()
+        _assert_columns_hold_the_records(got.pulls, want.pulls)
     want = cues.extract_all(records.corpus.pulls, emoji_table)
     got = cues.extract_all(folded.corpus.pulls, emoji_table)
-    assert got.pulls == folded.corpus.pulls
+    assert got.pulls is folded.corpus.pulls
     for name in cues.CUE_NAMES:
         assert got.columns[name].dtype == want.columns[name].dtype, name
         assert got.columns[name].tolist() == want.columns[name].tolist(), name
-    # Equal rows are one object.
-    rows = [p.thread for p in folded.corpus.pulls]
-    assert len({id(row) for row in rows}) == len(set(rows))
+    # The pulls' own arrays are two cue columns, not copies of them.
+    assert got.columns["merged_or_not"] is got.pulls.merged
+    assert got.columns["reopen_num"] is got.pulls.reopen_count
+    # Equal rows are one entry.
+    assert len(set(got.pulls.rows)) == len(got.pulls.rows)
 
 
 # Faulty pull timestamps: a folded pull keeps neither, but checks both.
@@ -293,6 +329,17 @@ def _break_pull_stamps(directory, faults):
     pulls = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     for position, (name, value) in faults:
         pulls[position % len(pulls)][name] = value
+    path.write_text("".join(json.dumps(p) + "\n" for p in pulls), encoding="utf-8")
+
+
+def _repeat_pulls(directory, positions):
+    """Append to pulls.jsonl a copy of the pull at each drawn position, under
+    its key but with other fields and comments."""
+    path = directory / "pulls.jsonl"
+    pulls = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    for position in positions:
+        pull = pulls[position % len(pulls)]
+        pulls.append({**pull, "merged": not pull["merged"], "reopen_count": 7, "comments": pull["comments"][:1]})
     path.write_text("".join(json.dumps(p) + "\n" for p in pulls), encoding="utf-8")
 
 
@@ -339,16 +386,20 @@ def _split_comments(directory, rng, same_second, bad_role, bad_time, orphan, kee
     bad_time=st.none() | st.integers(0, 40),
     orphan=st.booleans(),
     bad_stamps=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_BAD_PULL_STAMPS)), max_size=2),
+    repeats=st.lists(st.integers(0, 40), max_size=3),
 )
 @example(sizes=[6, 6], seed=3, same_second=False, bad_role=None, bad_time=None, orphan=False,
-         bad_stamps=list(enumerate(_BAD_PULL_STAMPS)))  # every fault, each on its own pull
+         bad_stamps=list(enumerate(_BAD_PULL_STAMPS)), repeats=[])  # every fault, each on its own pull
+@example(sizes=[3, 2, 4], seed=9, same_second=False, bad_role=None, bad_time=None, orphan=True,
+         bad_stamps=[], repeats=[0, 4, 4, 8])  # repeated keys in several repositories
 def test_a_folded_load_gives_the_records_cues_and_errors(
-    tmp_path_factory, emoji_table, sizes, seed, same_second, bad_role, bad_time, orphan, bad_stamps
+    tmp_path_factory, emoji_table, sizes, seed, same_second, bad_role, bad_time, orphan, bad_stamps, repeats
 ):
     directory = tmp_path_factory.mktemp("fold")
     counts = tuple((f"acme/r{i}", size) for i, size in enumerate(sizes))
     synth.build_scaled_corpus(directory, counts=counts, seed=seed, prs_per_author=2)
     _break_pull_stamps(directory, bad_stamps)
+    _repeat_pulls(directory, repeats)
     _assert_fold_agrees_with_the_records(directory, emoji_table)
     _split_comments(directory, random.Random(seed), same_second, bad_role, bad_time, orphan)
     _assert_fold_agrees_with_the_records(directory, emoji_table)
@@ -397,12 +448,11 @@ def test_any_fold_is_given_the_comments_of_the_records_load(
     records = cm.load_corpus(directory)
     recorded = cm.load_corpus(directory, fold=_Recording)
     assert recorded.errors == records.errors
-    assert all(type(p) is cm.FoldedPull for p in recorded.corpus.pulls)
-    assert [(p.repo_full_name, p.pr_number, p.author, p.merged, p.reopen_count, p.thread)
-            for p in recorded.corpus.pulls] == [
-        (p.repo_full_name, p.pr_number, p.author, p.merged, p.reopen_count, p.comments)
-        for p in records.corpus.pulls
-    ]
+    # The comment count is the comments the load gave, whatever the rows hold.
+    assert recorded.corpus.counts() == records.corpus.counts()
+    pulls = recorded.corpus.pulls
+    _assert_columns_hold_the_records(pulls, records.corpus.pulls)
+    assert [pulls.rows[t] for t in pulls.thread.tolist()] == [p.comments for p in records.corpus.pulls]
     for name in ("commits", "contexts", "repos"):
         assert getattr(recorded.corpus, name) == getattr(records.corpus, name), name
 
@@ -410,13 +460,15 @@ def test_any_fold_is_given_the_comments_of_the_records_load(
 # --- memory: what a run's load keeps and peaks at ---------------------------------
 
 # Bytes per pull that tracemalloc counts for a folded load of the tenth-scale
-# corpus below (6,056 pulls), after a first load of it.  CPython 3.10.13,
-# 3.11.7, 3.12.1 and 3.13.0 agree within 1 B: 124.6-125.3 B retained after
-# the load and 230.9-232.5 B at its peak.  Each bound is about 12% above
-# that.  A change that keeps or peaks at more per pull on purpose moves the
-# bound and says why, as a golden change does.
-_RETAINED_PER_PULL = 140
-_PEAK_PER_PULL = 260
+# corpus below (6,056 pulls), after a first load of it.  CPython 3.11.7 with
+# numpy 2.4.6 reads 60.9 B retained after the load and 140.9 B at its peak.
+# The pulls are columns, 41 B a pull; the peak adds the per-repository dicts
+# from number to position, which live until the canonical sort.  Each bound
+# is about 12% above that.  When the pulls were one object each, 3.10.13
+# through 3.13.0 agreed within 1 B.  A change that keeps or peaks at more
+# per pull on purpose moves the bound and says why, as a golden change does.
+_RETAINED_PER_PULL = 68
+_PEAK_PER_PULL = 158
 
 
 def test_a_folded_load_keeps_and_peaks_at_a_bounded_size_per_pull(tmp_path, emoji_table):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -366,7 +367,8 @@ def _table(repos, numbers, rows):
         for repo, number in zip(repos, numbers)
     ]
     columns = dict(zip(cues.CUE_NAMES, np.array(rows, dtype=np.int64).reshape(-1, 13).T))
-    return cues.CueTable(pulls, columns)
+    # No comment reaches the fold, so its threads need no emoji table.
+    return cues.CueTable(cm.pull_columns(pulls, functools.partial(cues.Thread, None)), columns)
 
 
 def _assert_written_as_rows(tmp_path, table):

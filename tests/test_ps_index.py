@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import functools
 import random
+from datetime import datetime, timezone
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from prsafety import corpus as cm
 from prsafety import ps_index as psi
-from prsafety.cues import CUE_NAMES, CueTable
+from prsafety.cues import CUE_NAMES, CueTable, Thread
 from prsafety.participation import ParticipationLabel
 
+T0 = datetime(2019, 1, 1, tzinfo=timezone.utc)
 SUSTAINED = ParticipationLabel("sustained", 1, 1)
 NOT_SUSTAINED = ParticipationLabel("not_sustained", 0, 0)
 
@@ -31,8 +35,16 @@ FIXTURE_SCORES = {
 
 
 def _table(rows):
-    """A CueTable of (pull, cues) rows; it casts the lists to its column dtypes."""
-    return CueTable([pull for pull, _ in rows], {name: [v[name] for _, v in rows] for name in CUE_NAMES})
+    """A CueTable of (pull, cues) rows; it casts the lists to its column dtypes.
+    A pull without a number or an author is given one."""
+    records = [
+        cm.PullRequestRecord(pull.repo_full_name, getattr(pull, "pr_number", number),
+                             getattr(pull, "author", "ann"), T0, True, None, 0)
+        for number, (pull, _) in enumerate(rows, start=1)
+    ]
+    # No comment reaches the fold, so its threads need no emoji table.
+    pulls = cm.pull_columns(records, functools.partial(Thread, None))
+    return CueTable(pulls, {name: [v[name] for _, v in rows] for name in CUE_NAMES})
 
 
 def _repo_table(rows):
@@ -114,7 +126,7 @@ def test_thresholds_reject_bad_input():
 
 def _columns(vectors):
     """The cue columns of a list of vectors, in the table's dtypes."""
-    return _table([(None, vector) for vector in vectors]).columns
+    return _table([(SimpleNamespace(repo_full_name="a/a"), vector) for vector in vectors]).columns
 
 
 def _summarize_one(vector, label):
