@@ -27,8 +27,8 @@ repeats a key or names an unknown pull, becomes exactly one ingest-error
 line and is skipped; the load never aborts on a line.  A missing required
 file is fatal.
 
-Each record table is compiled into one straight-line parser, at import or,
-for pulls, at each load (as dataclasses generates __init__): cheap acceptance tests run inline, and
+Each record table is compiled into one straight-line parser at import (as
+dataclasses generates __init__): cheap acceptance tests run inline, and
 a value that fails one, or a field whose kind transforms its value, goes to
 the kind function, which states every check and message once.
 
@@ -45,20 +45,21 @@ pass; a list with an item that fails is walked again item by item, so that
 a role outside ROLES, or an item that is not an object, names its position
 (comments[i]); every other field error of a comment keeps its plain wording.
 
-Every load folds: each pull line opens a thread of the fold, each checked
-comment of the pull is added to it (the line's own in line order, then
-comments.jsonl's in file order), and the pull keeps the closed thread's row.
-A thread stays open only while comments can still arrive: to the end of its
-line, or to the end of comments.jsonl when that exists.  Each checked pull
-is appended to columns, one array per field, with no object of its own: a
-repository code and an author code (indices into the load's names), its
-number, merged flag and reopen count, and the index of its row among the
-fold's distinct rows.  A repeated key is found through one dict per
-repository from number to position, so no key tuple is built per pull.  The
-canonical order is a stable np.lexsort over repository codes numbered in
-sorted-name order, then numbers.  With a fold (load_corpus(directory,
-fold)), the corpus's pulls are those columns, a Pulls; its created_at and
-closed_at are checked as in any load, with the same errors, and not kept.
+Every load folds: each pull the load keeps opens a thread of the fold, each
+checked comment of the pull is added to it (the line's own in line order,
+then comments.jsonl's in file order), and the pull keeps the closed thread's
+row.  A thread stays open only while comments can still arrive: to the end
+of its line, or to the end of comments.jsonl when that exists.  A rejected
+line opens no thread.  Each kept pull is appended to columns, one array per
+field, with no object of its own: a repository code and an author code
+(indices into the load's names), its number, merged flag and reopen count,
+and the index of its row among the fold's distinct rows.  A repeated key is
+found through one dict per repository from number to position, so no key
+tuple is built per pull.  The canonical order is a stable np.lexsort over
+repository codes numbered in sorted-name order, then numbers.  With a fold
+(load_corpus(directory, fold)), the corpus's pulls are those columns, a
+Pulls; its created_at and closed_at are checked as in any load, with the
+same errors, and not kept.
 Without one the fold is _Comments, whose row is the comments as
 CommentRecords in timestamp order, and each pull becomes a
 PullRequestRecord, timestamps and all.
@@ -513,29 +514,16 @@ def _string_set(obj: dict, name: str) -> frozenset[str]:
     return _SHARED.setdefault(labels, labels)
 
 
-def _checked_comments(obj: dict) -> list:
+def _checked_comments(obj: dict, name: str) -> list:
     """The items of a pull line's comments, each as its row tuple of _COMMENT."""
-    value = obj.get("comments", [])
+    value = obj.get(name, [])
     if type(value) is not list:
-        raise _LineError("field 'comments' must be a list")
+        raise _LineError(f"field {name!r} must be a list")
     try:
         return [_parse_comment(c) for c in value]
     except (_LineError, AttributeError):  # AttributeError: an item that is not an object
         # Walk the list again item by item, so the error names its position.
         return [_comment(c, i) for i, c in enumerate(value)]
-
-
-def _thread(fold, close: bool):
-    """The kind of a pull's thread: a new thread of fold given the line's
-    checked comments (closed into its row when close), and their count."""
-    def thread(obj: dict, name: str):
-        opened = fold()
-        comments = _checked_comments(obj)
-        for role, author, body, created_at in comments:
-            opened.add(role, author, body, created_at)
-        return opened.close() if close else opened, len(comments)
-
-    return thread
 
 
 def _size_matches_count(obj: dict, name: str) -> str:
@@ -555,7 +543,7 @@ _COMMENT = (
     ("created_at", _timestamp),
 )
 
-# A pull's rows after its thread's, which each load puts first (_pull_parser).
+# A pull's rows after its comments', which _parse_pull checks first.
 _PULL = (
     ("repo_full_name", _name),
     ("pr_number", _integer(1)),
@@ -597,7 +585,7 @@ _REPO = (
 
 
 def _compile(table, record_type=None):
-    """One parser function for a record table.
+    """One parser function for a record table, built once at import.
 
     The function checks the rows in order and builds the record from each
     field's last value, through _builder.  Without a record type it returns
@@ -655,6 +643,7 @@ def _builder(record_type):
 
 
 _parse_comment = _compile(_COMMENT)
+_parse_pull = _compile((("comments", _checked_comments), *_PULL))
 _parse_pull_key = _compile(_COMMENT_KEY)
 _parse_commit = _compile(_COMMIT, CommitEvent)
 _parse_context = _compile(_CONTEXT, ContributorContext)
@@ -700,13 +689,6 @@ class _Comments(list):
 
     def close(self) -> tuple[CommentRecord, ...]:
         return _sort_comments(self)
-
-
-def _pull_parser(fold, close: bool):
-    """The pulls.jsonl parser of a load with fold.  It returns the values of
-    the line's rows in order: first its thread's (the open thread, or its
-    row when close, and its comment count), then those of _PULL."""
-    return _compile((("thread", _thread(fold, close)), *_PULL))
 
 
 class _Columns:
@@ -867,11 +849,12 @@ def load_corpus(directory: str | Path, fold=None) -> LoadResult:
     object each; the table that shares them is emptied on return, also
     after a raise.
 
-    fold() gives a new open thread for each pull line; its add(role,
-    author, body, created_at) takes each checked comment of the pull, in the
-    order the module docstring gives, and its close() gives the hashable
-    row the pull keeps.  With a fold, the corpus's pulls are a Pulls, which
-    keeps no comment record or timestamp; without one, PullRequestRecords.
+    fold() gives a new open thread for each pull the load keeps; its
+    add(role, author, body, created_at) takes each checked comment of the
+    pull, in the order the module docstring gives, and its close() gives the
+    hashable row the pull keeps.  With a fold, the corpus's pulls are a
+    Pulls, which keeps no comment record or timestamp; without one,
+    PullRequestRecords.
     """
     try:
         return _load(Path(directory), _Comments if fold is None else fold)
@@ -922,8 +905,8 @@ def _load(directory: Path, fold) -> LoadResult:
     threads = []  # each pull's open thread, while comments.jsonl can add to it
     stamps = []  # without a fold: each pull's values that no column holds
     repeats = []
-    for lineno, values in read("pulls.jsonl", _pull_parser(fold, close=not separate)):
-        (thread, comments), repo, number, author, created_at, merged, closed_at, reopen_count = values
+    for lineno, values in read("pulls.jsonl", _parse_pull):
+        comments, repo, number, author, created_at, merged, closed_at, reopen_count = values
         code = columns.code(repo)
         if code == len(numbers):
             numbers.append({})
@@ -931,11 +914,14 @@ def _load(directory: Path, fold) -> LoadResult:
         if numbers[code].setdefault(number, position) != position:
             repeats.append(IngestError("pulls.jsonl", lineno, f"duplicate pr_number {number} for {repo}"))
             continue
-        columns.append(code, number, author, merged, reopen_count, comments)
+        thread = fold()
+        for comment in comments:
+            thread.add(*comment)
+        columns.append(code, number, author, merged, reopen_count, len(comments))
         if separate:
             threads.append(thread)
         else:
-            columns.add_row(thread)
+            columns.add_row(thread.close())
         if fold is _Comments:
             stamps.append((created_at, merged, closed_at))
     errors.extend(repeats)
@@ -1017,13 +1003,14 @@ def json_form(value):
 def _write_jsonl(path: Path, records: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, default=json_form, separators=(",", ":")) + "\n")
+            handle.write(json.dumps(record, default=json_form, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def write_json(path: str | Path, payload) -> None:
-    """A JSON artifact: payload's json_form, two-space indent, sorted keys, one final newline."""
+    """A JSON artifact: payload's json_form, two-space indent, sorted keys, one
+    final newline.  A NaN or infinite float raises ValueError: it is not JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, default=json_form, indent=2, sort_keys=True)
+        json.dump(payload, handle, default=json_form, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

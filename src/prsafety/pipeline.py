@@ -59,6 +59,7 @@ import dataclasses
 import functools
 import importlib
 import json
+import math
 import re
 import types
 import typing
@@ -497,7 +498,11 @@ def _manifest(result: PipelineResult) -> dict:
         },
         "vif": {
             "threshold": glm.VIF_THRESHOLD,
-            "per_model": {str(i): m.vif for i, m in fitted.items()},
+            # An infinite factor (a collinear column) is written as null.
+            "per_model": {
+                str(i): {name: v if math.isfinite(v) else None for name, v in m.vif.items()}
+                for i, m in fitted.items()
+            },
             "all_below_threshold": all(glm.vif_gate(m.vif) for m in fitted.values()),
         },
         "notes": [ps_index.OUTCOME_COUPLING_NOTE] + result.failure_notes(),

@@ -223,6 +223,11 @@ def test_json_form_gives_each_kind_of_value_its_one_form():
     with pytest.raises(TypeError, match="^set has no JSON form$"):
         cm.json_form({"a": [{1}]})
 
+def test_write_json_refuses_a_float_json_cannot_hold(tmp_path):
+    with pytest.raises(ValueError):
+        cm.write_json(tmp_path / "x.json", {"x": float("nan")})
+
+
 # --- size boundaries -----------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -353,6 +358,33 @@ def test_duplicate_pr_number_is_an_error_line(tmp_path):
     result = cm.load_corpus(directory)
     assert len(result.corpus.pulls) == 1
     assert any("duplicate pr_number" in e.message for e in result.errors)
+
+
+@pytest.mark.parametrize("separate", [False, True], ids=["embedded", "comments_file"])
+def test_only_kept_pulls_reach_the_fold(tmp_path, separate):
+    comment = {"author": "kai", "role": "reviewer", "body": "ok", "created_at": "2019-01-02T00:00:00Z"}
+    pulls = [_pull_obj(), _pull_obj(), _pull_obj(number=2, comments=[comment], created_at="2019-02-30T00:00:00Z")]
+    directory = _minimal_dir(tmp_path, pulls=pulls, repos=[_repo_obj(pr_count=3)])
+    if separate:
+        (directory / "comments.jsonl").write_text("", encoding="utf-8")
+    opened = []
+
+    class Counting(list):
+        def __init__(self):
+            opened.append(self)
+
+        def add(self, role, author, body, created_at):
+            self.append(body)
+
+        def close(self):
+            return tuple(self)
+
+    result = cm.load_corpus(directory, fold=Counting)
+    assert len(opened) == len(result.corpus.pulls) == 1
+    assert result.errors == [
+        cm.IngestError("pulls.jsonl", 3, "invalid RFC 3339 timestamp '2019-02-30T00:00:00Z'"),
+        cm.IngestError("pulls.jsonl", 2, "duplicate pr_number 1 for a/b"),
+    ]
 
 
 def test_bad_comment_role_is_an_error(tmp_path):
@@ -956,14 +988,14 @@ def _interpreted_comments(obj, name):
 
 _INTERPRETED_PULL = (("comments", _interpreted_comments), *cm._PULL)
 
-# The pulls.jsonl parser of a load without a fold, as _load builds it, its
-# values made into the record that load gives.
-_PARSE_PULL = cm._pull_parser(cm._Comments, close=True)
-
-
 def _COMPILED_PULL(obj):
-    (comments, _), repo, number, author, created_at, merged, closed_at, reopen_count = _PARSE_PULL(obj)
-    return cm.PullRequestRecord(repo, number, author, created_at, merged, closed_at, reopen_count, comments)
+    """The pulls.jsonl parser's values, folded and made into the record as a
+    load without a fold does."""
+    comments, repo, number, author, created_at, merged, closed_at, reopen_count = cm._parse_pull(obj)
+    thread = cm._Comments()
+    for comment in comments:
+        thread.add(*comment)
+    return cm.PullRequestRecord(repo, number, author, created_at, merged, closed_at, reopen_count, thread.close())
 
 
 # Each file's line parser, compiled and interpreted.

@@ -293,6 +293,30 @@ def test_small_corpus_run_end_to_end(small_corpus_dir, tmp_path):
     assert "Note: " + OUTCOME_COUPLING_NOTE in report
 
 
+def test_an_infinite_vif_is_null_in_the_manifest(small_corpus_dir, tmp_path, monkeypatch):
+    vif = glm.vif
+
+    def collinear(X, columns, weights=None):
+        # The first factor infinite, as for a column collinear with the others.
+        factors = vif(X, columns, weights)
+        return {**factors, next(iter(factors)): float("inf")}
+
+    monkeypatch.setattr(glm, "vif", collinear)
+    out = tmp_path / "out"
+    result = pipeline.run_pipeline(_config(small_corpus_dir, out))
+    manifest = json.loads(
+        (out / "manifest.json").read_text("utf-8"),
+        parse_constant=lambda name: pytest.fail(f"{name} is not JSON"),
+    )
+    per_model = manifest["vif"]["per_model"]
+    assert per_model
+    for i, factors in per_model.items():
+        first, *rest = result.models[int(i)].vif.items()
+        assert first[1] == float("inf")
+        assert factors == {first[0]: None, **dict(rest)}
+    assert manifest["vif"]["all_below_threshold"] is False
+
+
 def test_artifacts_share_one_json_and_one_csv_form(small_corpus_dir, tmp_path):
     out = tmp_path / "out"
     result = pipeline.run_pipeline(_config(small_corpus_dir, out))

@@ -125,30 +125,43 @@ def test_every_module_constant_is_read(path):
     assert _unread_constants(path.read_text("utf-8"), read) == []
 
 
-def _callers(source: str, method: str) -> list[str]:
-    """Every function around each self.<method>(...) call, nested ones included."""
+def _callers(source: str, name: str) -> list[str]:
+    """Every function around each self.<name>(...) or <name>(...) call, nested ones included."""
     return [
         function.name
         for function in ast.walk(ast.parse(source))
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(function)
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == method
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "self"
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"
+        )
     ]
 
 
 def test_the_check_sees_every_caller():
-    source = "class A:\n def f(self):\n  self._get()\n def g(self):\n  h = lambda: self._get()\n"
-    assert _callers(source, "_get") == ["f", "g"]
+    source = (
+        "class A:\n def f(self):\n  self._get()\n def g(self):\n  h = lambda: self._get()\n"
+        "def k():\n _get()\n_get()\n"
+    )
+    assert _callers(source, "_get") == ["k", "f", "g"]
 
 
 def test_every_github_request_goes_through_the_staging_loop():
     # One loop stages and cursor-marks every response, so nothing else may send a GET.
     source = (PACKAGE / "github_fetch.py").read_text("utf-8")
     assert _callers(source, "_get") == ["_stage"]
+
+
+def test_every_parser_is_built_at_import():
+    # _compile and _builder exec new source on each call, so only module
+    # level and the two of them call either: a load execs nothing.
+    source = (PACKAGE / "corpus.py").read_text("utf-8")
+    assert set(_callers(source, "_compile") + _callers(source, "_builder")) <= {"_compile", "_builder"}
 
 
 def _readme_imports(text: str) -> list[tuple[str, str]]:
